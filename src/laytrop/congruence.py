@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -46,8 +47,12 @@ class FinitePointSet:
     def __iter__(self):
         return iter(self.points)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.points)
+
     def __contains__(self, point):
-        return tuple(point) in set(self.points)
+        return tuple(point) in self._members
 
 
 Pair = Tuple[LayeredPolynomial, LayeredPolynomial]

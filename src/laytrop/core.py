@@ -48,6 +48,17 @@ class SortFlavor:
         """Whether m = ell + k for some layer k, i.e. m records surplus ties over ell."""
         raise NotImplementedError
 
+    def pow(self, k: Layer, m: int) -> Layer:
+        """k to the m-th power under ``mul`` (square-and-multiply); only layer 1 inverts."""
+        if m < 0 and k != 1:
+            raise DomainError(f"layer {format_layer(k)} is not invertible")
+        result = 1
+        while m > 0:
+            if m & 1:
+                result = self.mul(result, k)
+            k, m = self.mul(k, k), m >> 1
+        return result
+
     def __repr__(self):
         return f"<sorts {self.name}>"
 
@@ -285,13 +296,7 @@ class LayeredSemiring:
         self.check(x)
         if not isinstance(m, int):
             raise DomainError(f"exponent {m!r} is not an integer")
-        if m == 0:
-            return self.one()
-        if m < 0:
-            if x.layer != 1:
-                raise DomainError(f"layer {format_layer(x.layer)} is not invertible")
-            return LayeredScalar(1, x.value * m)
-        return LayeredScalar(x.layer ** m, x.value * m)
+        return LayeredScalar(self.sorts.pow(x.layer, m), x.value * m)
 
     def sum(self, xs: Iterable[LayeredScalar]) -> LayeredScalar:
         total = None

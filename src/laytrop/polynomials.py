@@ -10,9 +10,10 @@ from the breakpoints of the upper envelope of the coefficient data.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -22,28 +23,6 @@ from .errors import DomainError
 
 Exponents = Tuple[int, ...]
 Point = Tuple[LayeredScalar, ...]
-
-
-def worker_count() -> int:
-    """Parallel workers for grid scans; LAYTROP_THREADS caps them (0 = auto)."""
-    raw = os.environ.get("LAYTROP_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"LAYTROP_THREADS={raw!r} is not an integer")
-    if n < 0:
-        raise DomainError("LAYTROP_THREADS must be non-negative")
-    return (os.cpu_count() or 1) if n == 0 else n
-
-
-def _scan(fn, items: Sequence):
-    workers = worker_count()
-    if workers <= 1 or len(items) < 2 * workers:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class LayeredPolynomial:
@@ -80,7 +59,8 @@ class LayeredPolynomial:
             semiring.values.check(Fraction(-1))
         self.semiring = semiring
         self.nvars = nvars
-        self.coeffs = merged
+        # Support order fixes the order in which tie layers are summed.
+        self.coeffs = dict(sorted(merged.items()))
         self.laurent = laurent
 
     # -- constructors ----------------------------------------------------------
@@ -175,18 +155,37 @@ class LayeredPolynomial:
                 term = sr.mul(term, sr.pow(coordinate, e))
         return term
 
-    def evaluate(self, point: Point) -> LayeredScalar:
+    def _profile(self, point: Point) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
+        """(scale, values, layers, tied): each monomial's value times the common
+        denominator ``scale`` as an int and its layer, in support order, and the
+        indices tied at the best value.  Validates the point once; the rest is
+        raw int and sort arithmetic on data that is already valid."""
         point = self._check_point(point)
-        sr = self.semiring
-        return sr.sum(self.monomial_value(e, point) for e in sorted(self.coeffs))
+        sorts = self.semiring.sorts
+        scale = math.lcm(*(c.value.denominator for c in self.coeffs.values()),
+                         *(x.value.denominator for x in point))
+        coords = [(x.value.numerator * (scale // x.value.denominator), x.layer) for x in point]
+        values, layers = [], []
+        for exponents, c in self.coeffs.items():
+            value, layer = c.value.numerator * (scale // c.value.denominator), c.layer
+            for (xv, xl), e in zip(coords, exponents):
+                if e != 0:
+                    value += e * xv
+                    layer = sorts.mul(layer, sorts.pow(xl, e))
+            values.append(value)
+            layers.append(layer)
+        best = (min if self.semiring.descending else max)(values)
+        return scale, values, layers, tuple(i for i, v in enumerate(values) if v == best)
+
+    def evaluate(self, point: Point) -> LayeredScalar:
+        scale, values, layers, tied = self._profile(point)
+        return LayeredScalar(_layer_sum(self.semiring.sorts, layers, tied),
+                             Fraction(values[tied[0]], scale))
 
     def dominant_part(self, point: Point) -> Tuple[Exponents, ...]:
         """Exponent vectors of the monomials whose value ties the evaluated value."""
-        point = self._check_point(point)
-        sr = self.semiring
-        values = {e: self.monomial_value(e, point) for e in self.coeffs}
-        top = sr.sum(values[e] for e in sorted(values))
-        return tuple(sorted(e for e, v in values.items() if v.value == top.value))
+        support = tuple(self.coeffs)
+        return tuple(support[i] for i in self._profile(point)[3])
 
     def layering(self, point: Point) -> Layer:
         """The layer of the evaluated scalar; its level sets stratify loci."""
@@ -200,14 +199,8 @@ class LayeredPolynomial:
         Over the trivial flavor every sort is a ghost sort, so the criterion
         there is the classical one: at least two tied dominant monomials.
         """
-        point = self._check_point(point)
-        sr = self.semiring
-        if sr.sorts is TRIVIAL:
-            return len(self.dominant_part(point)) >= 2
-        total = self.evaluate(point)
-        return all(
-            sr.sorts.is_ghost_sort(total.layer, self.monomial_value(e, point).layer)
-            for e in self.coeffs)
+        _, _, layers, tied = self._profile(point)
+        return _verdict(self.semiring.sorts, layers, tied)[0]
 
     def is_cluster_root(self, point: Point) -> bool:
         """Whether a single dominant monomial already evaluates to a ghost.
@@ -215,15 +208,22 @@ class LayeredPolynomial:
         The trivial flavor has no ghost layers to record clustering, so no
         cluster roots exist there.
         """
-        point = self._check_point(point)
-        sr = self.semiring
-        if sr.sorts is TRIVIAL:
-            return False
-        dominant = self.dominant_part(point)
-        if len(dominant) != 1:
-            return False
-        value = self.monomial_value(dominant[0], point)
-        return self.evaluate(point) == value and sr.is_ghost_over(value, 1)
+        _, _, layers, tied = self._profile(point)
+        return _verdict(self.semiring.sorts, layers, tied)[1]
+
+
+def _layer_sum(sorts, layers: Sequence[Layer], tied: Sequence[int]) -> Layer:
+    """Layered sum of the tied monomials' layers, in support order."""
+    return functools.reduce(sorts.add, [layers[i] for i in tied])
+
+
+def _verdict(sorts, layers: Sequence[Layer], tied: Sequence[int]) -> Tuple[bool, bool]:
+    """(corner root, cluster root) from monomial layers and the tied indices."""
+    if sorts is TRIVIAL:
+        return len(tied) >= 2, False
+    total = _layer_sum(sorts, layers, tied)
+    corner = all(sorts.is_ghost_sort(total, layer) for layer in layers)
+    return corner, len(tied) == 1 and sorts.is_ghost_sort(total, 1)
 
 
 def _format_monomial(scalar: LayeredScalar, exponents: Exponents) -> str:
@@ -281,11 +281,14 @@ class GridSpec:
             v += step
         return out
 
-    def points(self, semiring: LayeredSemiring) -> List[Point]:
+    def axis_points(self, semiring: LayeredSemiring) -> List[List[LayeredScalar]]:
+        """Sampled coordinates per axis, each validated by ``semiring.scalar``."""
         layers = self.layers or (1,) * self.nvars
-        axes = [[semiring.scalar(v, layers[i]) for v in self.axis_values(i)]
+        return [[semiring.scalar(v, layers[i]) for v in self.axis_values(i)]
                 for i in range(self.nvars)]
-        return [tuple(p) for p in itertools.product(*axes)]
+
+    def points(self, semiring: LayeredSemiring) -> List[Point]:
+        return list(itertools.product(*self.axis_points(semiring)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +304,61 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
+def _scan(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, accept) -> Tuple[Point, ...]:
+    """Grid points, in product order, where ``accept(sorts, layers, tied)`` holds for every f.
+
+    Each axis has one layer, so monomial layers, and hence verdicts given
+    the tied set, are the same at every point.  Scaled by a common
+    denominator, monomial values are integer affine in the lattice index.
+    """
+    polynomials = _common(polynomials)
+    axes = grid.axis_points(polynomials[0].semiring)
+    rows = [_lattice_row(f, axes, grid, accept) for f in polynomials]
+    *outer, inner = [range(len(axis)) for axis in axes]
+    out = []
+    for prefix in itertools.product(*outer):
+        keep = map(all, zip(*(row(prefix) for row in rows)))
+        head = tuple(axis[k] for axis, k in zip(axes, prefix))
+        out.extend(head + (axes[-1][k],) for k in itertools.compress(inner, keep))
+    return tuple(out)
+
+
+def _lattice_row(f: LayeredPolynomial, axes: Sequence[Sequence[LayeredScalar]],
+                 grid: GridSpec, accept):
+    """A map from a lattice prefix to f's verdicts along the last axis."""
+    origin_scale, values, layers, _ = f._profile(tuple(axis[0] for axis in axes))
+    steps = [step for _, _, step in grid.axes]
+    scale = math.lcm(origin_scale, *(s.denominator for s in steps))
+    base = [v * (scale // origin_scale) for v in values]
+    deltas = [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
+    sorts, best = f.semiring.sorts, (min if f.semiring.descending else max)
+    indices, n = range(len(base)), len(axes[-1])
+    verdicts: Dict[Tuple[int, ...], bool] = {}
+
+    def row(prefix: Tuple[int, ...]) -> List[bool]:
+        starts = [b + sum(map(operator.mul, prefix, d)) for b, d in zip(base, deltas)]
+        out = []
+        lanes = map(itertools.count, starts, (d[-1] for d in deltas))
+        for vals in itertools.islice(zip(*lanes), n):
+            top = best(vals)
+            tied = tuple(itertools.compress(indices, map(top.__eq__, vals)))
+            ok = verdicts.get(tied)
+            if ok is None:
+                ok = verdicts[tied] = accept(sorts, layers, tied)
+            out.append(ok)
+        return out
+
+    return row
+
+
 def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
     """Grid points that are corner roots of every polynomial in the set."""
-    polynomials = _common(polynomials)
-    points = grid.points(polynomials[0].semiring)
-    keep = _scan(lambda a: all(f.is_corner_root(a) for f in polynomials), points)
-    return tuple(a for a, ok in zip(points, keep) if ok)
+    return _scan(polynomials, grid, lambda *args: _verdict(*args)[0])
 
 
 def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
     """Grid points that are corner or cluster roots of every polynomial in the set."""
-    polynomials = _common(polynomials)
-    points = grid.points(polynomials[0].semiring)
-    keep = _scan(
-        lambda a: all(f.is_corner_root(a) or f.is_cluster_root(a) for f in polynomials),
-        points)
-    return tuple(a for a, ok in zip(points, keep) if ok)
+    return _scan(polynomials, grid, lambda *args: any(_verdict(*args)))
 
 
 def layering_map(f: LayeredPolynomial, point: Point) -> Layer:
@@ -334,16 +376,14 @@ def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> Tup
     exponents = tuple(exponents)
     if exponents not in f.coeffs:
         raise DomainError(f"{exponents!r} is not a monomial of the polynomial")
-    out = []
-    for a in grid.points(f.semiring):
-        if f.monomial_value(exponents, a) == f.evaluate(a):
-            out.append(a)
-    return tuple(out)
+    j = tuple(f.coeffs).index(exponents)
+    return _scan([f], grid, lambda sorts, layers, tied:
+                 j in tied and layers[j] == _layer_sum(sorts, layers, tied))
 
 
 def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
     """The complement of the corner locus of f within the grid."""
-    return tuple(a for a in grid.points(f.semiring) if not f.is_corner_root(a))
+    return _scan([f], grid, lambda *args: not _verdict(*args)[0])
 
 
 # ---------------------------------------------------------------------------

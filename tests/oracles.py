@@ -5,9 +5,11 @@ rational evaluation of every monomial and an argmax), never touching the
 hull-based solver it is used to check.
 """
 
+import itertools
 from fractions import Fraction
 
-from laytrop import INF, LayeredSemiring, PuiseuxSeries
+from laytrop import INF, DomainError, LayeredScalar, LayeredSemiring, PuiseuxSeries
+from laytrop.core import SortFlavor
 
 
 def brute_corner_roots(monomials):
@@ -87,3 +89,79 @@ def random_poly(rng, sr: LayeredSemiring, nvars, max_terms=4, tangible=False,
         layer = 1 if tangible else random_layer(rng, allow_inf=False)
         coeffs[e] = sr.scalar(random_value(rng, span=4, den=2), layer)
     return LayeredPolynomial(sr, nvars, coeffs)
+
+
+def brute_grid(grid):
+    """Grid points in product order, built directly as (layer, lower + k*step)."""
+    layers = grid.layers or (1,) * len(grid.axes)
+    axes = []
+    for (lower, upper, step), layer in zip(grid.axes, layers):
+        count = int((upper - lower) / step) + 1
+        axes.append([LayeredScalar(layer, lower + k * step) for k in range(count)])
+    return list(itertools.product(*axes))
+
+
+def brute_judge(f, point):
+    """Everything the locus code decides about f at a point, from first principles.
+
+    Each monomial is evaluated by direct rational arithmetic, with its layer
+    raised by repeated multiplication in the flavor's table; the best value
+    is an argmax (argmin in the dual view) and the evaluated layer is the
+    flavor sum of the tied layers in exponent order.  Returns a dict with
+    ``dominant``, ``value``, ``layer``, ``corner``, ``cluster`` and
+    ``components`` (the exponents whose monomial equals the evaluation).
+    Negative powers leave the layer alone: callers only ask for them at
+    tangible coordinates.
+    """
+    sorts = f.semiring.sorts
+    sign = -1 if f.semiring.descending else 1
+    profile = []
+    for e in sorted(f.coeffs):
+        c = f.coeffs[e]
+        value, layer = Fraction(c.value), c.layer
+        for x, k in zip(point, e):
+            value += k * x.value
+            for _ in range(k):
+                layer = sorts.mul(layer, x.layer)
+        profile.append((e, value, layer))
+    top = max(sign * v for _, v, _ in profile)
+    tied = [(e, layer) for e, v, layer in profile if sign * v == top]
+    total = tied[0][1]
+    for _, layer in tied[1:]:
+        total = sorts.add(total, layer)
+    trivial = sorts.name == "trivial"
+    return {
+        "dominant": tuple(e for e, _ in tied),
+        "value": sign * top,
+        "layer": total,
+        "corner": (len(tied) >= 2 if trivial else
+                   all(sorts.is_ghost_sort(total, layer) for _, _, layer in profile)),
+        "cluster": not trivial and len(tied) == 1 and sorts.is_ghost_sort(total, 1),
+        "components": {e for e, layer in tied if layer == total},
+    }
+
+
+class SaturatingSorts(SortFlavor):
+    """Counts that saturate past 3: layers {1, 2, 3, inf}, so 2 * 2 = inf, not 4.
+
+    A flavor where Python's ``**`` on layers and repeated ``mul`` differ.
+    """
+
+    name = "sat3"
+
+    def check(self, k):
+        if k in (1, 2, 3, INF):
+            return k
+        raise DomainError(f"layer {k!r} is not in {{1, 2, 3, inf}}")
+
+    def add(self, k, l):
+        return k + l if k + l <= 3 else INF
+
+    def mul(self, k, l):
+        return k * l if k * l <= 3 else INF
+
+    def is_ghost_sort(self, m, ell):
+        return m == INF or (ell != INF and m > ell)
+
+
+SATURATING = SaturatingSorts()

@@ -65,6 +65,28 @@ def test_congruence_axioms_hold_on_random_data():
             assert congruent_on(f.mul(h), g.mul(h), x)
 
 
+def test_membership_hashes_each_point_once():
+    hashes = [0]
+
+    class Counted:
+        def __init__(self, n):
+            self.n = n
+
+        def __eq__(self, other):
+            return isinstance(other, Counted) and self.n == other.n
+
+        def __hash__(self):
+            hashes[0] += 1
+            return hash(self.n)
+
+    x = FinitePointSet.of((Counted(n),) for n in range(50))
+    hashes[0] = 0
+    assert all((Counted(n),) in x for n in range(5))
+    assert (Counted(99),) not in x
+    assert hashes[0] <= 50 + 6
+    assert x == FinitePointSet.of((Counted(n),) for n in range(50))
+
+
 def test_variety_of_forced_value():
     gens = [(LayeredPolynomial.variable(NAT, 1, 0),
              LayeredPolynomial.constant(NAT, 1, NAT.scalar(2)))]

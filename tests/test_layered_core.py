@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS,
-                     SUPERTROPICAL, TRIVIAL, DomainError, LayeredScalar,
-                     LayeredSemiring, semiring)
+                     SUPERTROPICAL, TRIVIAL, DomainError, LayeredPolynomial,
+                     LayeredScalar, LayeredSemiring, semiring)
 
-from oracles import random_scalar
+from oracles import SATURATING, random_scalar
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -219,6 +219,17 @@ def test_negative_powers_need_tangible_layers():
     assert NAT.pow(NAT.scalar(3), -2) == NAT.scalar(-6)
     with pytest.raises(DomainError):
         NAT.pow(NAT.scalar(3, 2), -1)
+
+
+def test_powers_follow_the_flavor_multiplication():
+    sat = LayeredSemiring(SATURATING, RATIONALS)
+    assert sat.pow(sat.scalar(1, 2), 2) == sat.scalar(2, INF)  # 2 * 2 saturates, not 4
+    assert sat.pow(sat.scalar(1, 3), 1) == sat.scalar(1, 3)
+    assert sat.pow(sat.scalar(1), 5) == sat.scalar(5)
+    assert sat.pow(sat.scalar(1, 2), 0) == sat.one()
+    x_squared = LayeredPolynomial(sat, 1, {(2,): sat.one()})
+    assert x_squared.evaluate((sat.scalar(1, 2),)) == sat.scalar(2, INF)
+    assert NAT.pow(NAT.scalar(1, 3), 5) == NAT.scalar(5, 243)
 
 
 def test_empty_sum_is_rejected():

@@ -469,7 +469,7 @@ def test_functional_equality_is_reflexive():
 
 
 # ---------------------------------------------------------------------------
-# Grids and workers
+# Grids
 
 
 def test_grid_validation():
@@ -479,24 +479,3 @@ def test_grid_validation():
         GridSpec(((Fraction(2), Fraction(1), Fraction(1)),))
     grid = GridSpec.uniform(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), 1)
     assert grid.axis_values(0) == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
-
-
-def test_worker_count_env(monkeypatch):
-    from laytrop.polynomials import worker_count
-    monkeypatch.delenv("LAYTROP_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("LAYTROP_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LAYTROP_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("LAYTROP_THREADS", "lots")
-    with pytest.raises(DomainError):
-        worker_count()
-
-
-def test_parallel_scan_matches_serial(monkeypatch):
-    f = tangible(NAT, 2, {(1, 0): 0, (0, 1): 0, (0, 0): 0})
-    grid = GridSpec.uniform(-3, 3, 1, 2)
-    serial = corner_locus([f], grid)
-    monkeypatch.setenv("LAYTROP_THREADS", "4")
-    assert corner_locus([f], grid) == serial
