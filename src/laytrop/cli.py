@@ -146,9 +146,7 @@ def _cmd_layering(args) -> int:
 def _cmd_essential(args) -> int:
     sr = semiring(args.L)
     f = parse_polynomial(args.expr, sr, laurent=args.laurent)
-    result = poly.essential_monomials(f)
-    print(json.dumps({"essential": [list(e) for e in result.exponents],
-                      "exact": result.exact}))
+    print(json.dumps({"essential": [list(e) for e in poly.essential_monomials(f)]}))
     return 0
 
 

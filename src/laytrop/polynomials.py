@@ -5,7 +5,8 @@ at a point is the layered sum over its monomials, so layers accumulate at
 ties.  Corner roots are points where the evaluated scalar is ghost over
 every monomial's sort; cluster roots are points where a single dominant
 monomial already evaluates to a ghost.  Exact univariate corner roots come
-from the breakpoints of the upper envelope of the coefficient data.
+from the breakpoints of the upper envelope of the coefficient data; essential
+monomials come from one exact rational LP per monomial, in every dimension.
 """
 
 from __future__ import annotations
@@ -424,80 +425,61 @@ def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int],
     return tuple(roots)
 
 
-@dataclass(frozen=True)
-class EssentialResult:
-    """Essential exponent vectors, with an exactness flag for the method used."""
+def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
+    """Sorted exponent vectors of the monomials that strictly dominate somewhere.
 
-    exponents: Tuple[Exponents, ...]
-    exact: bool
-
-
-def _strictly_feasible(rows: List[Tuple[List[Fraction], Fraction]], nvars: int) -> bool:
-    """Decide a system of strict linear inequalities a.x < b over the rationals.
-
-    Fourier-Motzkin elimination; combinations of strict inequalities stay
-    strict, and density of the rationals makes the test exact.
+    By Farkas' lemma, monomial e with value c_e wins strictly at some real
+    point iff no convex combination of the other monomials o, with
+    sum(l_o * o) = e, reaches sum(l_o * c_o) >= c_e.  One exact LP per
+    monomial decides this in every dimension.  Values are compared in the
+    max convention, whatever the view.
     """
-    for k in range(nvars):
-        positive, negative, rest = [], [], []
-        for a, b in rows:
-            if a[k] > 0:
-                positive.append((a, b))
-            elif a[k] < 0:
-                negative.append((a, b))
-            else:
-                rest.append((a, b))
-        for ap, bp in positive:
-            for an, bn in negative:
-                sp, sn = -an[k], ap[k]
-                a = [sp * x + sn * y for x, y in zip(ap, an)]
-                rest.append((a, sp * bp + sn * bn))
-        rows = rest
-    return all(b > 0 for _, b in rows)
+    scale = math.lcm(*(c.value.denominator for c in f.coeffs.values()))
+    lifted = [(*e, c.value.numerator * (scale // c.value.denominator))
+              for e, c in f.coeffs.items()]
+    # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_o - c_e) - slack = 0.
+    slack = [0] * f.nvars + [0, -1]
+    rhs = [0] * f.nvars + [1, 0]
+    kept = []
+    for e, p in zip(f.coeffs, lifted):
+        columns = [[a - b for a, b in zip(q[:-1], p)] + [1, q[-1] - p[-1]]
+                   for q in lifted if q is not p]
+        if not _feasible(columns + [slack], rhs):
+            kept.append(e)
+    return tuple(kept)
 
 
-def _strict_dominance_rows(f: LayeredPolynomial, exponents: Exponents):
-    ci = f.coeffs[exponents].value
-    rows = []
-    for other, scalar in f.coeffs.items():
-        if other == exponents:
-            continue
-        a = [Fraction(o - e) for o, e in zip(other, exponents)]
-        rows.append((a, ci - scalar.value))
-    return rows
+def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
+    """Whether some x >= 0 solves sum_j x_j * columns[j] = rhs (integers, rhs >= 0).
 
-
-def essential_monomials(f: LayeredPolynomial) -> EssentialResult:
-    """Monomials that strictly dominate somewhere on the tangible domain.
-
-    Univariate inputs use the exact concavity test; up to three variables
-    use exact rational linear feasibility; beyond that a sampling heuristic
-    runs and the result is flagged approximate.
+    Phase one of the simplex method: one artificial variable per row starts
+    basic and their sum is minimised under Bland's rule, which cannot cycle.
+    An artificial that leaves the basis is dropped, so artificial columns
+    are never stored.  Pivoting is fraction-free: the tableau is kept as
+    integers over the last pivot (a positive determinant), and every update
+    divides exactly.
     """
-    if len(f.coeffs) == 1:
-        return EssentialResult(f.support(), True)
-    if f.nvars == 1:
-        hull = _upper_hull(_univariate_data(f))
-        keep = {e for e, _ in hull}
-        return EssentialResult(tuple(sorted(e for e in f.coeffs if e[0] in keep)), True)
-    if f.nvars <= 3:
-        kept = [e for e in sorted(f.coeffs)
-                if _strictly_feasible(_strict_dominance_rows(f, e), f.nvars)]
-        return EssentialResult(tuple(kept), True)
-    return EssentialResult(_essential_by_sampling(f), False)
-
-
-def _essential_by_sampling(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
-    spread = max(abs(c.value) for c in f.coeffs.values()) + 1
-    grid = GridSpec.uniform(-spread, spread, Fraction(spread, 2), f.nvars)
-    found = set()
-    for a in grid.points(f.semiring):
-        values = {e: f.monomial_value(e, a).value for e in f.coeffs}
-        top = max(values.values())
-        winners = [e for e, v in values.items() if v == top]
-        if len(winners) == 1:
-            found.add(winners[0])
-    return tuple(sorted(found))
+    n = len(columns)
+    rows = [list(row) for row in zip(*columns, rhs)]
+    # The artificials sum to (cost[-1] - sum_j cost[j] * x_j) / det.
+    cost = [sum(entries) for entries in zip(*rows)]
+    basis = list(range(n, n + len(rows)))
+    det = 1
+    while True:
+        s = next((j for j in range(n) if cost[j] > 0), None)
+        if s is None:
+            return cost[-1] == 0
+        r = None
+        for i, row in enumerate(rows):
+            if row[s] > 0 and (r is None or (row[-1] * rows[r][s], basis[i])
+                                < (rows[r][-1] * row[s], basis[r])):
+                r = i
+        pivot, p = rows[r], rows[r][s]
+        for row in rows + [cost]:
+            if row is not pivot:
+                k = row[s]
+                row[:] = [(x * p - k * y) // det for x, y in zip(row, pivot)]
+        basis[r], det = s, p
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +498,7 @@ class FunctionComparison:
 
 
 def _essential_form(f: LayeredPolynomial) -> Dict[Exponents, LayeredScalar]:
-    kept = essential_monomials(f).exponents
-    return {e: f.coeffs[e] for e in kept}
+    return {e: f.coeffs[e] for e in essential_monomials(f)}
 
 
 def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial,

@@ -2,7 +2,9 @@
 
 The brute-force corner detector works from first principles (direct
 rational evaluation of every monomial and an argmax), never touching the
-hull-based solver it is used to check.
+hull-based solver it is used to check.  The essentiality oracle decides
+the primal strict system by Fourier-Motzkin elimination, never touching
+the simplex it is used to check.
 """
 
 import itertools
@@ -41,6 +43,44 @@ def brute_corner_roots(monomials):
         if len(winners) >= 2:
             roots.append((x, max(winners) - min(winners)))
     return tuple(roots)
+
+
+def _strictly_feasible(rows, nvars):
+    """Decide a system of strict linear inequalities a.x < b over the rationals.
+
+    Fourier-Motzkin elimination; combinations of strict inequalities stay
+    strict, and density of the rationals makes the test exact.  The row
+    count can grow doubly exponentially, so keep inputs small.
+    """
+    for k in range(nvars):
+        positive, negative, rest = [], [], []
+        for a, b in rows:
+            if a[k] > 0:
+                positive.append((a, b))
+            elif a[k] < 0:
+                negative.append((a, b))
+            else:
+                rest.append((a, b))
+        for ap, bp in positive:
+            for an, bn in negative:
+                sp, sn = -an[k], ap[k]
+                a = [sp * x + sn * y for x, y in zip(ap, an)]
+                rest.append((a, sp * bp + sn * bn))
+        rows = rest
+    return all(b > 0 for _, b in rows)
+
+
+def fm_essential(f):
+    """Sorted exponent vectors e for which c_o + o.x < c_e + e.x (every other o)
+    has a rational solution x, in the max convention."""
+    kept = []
+    for e in sorted(f.coeffs):
+        ce = f.coeffs[e].value
+        rows = [([Fraction(o - x) for o, x in zip(other, e)], ce - c.value)
+                for other, c in f.coeffs.items() if other != e]
+        if _strictly_feasible(rows, f.nvars):
+            kept.append(e)
+    return tuple(kept)
 
 
 def random_value(rng, span=9, den=4):

@@ -205,7 +205,7 @@ def test_cli_combined_locus(capsys):
 def test_cli_essential(capsys):
     code, out, _ = run_cli(capsys, "essential", "x1^2 + 0*x1 + 4")
     assert code == 0
-    assert json.loads(out) == {"essential": [[0], [2]], "exact": True}
+    assert json.loads(out) == {"essential": [[0], [2]]}
 
 
 def test_cli_kapranov(capsys):
