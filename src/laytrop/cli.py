@@ -65,6 +65,12 @@ def _emit(payload, fmt: str, rows=None, header=None) -> None:
         print(json.dumps(payload))
 
 
+def _parse_set(texts, sr, laurent=False):
+    """Parse expressions over the largest variable count among them (1 if none)."""
+    nvars = max((parse_polynomial(t, sr, laurent=laurent).nvars for t in texts), default=1)
+    return [parse_polynomial(t, sr, laurent=laurent, nvars=nvars) for t in texts], nvars
+
+
 def _locus_records(points, polynomials):
     records = []
     for a in points:
@@ -118,11 +124,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_locus(args) -> int:
-    sr = semiring(args.L)
-    polynomials = [parse_polynomial(e, sr, laurent=args.laurent) for e in args.exprs]
-    nvars = max(f.nvars for f in polynomials)
-    polynomials = [parse_polynomial(e, sr, laurent=args.laurent, nvars=nvars)
-                   for e in args.exprs]
+    polynomials, nvars = _parse_set(args.exprs, semiring(args.L), args.laurent)
     grid = _parse_grid(args.grid, nvars, _parse_layer_flag(args.grid_layer))
     locus_fn = poly.combined_locus if args.combined else poly.corner_locus
     records = _locus_records(locus_fn(polynomials, grid), polynomials)
@@ -133,10 +135,7 @@ def _cmd_locus(args) -> int:
 
 def _cmd_layering(args) -> int:
     sr = semiring(args.L)
-    polynomials = [parse_polynomial(e, sr, laurent=args.laurent) for e in args.exprs]
-    nvars = max(f.nvars for f in polynomials)
-    polynomials = [parse_polynomial(e, sr, laurent=args.laurent, nvars=nvars)
-                   for e in args.exprs]
+    polynomials, _ = _parse_set(args.exprs, sr, args.laurent)
     point = parse_point(args.point, sr)
     layer = poly.layering_map_set(polynomials, point)
     print(json.dumps({"layer": layer if layer != float("inf") else "inf"}))
@@ -154,11 +153,8 @@ def _cmd_congruence(args) -> int:
     with open(args.file) as handle:
         data = json.load(handle)
     sr = semiring(args.L)
-    pairs = [(parse_polynomial(f, sr), parse_polynomial(g, sr))
-             for f, g in data.get("pairs", [])]
-    nvars = max((f.nvars for f, _ in pairs), default=1)
-    pairs = [(parse_polynomial(f, sr, nvars=nvars), parse_polynomial(g, sr, nvars=nvars))
-             for f, g in data.get("pairs", [])]
+    sides, nvars = _parse_set([t for f, g in data.get("pairs", []) for t in (f, g)], sr)
+    pairs = list(zip(sides[::2], sides[1::2]))
     report = {}
     if data.get("points"):
         points = cg.FinitePointSet.of(

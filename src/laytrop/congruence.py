@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .polynomials import GridSpec, LayeredPolynomial, Point
+from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _scan
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ class FinitePointSet:
 Pair = Tuple[LayeredPolynomial, LayeredPolynomial]
 
 
-def _check_pairs(pairs: Sequence[Pair]) -> None:
-    for f, g in pairs:
-        f._compatible(g)
-    for (f, _), (h, _) in zip(pairs, pairs[1:]):
-        f._compatible(h)
-
-
 def congruent_on(f: LayeredPolynomial, g: LayeredPolynomial, x: FinitePointSet) -> bool:
     """Pointwise full scalar equality over the set (layers included)."""
     f._compatible(g)
@@ -74,19 +67,18 @@ def congruent_on(f: LayeredPolynomial, g: LayeredPolynomial, x: FinitePointSet) 
 
 
 def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
-    """Grid points where every generating pair evaluates equally.
+    """Grid points, in product order, where every generating pair evaluates equally.
 
-    An empty generator list describes the diagonal congruence, whose
-    variety is the whole grid; callers can flag that degenerate case.
+    One lattice scan decides all pairs, so an invalid grid raises
+    ``DomainError`` whatever their order.  An empty generator list describes
+    the diagonal congruence, whose variety is the whole grid; callers can
+    flag that degenerate case.
     """
     if not pairs:
         from .core import LayeredSemiring
         return FinitePointSet.of(grid.points(LayeredSemiring()))
-    _check_pairs(pairs)
-    semiring = pairs[0][0].semiring
-    keep = [a for a in grid.points(semiring)
-            if all(f.evaluate(a) == g.evaluate(a) for f, g in pairs)]
-    return FinitePointSet.of(keep)
+    return FinitePointSet(_scan([((f, g), partial(_agree, len(f.coeffs)))
+                                 for f, g in pairs], grid))
 
 
 # ---------------------------------------------------------------------------

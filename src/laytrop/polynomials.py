@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL, format_layer
+from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL
 from .errors import DomainError
 
 Exponents = Tuple[int, ...]
@@ -305,16 +305,19 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
-def _scan(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, accept) -> Tuple[Point, ...]:
-    """Grid points, in product order, where ``accept(sorts, layers, tied)`` holds for every f.
+def _scan(tasks, grid: GridSpec) -> Tuple[Point, ...]:
+    """Grid points, in product order, where the judge of every task accepts.
 
-    Each axis has one layer, so monomial layers, and hence verdicts given
-    the tied set, are the same at every point.  Scaled by a common
-    denominator, monomial values are integer affine in the lattice index.
+    A task is ``(polynomials, judge)``: the group's monomials are laid end to
+    end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
+    tied at the group's best value.  Loci run one task per polynomial,
+    varieties one per pair.  Each axis has one layer, so monomial layers, and
+    hence verdicts given the tied set, are the same at every point.  Scaled
+    by a common denominator, values are integer affine in the lattice index.
     """
-    polynomials = _common(polynomials)
+    polynomials = _common([f for group, _ in tasks for f in group])
     axes = grid.axis_points(polynomials[0].semiring)
-    rows = [_lattice_row(f, axes, grid, accept) for f in polynomials]
+    rows = [_lattice_row(group, axes, grid, judge) for group, judge in tasks]
     *outer, inner = [range(len(axis)) for axis in axes]
     out = []
     for prefix in itertools.product(*outer):
@@ -324,15 +327,20 @@ def _scan(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, accept) -> T
     return tuple(out)
 
 
-def _lattice_row(f: LayeredPolynomial, axes: Sequence[Sequence[LayeredScalar]],
-                 grid: GridSpec, accept):
-    """A map from a lattice prefix to f's verdicts along the last axis."""
-    origin_scale, values, layers, _ = f._profile(tuple(axis[0] for axis in axes))
+def _lattice_row(group: Sequence[LayeredPolynomial], axes: Sequence[Sequence[LayeredScalar]],
+                 grid: GridSpec, judge):
+    """A map from a lattice prefix to the group's verdicts along the last axis."""
+    origin = tuple(axis[0] for axis in axes)
+    profiles = [f._profile(origin) for f in group]
     steps = [step for _, _, step in grid.axes]
-    scale = math.lcm(origin_scale, *(s.denominator for s in steps))
-    base = [v * (scale // origin_scale) for v in values]
-    deltas = [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
-    sorts, best = f.semiring.sorts, (min if f.semiring.descending else max)
+    scale = math.lcm(*(p[0] for p in profiles), *(s.denominator for s in steps))
+    base, layers, deltas = [], [], []
+    for f, (origin_scale, values, f_layers, _) in zip(group, profiles):
+        base += [v * (scale // origin_scale) for v in values]
+        layers += f_layers
+        deltas += [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
+    sr = group[0].semiring
+    sorts, best = sr.sorts, (min if sr.descending else max)
     indices, n = range(len(base)), len(axes[-1])
     verdicts: Dict[Tuple[int, ...], bool] = {}
 
@@ -345,21 +353,29 @@ def _lattice_row(f: LayeredPolynomial, axes: Sequence[Sequence[LayeredScalar]],
             tied = tuple(itertools.compress(indices, map(top.__eq__, vals)))
             ok = verdicts.get(tied)
             if ok is None:
-                ok = verdicts[tied] = accept(sorts, layers, tied)
+                ok = verdicts[tied] = judge(sorts, layers, tied)
             out.append(ok)
         return out
 
     return row
 
 
+def _agree(split: int, sorts, layers: Sequence[Layer], tied: Sequence[int]) -> bool:
+    """Pair-task judge, f's ``split`` monomials first: f(a) == g(a) iff both
+    sides tie at the joint best value with equal layer sums."""
+    k = sum(i < split for i in tied)
+    return (0 < k < len(tied)
+            and _layer_sum(sorts, layers, tied[:k]) == _layer_sum(sorts, layers, tied[k:]))
+
+
 def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
     """Grid points that are corner roots of every polynomial in the set."""
-    return _scan(polynomials, grid, lambda *args: _verdict(*args)[0])
+    return _scan([([f], lambda *args: _verdict(*args)[0]) for f in polynomials], grid)
 
 
 def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
     """Grid points that are corner or cluster roots of every polynomial in the set."""
-    return _scan(polynomials, grid, lambda *args: any(_verdict(*args)))
+    return _scan([([f], lambda *args: any(_verdict(*args))) for f in polynomials], grid)
 
 
 def layering_map(f: LayeredPolynomial, point: Point) -> Layer:
@@ -378,13 +394,13 @@ def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> Tup
     if exponents not in f.coeffs:
         raise DomainError(f"{exponents!r} is not a monomial of the polynomial")
     j = tuple(f.coeffs).index(exponents)
-    return _scan([f], grid, lambda sorts, layers, tied:
-                 j in tied and layers[j] == _layer_sum(sorts, layers, tied))
+    return _scan([([f], lambda sorts, layers, tied:
+                  j in tied and layers[j] == _layer_sum(sorts, layers, tied))], grid)
 
 
 def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
     """The complement of the corner locus of f within the grid."""
-    return _scan([f], grid, lambda *args: not _verdict(*args)[0])
+    return _scan([([f], lambda *args: not _verdict(*args)[0])], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +421,22 @@ def _upper_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]
     return hull
 
 
-def _univariate_data(f: LayeredPolynomial) -> List[Tuple[int, Fraction]]:
-    if f.nvars != 1:
-        raise DomainError("exact corner roots require a univariate polynomial")
-    return sorted((e[0], c.value) for e, c in f.coeffs.items())
-
-
 def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int], ...]:
     """Exact (root, tie multiplicity) pairs, sorted by root.
 
     Roots are the breakpoints of the upper envelope of c + e*x over the
     monomials (e, c): consecutive essential exponents i < j tie at
-    x = (c_i - c_j)/(j - i), with multiplicity j - i.
+    x = (c_i - c_j)/(j - i), with multiplicity j - i.  A descending view
+    negates values and roots, as min(c + e*x) = -max(-c + e*(-x)).
     """
-    hull = _upper_hull(_univariate_data(f))
+    if f.nvars != 1:
+        raise DomainError("exact corner roots require a univariate polynomial")
+    sign = -1 if f.semiring.descending else 1
+    hull = _upper_hull(sorted((e[0], sign * c.value) for e, c in f.coeffs.items()))
     roots = []
     for (i, ci), (j, cj) in zip(hull, hull[1:]):
-        roots.append(((ci - cj) / (j - i), j - i))
-    return tuple(roots)
+        roots.append((sign * (ci - cj) / (j - i), j - i))
+    return tuple(sorted(roots))
 
 
 def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
@@ -431,11 +445,12 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     By Farkas' lemma, monomial e with value c_e wins strictly at some real
     point iff no convex combination of the other monomials o, with
     sum(l_o * o) = e, reaches sum(l_o * c_o) >= c_e.  One exact LP per
-    monomial decides this in every dimension.  Values are compared in the
-    max convention, whatever the view.
+    monomial decides this in every dimension.  A descending view runs it on
+    negated values.
     """
+    sign = -1 if f.semiring.descending else 1
     scale = math.lcm(*(c.value.denominator for c in f.coeffs.values()))
-    lifted = [(*e, c.value.numerator * (scale // c.value.denominator))
+    lifted = [(*e, sign * c.value.numerator * (scale // c.value.denominator))
               for e, c in f.coeffs.items()]
     # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_o - c_e) - slack = 0.
     slack = [0] * f.nvars + [0, -1]
@@ -508,8 +523,8 @@ def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial,
     Univariate comparison is exact: essentialized forms must match and the
     evaluations must agree at every envelope breakpoint (where inessential
     collinear monomials can still contribute layers).  Multivariate
-    comparison samples the supplied grid plus a point on every pairwise tie
-    hyperplane, and is flagged approximate.
+    comparison scans the supplied grid as one pair, evaluates at a point on
+    every pairwise tie hyperplane, and is flagged approximate.
     """
     f._compatible(g)
     if f.nvars == 1:
@@ -522,15 +537,11 @@ def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial,
         return FunctionComparison(True, True)
     if grid is None:
         raise DomainError("multivariate comparison needs a sampling grid")
-    points = set(grid.points(f.semiring))
-    for poly in (f, g):
-        points.update(_tie_samples(poly, grid))
-    equal = all(f.evaluate(a) == g.evaluate(a) for a in sorted(points, key=_point_key))
+    split = len(f.coeffs)
+    differ = _scan([((f, g), lambda *args: not _agree(split, *args))], grid)
+    equal = not differ and all(f.evaluate(a) == g.evaluate(a)
+                               for a in _tie_samples(f, grid) + _tie_samples(g, grid))
     return FunctionComparison(equal, False)
-
-
-def _point_key(point: Point):
-    return tuple((c.value, format_layer(c.layer)) for c in point)
 
 
 def _tie_samples(f: LayeredPolynomial, grid: GridSpec) -> List[Point]:

@@ -4,7 +4,8 @@ The brute-force corner detector works from first principles (direct
 rational evaluation of every monomial and an argmax), never touching the
 hull-based solver it is used to check.  The essentiality oracle decides
 the primal strict system by Fourier-Motzkin elimination, never touching
-the simplex it is used to check.
+the simplex it is used to check.  The functional-equality reference
+evaluates point by point, never touching the lattice scan.
 """
 
 import itertools
@@ -72,15 +73,27 @@ def _strictly_feasible(rows, nvars):
 
 def fm_essential(f):
     """Sorted exponent vectors e for which c_o + o.x < c_e + e.x (every other o)
-    has a rational solution x, in the max convention."""
+    has a rational solution x, in the max convention; the dual view's min
+    convention negates every value (and x)."""
+    sign = -1 if f.semiring.descending else 1
     kept = []
     for e in sorted(f.coeffs):
-        ce = f.coeffs[e].value
-        rows = [([Fraction(o - x) for o, x in zip(other, e)], ce - c.value)
+        ce = sign * f.coeffs[e].value
+        rows = [([Fraction(o - x) for o, x in zip(other, e)], ce - sign * c.value)
                 for other, c in f.coeffs.items() if other != e]
         if _strictly_feasible(rows, f.nvars):
             kept.append(e)
     return tuple(kept)
+
+
+def pointwise_functionally_equal(f, g, grid):
+    """Multivariate functional equality decided point by point: both sides are
+    evaluated at every grid point and at every tie sample of either side."""
+    from laytrop.polynomials import _tie_samples
+    points = set(grid.points(f.semiring))
+    for poly in (f, g):
+        points.update(_tie_samples(poly, grid))
+    return all(f.evaluate(a) == g.evaluate(a) for a in points)
 
 
 def random_value(rng, span=9, den=4):

@@ -1,9 +1,12 @@
 """The lattice grid scan and the per-point kernel against a brute-force oracle.
 
-Every locus and predicate here is recomputed by ``oracles.brute_judge``,
-which evaluates monomials directly and never calls laytrop's predicates.
+Every locus, variety and predicate here is recomputed by
+``oracles.brute_judge``, which evaluates monomials directly and never calls
+laytrop's predicates; functional equality is checked against the pointwise
+reference ``oracles.pointwise_functionally_equal``.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,9 +15,11 @@ import pytest
 from laytrop import (COUNTING, INF, INTEGERS, RATIONALS, SUPERTROPICAL,
                      TRIVIAL, DomainError, GridSpec, LayeredPolynomial,
                      LayeredScalar, LayeredSemiring, combined_locus, component,
-                     corner_locus, principal_open)
+                     corner_locus, essential_monomials, functionally_equal,
+                     principal_open, univariate_corner_roots, variety_of)
 
-from oracles import SATURATING, brute_grid, brute_judge
+from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
+                     pointwise_functionally_equal)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -47,6 +52,21 @@ def assert_matches_oracle(polynomials, grid):
             assert f.layering(a) == j["layer"]
             assert f.is_corner_root(a) == j["corner"]
             assert f.is_cluster_root(a) == j["cluster"]
+    # Pairs of every kind: neighbours (sides with their own denominators and
+    # monomial counts), the identity pair of a lone polynomial, and f against
+    # f + g, which agree where g stays strictly below f.
+    n = len(polynomials)
+    sides = polynomials + [f.add(polynomials[(i + 1) % n]) for i, f in enumerate(polynomials)]
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    agree = {}
+    for a in points:
+        scalars = [(j["value"], j["layer"])
+                   for j in judged[a] + [brute_judge(h, a) for h in sides[n:]]]
+        agree[a] = [scalars[i] == scalars[k] for i, k in pairs]
+    generators = [(sides[i], sides[k]) for i, k in pairs]
+    assert variety_of(generators, grid).points == tuple(a for a in points if all(agree[a]))
+    for m, pair in enumerate(generators):
+        assert variety_of([pair], grid).points == tuple(a for a in points if agree[a][m])
 
 
 def _random_layer(rng, sr):
@@ -93,16 +113,20 @@ def _layer_allowed(sr, layer):
 def test_kernel_matches_brute_force_on_random_polynomials():
     rng = random.Random(2024)
     checked = refused = 0
+    views = set()
     for _ in range(160):
         polynomials, grid = _random_case(rng)
         if not all(_layer_allowed(polynomials[0].semiring, layer) for layer in grid.layers):
             with pytest.raises(DomainError):
                 corner_locus(polynomials, grid)
+            with pytest.raises(DomainError):
+                variety_of([(f, f) for f in polynomials], grid)
             refused += 1
             continue
         assert_matches_oracle(polynomials, grid)
+        views.add(polynomials[0].semiring)
         checked += 1
-    assert checked >= 100 and refused >= 5
+    assert checked >= 100 and refused >= 5 and len(views) == len(SEMIRINGS)
 
 
 def test_tropical_plane_matches_oracle():
@@ -132,7 +156,8 @@ def test_saturating_layers_on_a_layered_grid_match_oracle():
     lambda fs, grid: combined_locus(fs, grid),
     lambda fs, grid: principal_open(fs[-1], grid),
     lambda fs, grid: component(fs[-1], next(iter(fs[-1].coeffs)), grid),
-], ids=["corner", "combined", "principal_open", "component"])
+    lambda fs, grid: variety_of([(f, f.add(f)) for f in fs], grid),
+], ids=["corner", "combined", "principal_open", "component", "variety"])
 def test_invalid_grids_are_refused(scan):
     one = NAT.one()
     inverse = LayeredPolynomial(NAT, 1, {(-1,): one, (0,): one}, laurent=True)
@@ -150,3 +175,74 @@ def test_invalid_grids_are_refused(scan):
             scan([f], GridSpec.uniform(-1, 1, 1, 1, layer=layer))
     with pytest.raises(DomainError):  # grid arity differs from the polynomial's
         scan([integral], GridSpec.uniform(-1, 1, 1, 2))
+
+
+def test_univariate_roots_and_essentials_follow_the_view():
+    # Roots are the ties of at least two dominant monomials, with the exponent
+    # spread as multiplicity; in one variable the essential monomials are the
+    # sole winners between consecutive ties and beyond the outermost ones.
+    rng = random.Random(41)
+    for i in range(320):
+        sr = SEMIRINGS[i % len(SEMIRINGS)]
+        coeffs = {(rng.randint(-2, 5),): sr.scalar(_random_value(rng, sr), _random_layer(rng, sr))
+                  for _ in range(rng.randint(1, 6))}
+        f = LayeredPolynomial(sr, 1, coeffs, laurent=True)
+        data = [(e, c.value) for (e,), c in f.coeffs.items()]
+        ties = sorted({Fraction(c1 - c2, e2 - e1)
+                       for (e1, c1), (e2, c2) in itertools.combinations(data, 2)})
+        between = [(x + y) / 2 for x, y in zip(ties, ties[1:])]
+        outside = [ties[0] - 1, ties[-1] + 1] if ties else [Fraction(0)]
+        judged = {x: brute_judge(f, (LayeredScalar(1, x),))["dominant"]
+                  for x in ties + between + outside}
+        roots = tuple((x, judged[x][-1][0] - judged[x][0][0]) for x in ties if len(judged[x]) > 1)
+        essential = tuple(sorted({d[0] for d in judged.values() if len(d) == 1}))
+        assert univariate_corner_roots(f) == roots, f
+        assert essential_monomials(f) == fm_essential(f) == essential, f
+
+
+def test_functional_equality_matches_pointwise_oracle():
+    # Integer values are left out: tie samples off the integer lattice are
+    # not points of that view.
+    views = [sr for sr in SEMIRINGS if sr.values is not INTEGERS]
+    rng = random.Random(42)
+    outcomes = []
+    for i in range(60):
+        sr = views[i % len(views)]
+        nvars = rng.randint(2, 3)
+        laurent = rng.random() < 0.3
+        low = -1 if laurent else 0
+        mid = tuple(rng.randint(low + 1, 2) for _ in range(nvars))
+        d = (1,) + tuple(rng.randint(-1, 1) for _ in range(nvars - 1))
+        a = tuple(x - y for x, y in zip(mid, d))
+        b = tuple(x + y for x, y in zip(mid, d))
+        coeffs = {e: sr.scalar(_random_value(rng, sr), _random_layer(rng, sr)) for e in (a, b)}
+        for _ in range(rng.randint(0, 3)):
+            e = tuple(rng.randint(low, 3) for _ in range(nvars))
+            if e != mid:
+                coeffs[e] = sr.scalar(_random_value(rng, sr), _random_layer(rng, sr))
+        f = LayeredPolynomial(sr, nvars, coeffs, laurent)
+        if i % 4 == 2:
+            g = LayeredPolynomial(sr, nvars, {e: sr.scalar(_random_value(rng, sr))
+                                              for e in (a, b, mid)}, laurent)
+        elif i % 4 == 3:
+            # Lone monomials have no tie samples: only the grid can tell them apart.
+            f = LayeredPolynomial(sr, nvars, {a: coeffs[a]}, laurent)
+            g = LayeredPolynomial(sr, nvars, {a: sr.scalar(coeffs[a].value,
+                                                           _random_layer(rng, sr))}, laurent)
+        else:
+            # A monomial on the chord of a and b ties them on their hyperplane;
+            # one strictly behind the chord is inessential, so f + it == f.
+            sign = -1 if sr.descending else 1
+            chord = (coeffs[a].value + coeffs[b].value) / 2 - sign * Fraction(i % 4, 2)
+            g = f.add(LayeredPolynomial(sr, nvars, {mid: sr.scalar(chord)}, laurent))
+        side = 5 if nvars == 2 else 3
+        step = rng.choice(STEPS)
+        lower = _random_value(rng, sr) / 2
+        layer = 1 if laurent else rng.choice([layer for layer in (1, 2, INF)
+                                              if _layer_allowed(sr, layer)])
+        grid = GridSpec.uniform(lower, lower + side * step, step, nvars, layer)
+        outcome = functionally_equal(f, g, grid)
+        assert outcome.equal == pointwise_functionally_equal(f, g, grid), (f, g, grid)
+        assert not outcome.exact
+        outcomes.append(outcome.equal)
+    assert 10 <= sum(outcomes) <= 50

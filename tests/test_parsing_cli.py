@@ -231,6 +231,17 @@ def test_cli_congruence(tmp_path, capsys):
     assert payload["roundtrip"]["pass"] is True
 
 
+def test_cli_congruence_arity_counts_both_sides(tmp_path, capsys):
+    path = tmp_path / "congruence.json"
+    path.write_text(json.dumps({"pairs": [["0", "x2"]], "grid": "-1:1:1"}))
+    code, out, _ = run_cli(capsys, "congruence", str(path))
+    assert code == 0 and json.loads(out)["roundtrip"]["variety_size"] == 3   # x2 = 0
+    path.write_text(json.dumps({"pairs": [], "grid": "0:2:1"}))
+    code, out, _ = run_cli(capsys, "congruence", str(path))   # no pairs: one variable
+    roundtrip = json.loads(out)["roundtrip"]
+    assert code == 0 and roundtrip["diagonal"] and roundtrip["variety_size"] == 3
+
+
 def test_cli_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "x1 + @", "--point", "0")
     assert code == 1 and "error" in err
