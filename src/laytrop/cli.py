@@ -18,7 +18,7 @@ from . import congruence as cg
 from . import kapranov as kp
 from . import polynomials as poly
 from .core import format_layer, semiring
-from .errors import LaytropError, UsageError
+from .errors import DomainError, LaytropError, UsageError
 from .parsing import (parse_point, parse_polynomial, parse_puiseux_polynomial,
                       parse_scalar)
 from .tropical import explode_poly, trop_poly
@@ -149,18 +149,43 @@ def _cmd_essential(args) -> int:
     return 0
 
 
+def _rows_of_strings(rows, width=None) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and (width is None or len(row) == width)
+        and all(isinstance(text, str) for text in row) for row in rows)
+
+
+def _read_spec(path: str):
+    """(pairs, points, grid) of a congruence spec file, its shape checked;
+    absent and null fields read as empty."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise DomainError(f"spec {path} is not UTF-8 JSON: {err}")
+    if not isinstance(data, dict):
+        raise DomainError("spec must be a JSON object")
+    pairs, points, grid = (data.get(name) for name in ("pairs", "points", "grid"))
+    if pairs is not None and not _rows_of_strings(pairs, 2):
+        raise DomainError("spec field 'pairs' must be a list of [f, g] pairs of expression strings")
+    if points is not None and not _rows_of_strings(points):
+        raise DomainError("spec field 'points' must be a list of points, each a list of scalar strings")
+    if grid is not None and not isinstance(grid, str):
+        raise DomainError("spec field 'grid' must be a string")
+    return pairs or [], points or [], grid
+
+
 def _cmd_congruence(args) -> int:
-    with open(args.file) as handle:
-        data = json.load(handle)
+    pair_texts, point_texts, grid_text = _read_spec(args.file)
     sr = semiring(args.L)
-    sides, nvars = _parse_set([t for f, g in data.get("pairs", []) for t in (f, g)], sr)
+    sides, nvars = _parse_set([t for f, g in pair_texts for t in (f, g)], sr)
     pairs = list(zip(sides[::2], sides[1::2]))
     report = {}
-    if data.get("points"):
+    if point_texts:
         points = cg.FinitePointSet.of(
-            tuple(parse_scalar(c, sr) for c in p) for p in data["points"])
+            tuple(parse_scalar(c, sr) for c in p) for p in point_texts)
         report["points_congruent"] = [cg.congruent_on(f, g, points) for f, g in pairs]
-    grid_spec = args.grid or data.get("grid")
+    grid_spec = args.grid or grid_text
     if grid_spec:
         grid = _parse_grid(grid_spec, nvars, 1)
         report["roundtrip"] = cg.zariski_roundtrip(pairs, grid, seed=args.seed).to_json()

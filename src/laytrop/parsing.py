@@ -319,8 +319,4 @@ def parse_puiseux(text: str) -> PuiseuxSeries:
 def parse_puiseux_polynomial(text: str) -> PuiseuxPolynomial:
     """Parse a polynomial in the variable L with Puiseux series coefficients."""
     terms = _parse_puiseux_terms(text, allow_variable=True)
-    acc: dict = {}
-    for coefficient, exponent, degree in terms:
-        series = PuiseuxSeries.term(coefficient, exponent)
-        acc[degree] = acc.get(degree, PuiseuxSeries.zero()) + series
-    return PuiseuxPolynomial.from_coeffs(acc)
+    return PuiseuxPolynomial.from_coeffs((d, PuiseuxSeries.term(c, e)) for c, e, d in terms)

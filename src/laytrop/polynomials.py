@@ -545,7 +545,8 @@ def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial,
 
 
 def _tie_samples(f: LayeredPolynomial, grid: GridSpec) -> List[Point]:
-    """One exact point on each pairwise tie hyperplane, per grid anchor."""
+    """One exact point on each pairwise tie hyperplane, per grid anchor, unless
+    its coordinate lies outside the view's values (1/2 in an integer view)."""
     sr = f.semiring
     anchors = grid.points(sr)
     step = max(1, len(anchors) // 24)
@@ -560,6 +561,10 @@ def _tie_samples(f: LayeredPolynomial, grid: GridSpec) -> List[Point]:
         for anchor in anchors:
             rest = sum(d[m] * anchor[m].value for m in range(f.nvars) if m != k)
             xk = Fraction(delta - rest, d[k])
+            try:
+                sr.values.check(xk)
+            except DomainError:
+                continue
             point = list(anchor)
             point[k] = LayeredScalar(anchor[k].layer, xk)
             samples.append(tuple(point))

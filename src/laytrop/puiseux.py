@@ -5,22 +5,38 @@ rational exponent e.  The order valuation ``val`` is the negative of the
 lowest exponent, and ``leading`` is the coefficient of that lowest term.
 Exploded scalars pair a value with the leading coefficient ("sort"); a sort
 of 0 marks a corner ghost produced by leading-term cancellation.
+
+Series terms and polynomial coefficients share one canonical form: keys
+strictly increasing, no zero values.  ``_collect`` is the one place that
+merges like keys and sorts; ``from_terms`` and ``from_coeffs`` validate
+their input before it, and arithmetic on canonical data calls it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from operator import itemgetter
+from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import DomainError
 
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
 
 
+def _collect(pairs: Iterable[tuple], zero) -> tuple:
+    """The canonical form of (key, value) pairs: like keys summed, values equal
+    to ``zero`` dropped, keys ascending."""
+    acc: dict = {}
+    for key, value in pairs:
+        prior = acc.get(key)
+        acc[key] = value if prior is None else prior + value
+    return tuple(sorted(((k, v) for k, v in acc.items() if v != zero), key=itemgetter(0)))
+
+
 @dataclass(frozen=True)
 class PuiseuxSeries:
-    """Immutable canonical form: strictly increasing exponents, no zero coefficients."""
+    """Immutable (exponent, coefficient) terms in canonical form."""
 
     terms: Tuple[Term, ...]
 
@@ -28,11 +44,7 @@ class PuiseuxSeries:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple[Fraction, Fraction]]) -> "PuiseuxSeries":
-        acc: dict = {}
-        for exponent, coefficient in pairs:
-            e = Fraction(exponent)
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(coefficient)
-        return cls(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
+        return cls(_collect(((Fraction(e), Fraction(c)) for e, c in pairs), 0))
 
     @classmethod
     def zero(cls) -> "PuiseuxSeries":
@@ -78,7 +90,7 @@ class PuiseuxSeries:
     # -- field arithmetic -----------------------------------------------------
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return PuiseuxSeries.from_terms((e, c) for e, c in self.terms + other.terms)
+        return PuiseuxSeries(_collect(self.terms + other.terms, 0))
 
     def __neg__(self) -> "PuiseuxSeries":
         return PuiseuxSeries(tuple((e, -c) for e, c in self.terms))
@@ -87,12 +99,8 @@ class PuiseuxSeries:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return PuiseuxSeries(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
+        return PuiseuxSeries(_collect(((e1 + e2, c1 * c2) for e1, c1 in self.terms
+                                       for e2, c2 in other.terms), 0))
 
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if not isinstance(m, int) or m < 0:
@@ -140,14 +148,14 @@ class PuiseuxPolynomial:
     coeffs: Tuple[Tuple[int, PuiseuxSeries], ...]
 
     @classmethod
-    def from_coeffs(cls, mapping: Mapping[int, PuiseuxSeries]) -> "PuiseuxPolynomial":
-        items = []
-        for degree, series in mapping.items():
+    def from_coeffs(cls, coeffs: Union[Mapping[int, PuiseuxSeries],
+                                       Iterable[Tuple[int, PuiseuxSeries]]]) -> "PuiseuxPolynomial":
+        """From a degree -> series map, or (degree, series) pairs whose like degrees add."""
+        items = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
+        for degree, _ in items:
             if not isinstance(degree, int) or degree < 0:
                 raise DomainError(f"degree {degree!r} must be a non-negative integer")
-            if not series.is_zero:
-                items.append((degree, series))
-        return cls(tuple(sorted(items)))
+        return cls(_collect(items, PuiseuxSeries.zero()))
 
     @classmethod
     def zero(cls) -> "PuiseuxPolynomial":
@@ -188,10 +196,7 @@ class PuiseuxPolynomial:
         return PuiseuxSeries.zero()
 
     def __add__(self, other: "PuiseuxPolynomial") -> "PuiseuxPolynomial":
-        acc = {d: c for d, c in self.coeffs}
-        for d, c in other.coeffs:
-            acc[d] = acc.get(d, PuiseuxSeries.zero()) + c
-        return PuiseuxPolynomial.from_coeffs(acc)
+        return PuiseuxPolynomial(_collect(self.coeffs + other.coeffs, PuiseuxSeries.zero()))
 
     def __neg__(self) -> "PuiseuxPolynomial":
         return PuiseuxPolynomial(tuple((d, -c) for d, c in self.coeffs))
@@ -200,12 +205,8 @@ class PuiseuxPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxPolynomial") -> "PuiseuxPolynomial":
-        acc: dict = {}
-        for d1, c1 in self.coeffs:
-            for d2, c2 in other.coeffs:
-                d = d1 + d2
-                acc[d] = acc.get(d, PuiseuxSeries.zero()) + c1 * c2
-        return PuiseuxPolynomial.from_coeffs(acc)
+        return PuiseuxPolynomial(_collect(((d1 + d2, c1 * c2) for d1, c1 in self.coeffs
+                                           for d2, c2 in other.coeffs), PuiseuxSeries.zero()))
 
     def __pow__(self, m: int) -> "PuiseuxPolynomial":
         if not isinstance(m, int) or m < 0:
@@ -216,9 +217,11 @@ class PuiseuxPolynomial:
         return out
 
     def __call__(self, x: PuiseuxSeries) -> PuiseuxSeries:
+        """Horner's rule: one series product and one sum per degree."""
+        coeffs = dict(self.coeffs)
         total = PuiseuxSeries.zero()
-        for d, c in self.coeffs:
-            total = total + c * (x ** d)
+        for d in range(self.coeffs[-1][0] if self.coeffs else -1, -1, -1):
+            total = total * x + coeffs.get(d, PuiseuxSeries.zero())
         return total
 
     def __str__(self):

@@ -5,13 +5,17 @@ rational evaluation of every monomial and an argmax), never touching the
 hull-based solver it is used to check.  The essentiality oracle decides
 the primal strict system by Fourier-Motzkin elimination, never touching
 the simplex it is used to check.  The functional-equality reference
-evaluates point by point, never touching the lattice scan.
+evaluates point by point, never touching the lattice scan.  The Puiseux
+references accumulate terms in dicts and evaluate term by term with
+repeated products, never touching the shared canonical-form collector or
+Horner's rule.
 """
 
 import itertools
 from fractions import Fraction
 
-from laytrop import INF, DomainError, LayeredScalar, LayeredSemiring, PuiseuxSeries
+from laytrop import (INF, DomainError, LayeredScalar, LayeredSemiring,
+                     PuiseuxPolynomial, PuiseuxSeries)
 from laytrop.core import SortFlavor
 
 
@@ -123,6 +127,54 @@ def random_series(rng, max_terms=4, allow_zero=False):
         exponents.add(random_value(rng, span=6, den=3))
     terms = [(e, random_value(rng, span=9, den=5) or Fraction(1)) for e in exponents]
     return PuiseuxSeries.from_terms((e, c) for e, c in terms)
+
+
+def reference_series(pairs):
+    """The canonical series of (exponent, coefficient) pairs, by dict accumulation."""
+    acc = {}
+    for exponent, coefficient in pairs:
+        e = Fraction(exponent)
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(coefficient)
+    return PuiseuxSeries(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
+
+
+def reference_series_add(p, q):
+    return reference_series(p.terms + q.terms)
+
+
+def reference_series_mul(p, q):
+    return reference_series((e1 + e2, c1 * c2) for e1, c1 in p.terms for e2, c2 in q.terms)
+
+
+def _reference_polynomial(acc):
+    return PuiseuxPolynomial(tuple((d, c) for d, c in sorted(acc.items()) if not c.is_zero))
+
+
+def reference_poly_add(f, g):
+    acc = dict(f.coeffs)
+    for d, c in g.coeffs:
+        acc[d] = reference_series_add(acc.get(d, PuiseuxSeries.zero()), c)
+    return _reference_polynomial(acc)
+
+
+def reference_poly_mul(f, g):
+    acc = {}
+    for d1, c1 in f.coeffs:
+        for d2, c2 in g.coeffs:
+            product = reference_series_mul(c1, c2)
+            acc[d1 + d2] = reference_series_add(acc.get(d1 + d2, PuiseuxSeries.zero()), product)
+    return _reference_polynomial(acc)
+
+
+def reference_poly_call(f, x):
+    """f(x) term by term: the sum of c * x^d, each power by d repeated products."""
+    total = PuiseuxSeries.zero()
+    for d, c in f.coeffs:
+        power = PuiseuxSeries.one()
+        for _ in range(d):
+            power = reference_series_mul(power, x)
+        total = reference_series_add(total, reference_series_mul(c, power))
+    return total
 
 
 def random_tangible_univariate(rng, sr: LayeredSemiring, max_degree=8):

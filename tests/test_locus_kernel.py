@@ -7,6 +7,7 @@ reference ``oracles.pointwise_functionally_equal``.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -201,13 +202,11 @@ def test_univariate_roots_and_essentials_follow_the_view():
 
 
 def test_functional_equality_matches_pointwise_oracle():
-    # Integer values are left out: tie samples off the integer lattice are
-    # not points of that view.
-    views = [sr for sr in SEMIRINGS if sr.values is not INTEGERS]
     rng = random.Random(42)
     outcomes = []
     for i in range(60):
-        sr = views[i % len(views)]
+        sr = SEMIRINGS[i // 4 % len(SEMIRINGS)]  # each view meets all four kinds of g
+        integer = sr.values is INTEGERS
         nvars = rng.randint(2, 3)
         laurent = rng.random() < 0.3
         low = -1 if laurent else 0
@@ -232,12 +231,15 @@ def test_functional_equality_matches_pointwise_oracle():
         else:
             # A monomial on the chord of a and b ties them on their hyperplane;
             # one strictly behind the chord is inessential, so f + it == f.
+            # Integer views round behind the chord when it is off the lattice.
             sign = -1 if sr.descending else 1
             chord = (coeffs[a].value + coeffs[b].value) / 2 - sign * Fraction(i % 4, 2)
+            if integer:
+                chord = sign * math.floor(sign * chord)
             g = f.add(LayeredPolynomial(sr, nvars, {mid: sr.scalar(chord)}, laurent))
         side = 5 if nvars == 2 else 3
-        step = rng.choice(STEPS)
-        lower = _random_value(rng, sr) / 2
+        step = rng.choice([Fraction(1), Fraction(2)] if integer else STEPS)
+        lower = _random_value(rng, sr) // 2 if integer else _random_value(rng, sr) / 2
         layer = 1 if laurent else rng.choice([layer for layer in (1, 2, INF)
                                               if _layer_allowed(sr, layer)])
         grid = GridSpec.uniform(lower, lower + side * step, step, nvars, layer)
@@ -246,3 +248,11 @@ def test_functional_equality_matches_pointwise_oracle():
         assert not outcome.exact
         outcomes.append(outcome.equal)
     assert 10 <= sum(outcomes) <= 50
+
+
+def test_functional_equality_skips_tie_samples_off_an_integer_view():
+    # The tie of x1^2 and 1 lies at x1 = 1/2, which is not a point of this view.
+    f = LayeredPolynomial(NAT_INT, 2, {(2, 0): NAT_INT.one(), (0, 0): NAT_INT.scalar(1),
+                                       (0, 1): NAT_INT.one()})
+    outcome = functionally_equal(f, f, GridSpec.uniform(-2, 2, 1, 2))
+    assert outcome.equal and not outcome.exact

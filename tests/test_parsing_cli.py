@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from laytrop import (COUNTING, RATIONALS, INF, LayeredSemiring, ParseError,
-                     parse_point, parse_polynomial, parse_puiseux,
+                     PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
                      parse_puiseux_polynomial, parse_scalar)
 from laytrop.cli import main
 
-from oracles import random_poly, random_series
+from oracles import random_poly, random_series, reference_poly_add, reference_series
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 
@@ -78,6 +78,21 @@ def test_puiseux_parsing():
     assert parse_puiseux("t^(0) + (-1)*t^(0)").is_zero
     assert parse_puiseux("t").val() == -1
     assert parse_puiseux("5").leading() == 5
+
+
+def test_puiseux_polynomial_parsing_adds_like_degrees():
+    rng = random.Random(12)
+    for _ in range(200):
+        terms = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(0, 3))
+                 for _ in range(rng.randint(1, 6))]
+        terms += [(-c, e, d) for c, e, d in terms if rng.random() < 0.3]
+        expected = PuiseuxPolynomial.zero()
+        for c, e, d in terms:
+            term = PuiseuxPolynomial(((d, reference_series([(e, c)])),))
+            expected = reference_poly_add(expected, term)
+        text = " + ".join(f"({c})*t^({e})*L^{d}" for c, e, d in terms)
+        assert parse_puiseux_polynomial(text) == expected, text
 
 
 def test_puiseux_polynomial_parsing():
@@ -240,6 +255,24 @@ def test_cli_congruence_arity_counts_both_sides(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "congruence", str(path))   # no pairs: one variable
     roundtrip = json.loads(out)["roundtrip"]
     assert code == 0 and roundtrip["diagonal"] and roundtrip["variety_size"] == 3
+
+
+@pytest.mark.parametrize("content, field", [
+    (b'{"pairs": [["x1", "0", "1"]]}', "pairs"),
+    (b'{"pairs": [["x1", "0"]', "JSON"),
+    (b'[["x1", "0"]]', "object"),
+    (b'{"pairs": [["x1", "0"]], "grid": 5}', "grid"),
+    (b'{"pairs": [["x1", 5]]}', "pairs"),
+    (b'{"pairs": [["x1", "0"]], "points": [[1]]}', "points"),
+    (b'{"pairs": [["x1", "\xff"]]}', "UTF-8"),
+    (b'{"pairs": [["x1", "0"]], "points": "1"}', "points"),
+], ids=["three-entry-pair", "truncated-json", "top-level-list", "numeric-grid",
+        "numeric-polynomial", "numeric-coordinate", "non-utf8", "string-points"])
+def test_cli_congruence_refuses_malformed_specs(tmp_path, capsys, content, field):
+    path = tmp_path / "congruence.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "congruence", str(path))
+    assert code == 1 and out == "" and err.startswith("error: ") and field in err, err
 
 
 def test_cli_domain_error_exit_code(capsys):

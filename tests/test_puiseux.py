@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from laytrop import DomainError, ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
 
-from oracles import random_series
+from oracles import (random_series, reference_poly_add, reference_poly_call,
+                     reference_poly_mul, reference_series, reference_series_add,
+                     reference_series_mul)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 term_lists = st.lists(st.tuples(rationals, rationals), max_size=5)
@@ -112,6 +114,125 @@ def test_polynomial_ring_arithmetic():
 def test_zero_coefficients_are_dropped():
     f = PuiseuxPolynomial.from_coeffs({2: PuiseuxSeries.one(), 1: PuiseuxSeries.zero()})
     assert f.support() == (2,)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the dict-accumulate and term-by-term references
+
+
+def assert_canonical(p):
+    exponents = [e for e, _ in p.terms]
+    assert exponents == sorted(set(exponents))
+    assert all(type(e) is Fraction and type(c) is Fraction and c != 0 for e, c in p.terms)
+
+
+def assert_canonical_polynomial(f):
+    degrees = [d for d, _ in f.coeffs]
+    assert degrees == sorted(set(degrees)) and all(d >= 0 for d in degrees)
+    for _, c in f.coeffs:
+        assert not c.is_zero
+        assert_canonical(c)
+
+
+def partner_series(rng, p):
+    """Zero, p's negative, p's negative plus a tail, p's exponents with new
+    coefficients, or an unrelated series: sums that cancel in full, in part
+    or not at all."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PuiseuxSeries.zero()
+    if kind == 1:
+        return -p
+    if kind == 2:
+        return -p + random_series(rng)
+    if kind == 3:
+        return PuiseuxSeries.from_terms((e, rng.choice([-c, c + 1, 2 * c])) for e, c in p.terms)
+    return random_series(rng, allow_zero=True)
+
+
+def random_polynomial(rng):
+    """Sparse degrees up to 5 (gaps included), degree 0 alone, or zero."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PuiseuxPolynomial.zero()
+    degrees = [0] if kind == 1 else rng.sample(range(6), rng.randint(1, 3))
+    return PuiseuxPolynomial.from_coeffs({d: random_series(rng, max_terms=2) for d in degrees})
+
+
+def partner_polynomial(rng, f):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return -f
+    if kind == 1:
+        return -f + random_polynomial(rng)
+    if kind == 2:
+        # Same degrees, some coefficients cancelling exactly.
+        return PuiseuxPolynomial.from_coeffs(
+            {d: -c if rng.random() < 0.5 else partner_series(rng, c) for d, c in f.coeffs})
+    return random_polynomial(rng)
+
+
+def test_from_terms_matches_reference():
+    rng = random.Random(5)
+    for _ in range(400):
+        pairs = [(rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 3))]),
+                  rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]))
+                 for _ in range(rng.randint(0, 8))]
+        pairs += [(e, -Fraction(c)) for e, c in pairs if rng.random() < 0.3]  # cancel some
+        p = PuiseuxSeries.from_terms(pairs)
+        assert p == reference_series(pairs), pairs
+        assert_canonical(p)
+
+
+def test_series_arithmetic_matches_reference():
+    rng = random.Random(6)
+    for _ in range(500):
+        p = random_series(rng, allow_zero=True)
+        q = partner_series(rng, p)
+        for got, expected in ((p + q, reference_series_add(p, q)),
+                              (q + p, reference_series_add(q, p)),
+                              (p * q, reference_series_mul(p, q))):
+            assert got == expected, (p, q)
+            assert_canonical(got)
+
+
+def test_polynomial_arithmetic_and_evaluation_match_reference():
+    rng = random.Random(7)
+    zeros = 0
+    for _ in range(200):
+        f = random_polynomial(rng)
+        g = partner_polynomial(rng, f)
+        x = random_series(rng, max_terms=2, allow_zero=rng.random() < 0.2)
+        total, product = f + g, f * g
+        zeros += total.is_zero
+        assert total == reference_poly_add(f, g), (f, g)
+        assert product == reference_poly_mul(f, g), (f, g)
+        assert_canonical_polynomial(total)
+        assert_canonical_polynomial(product)
+        for h in (f, g, total, product):
+            value = h(x)
+            assert value == reference_poly_call(h, x), (h, x)
+            assert_canonical(value)
+        # Evaluation is a ring homomorphism.
+        assert product(x) == f(x) * g(x)
+        assert total(x) == f(x) + g(x)
+    assert zeros >= 20
+
+
+def test_from_coeffs_pairs_add_like_degrees():
+    rng = random.Random(8)
+    for _ in range(200):
+        pairs = [(rng.randint(0, 4), random_series(rng, max_terms=2, allow_zero=True))
+                 for _ in range(rng.randint(0, 6))]
+        pairs += [(d, -c) for d, c in pairs if rng.random() < 0.3]
+        expected = PuiseuxPolynomial.zero()
+        for d, c in pairs:
+            expected = reference_poly_add(expected, PuiseuxPolynomial.from_coeffs({d: c}))
+        f = PuiseuxPolynomial.from_coeffs(pairs)
+        assert f == expected, pairs
+        assert_canonical_polynomial(f)
+    with pytest.raises(DomainError):
+        PuiseuxPolynomial.from_coeffs([(1, PuiseuxSeries.one()), (-1, PuiseuxSeries.one())])
 
 
 # ---------------------------------------------------------------------------
