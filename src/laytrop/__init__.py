@@ -20,11 +20,10 @@ from .kapranov import (NewtonPolygon, NewtonSegment, bourbaki_extension,
                        root_valuations, verify_random_products)
 from .parsing import (parse_point, parse_polynomial, parse_puiseux,
                       parse_puiseux_polynomial, parse_scalar)
-from .polynomials import (FunctionComparison, GridSpec, LayeredPolynomial,
-                          combined_locus, component, corner_locus,
-                          essential_monomials, functionally_equal,
-                          layering_map, layering_map_set, principal_open,
-                          univariate_corner_roots)
+from .polynomials import (GridSpec, LayeredPolynomial, combined_locus,
+                          component, corner_locus, essential_monomials,
+                          functionally_equal, layering_map_set,
+                          principal_open, univariate_corner_roots)
 from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
 from .tropical import (apply_value_map, explode_poly, explode_scalar,
                        exploded_eval, trop_poly, trop_scalar)
@@ -34,13 +33,13 @@ __version__ = "0.1.0"
 __all__ = [
     "COUNTING", "INF", "INTEGERS", "NATURALS", "RATIONALS", "SUPERTROPICAL",
     "TRIVIAL", "CoordinateFunction", "DomainError", "ExplodedScalar",
-    "FinitePointSet", "FunctionComparison", "GridSpec", "LayeredPolynomial",
+    "FinitePointSet", "GridSpec", "LayeredPolynomial",
     "LayeredScalar", "LayeredSemiring", "LaytropError",
     "NewtonPolygon", "NewtonSegment", "ParseError", "PuiseuxPolynomial",
     "PuiseuxSeries", "UsageError", "apply_value_map", "bourbaki_extension",
     "combined_locus", "component", "congruent_on", "coordinate_semiring",
     "corner_locus", "essential_monomials", "explode_poly", "explode_scalar",
-    "exploded_eval", "functionally_equal", "kapranov_verify", "layering_map",
+    "exploded_eval", "functionally_equal", "kapranov_verify",
     "layering_map_set", "newton_polygon", "parse_point", "parse_polynomial",
     "parse_puiseux", "parse_puiseux_polynomial", "parse_scalar",
     "principal_open", "quotient_map", "random_split_product", "restrict",

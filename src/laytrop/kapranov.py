@@ -127,15 +127,19 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     the tropicalization, (b) the corner-root multiset equals both the
     Newton-polygon valuations and the known-root valuations, and (c) at
     every corner root the exploded evaluation at (leading coefficient,
-    valuation) of some known root with that valuation has sort 0.
+    valuation) of some known root with that valuation has sort 0.  The
+    correspondence is stated in the max convention, so a descending view
+    is refused.
     """
+    sr = semiring or LayeredSemiring()
+    if sr.descending:
+        raise DomainError("the root correspondence needs an ascending (max) view")
     if f.is_zero:
         raise DomainError("cannot verify the zero polynomial")
     for r in known_roots:
         if not f(r).is_zero:
             raise DomainError(f"claimed root {r} does not annihilate the polynomial")
 
-    sr = semiring or LayeredSemiring()
     tropicalized = trop_poly(sr, f)
     corner = univariate_corner_roots(tropicalized)
     corner_multiset = sorted(x for x, m in corner for _ in range(m))

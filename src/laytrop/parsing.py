@@ -250,10 +250,6 @@ def parse_polynomial(text: str, semiring: LayeredSemiring,
     return LayeredPolynomial(semiring, nvars, coeffs, laurent)
 
 
-def format_polynomial(f: LayeredPolynomial) -> str:
-    return str(f)
-
-
 # ---------------------------------------------------------------------------
 # Puiseux series and polynomials
 

@@ -79,7 +79,7 @@ class LayeredPolynomial:
     # -- structure ---------------------------------------------------------------
 
     def support(self) -> Tuple[Exponents, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(self.coeffs)
 
     def coefficient(self, exponents: Exponents) -> LayeredScalar:
         return self.coeffs[tuple(exponents)]
@@ -378,10 +378,6 @@ def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> 
     return _scan([([f], lambda *args: any(_verdict(*args))) for f in polynomials], grid)
 
 
-def layering_map(f: LayeredPolynomial, point: Point) -> Layer:
-    return f.layering(point)
-
-
 def layering_map_set(polynomials: Sequence[LayeredPolynomial], point: Point) -> Layer:
     """The minimum layer over a set of polynomials at one point."""
     polynomials = _common(polynomials)
@@ -459,20 +455,20 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     for e, p in zip(f.coeffs, lifted):
         columns = [[a - b for a, b in zip(q[:-1], p)] + [1, q[-1] - p[-1]]
                    for q in lifted if q is not p]
-        if not _feasible(columns + [slack], rhs):
+        if _feasible(columns + [slack], rhs) is None:
             kept.append(e)
     return tuple(kept)
 
 
-def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
-    """Whether some x >= 0 solves sum_j x_j * columns[j] = rhs (integers, rhs >= 0).
+def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[List[Fraction]]:
+    """Some x >= 0 solving sum_j x_j * columns[j] = rhs (integers, rhs >= 0), or None.
 
     Phase one of the simplex method: one artificial variable per row starts
     basic and their sum is minimised under Bland's rule, which cannot cycle.
     An artificial that leaves the basis is dropped, so artificial columns
     are never stored.  Pivoting is fraction-free: the tableau is kept as
     integers over the last pivot (a positive determinant), and every update
-    divides exactly.
+    divides exactly, so a basic variable's value is its row's rhs over det.
     """
     n = len(columns)
     rows = [list(row) for row in zip(*columns, rhs)]
@@ -483,7 +479,13 @@ def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     while True:
         s = next((j for j in range(n) if cost[j] > 0), None)
         if s is None:
-            return cost[-1] == 0
+            if cost[-1]:
+                return None
+            x = [Fraction(0)] * n
+            for row, j in zip(rows, basis):
+                if j < n:
+                    x[j] = Fraction(row[-1], det)
+            return x
         r = None
         for i, row in enumerate(rows):
             if row[s] > 0 and (r is None or (row[-1] * rows[r][s], basis[i])
@@ -501,71 +503,68 @@ def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
 # Functional equality
 
 
-@dataclass(frozen=True)
-class FunctionComparison:
-    """Outcome of comparing two polynomials as functions; truthy when equal."""
+def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial) -> bool:
+    """Whether f and g evaluate alike at every tangible rational point.
 
-    equal: bool
-    exact: bool
-
-    def __bool__(self):
-        return self.equal
+    Exact in every arity.  An integer view compares the rational extension
+    of its polynomials; ``_difference`` names a point where they differ.
+    """
+    return _difference(f, g) is None
 
 
-def _essential_form(f: LayeredPolynomial) -> Dict[Exponents, LayeredScalar]:
-    return {e: f.coeffs[e] for e in essential_monomials(f)}
+def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fraction, ...]]:
+    """Coordinates of a tangible point where f and g differ, or None.
 
-
-def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial,
-                       grid: Optional[GridSpec] = None) -> FunctionComparison:
-    """Decide whether two polynomials agree as functions.
-
-    Univariate comparison is exact: essentialized forms must match and the
-    evaluations must agree at every envelope breakpoint (where inessential
-    collinear monomials can still contribute layers).  Multivariate
-    comparison scans the supplied grid as one pair, evaluates at a point on
-    every pairwise tie hyperplane, and is flagged approximate.
+    At a tangible point each monomial keeps its coefficient's layer, and the
+    monomials tied at the best value lift to the points (e, c_e) on one face
+    of the upper hull of f's and g's monomials together, so f == g iff
+    ``_agree`` holds on every face.  Judging the smallest face of each hull
+    point suffices: it makes the vertices agree, and by induction on
+    dimension each face's layer sum regroups into its vertices' layers and
+    the sums over smaller faces.  A descending view runs on negated values,
+    as ``essential_monomials`` does.
     """
     f._compatible(g)
-    if f.nvars == 1:
-        if _essential_form(f) != _essential_form(g):
-            return FunctionComparison(False, True)
-        for root, _ in univariate_corner_roots(f):
-            a = (f.semiring.scalar(root),)
-            if f.evaluate(a) != g.evaluate(a):
-                return FunctionComparison(False, True)
-        return FunctionComparison(True, True)
-    if grid is None:
-        raise DomainError("multivariate comparison needs a sampling grid")
-    split = len(f.coeffs)
-    differ = _scan([((f, g), lambda *args: not _agree(split, *args))], grid)
-    equal = not differ and all(f.evaluate(a) == g.evaluate(a)
-                               for a in _tie_samples(f, grid) + _tie_samples(g, grid))
-    return FunctionComparison(equal, False)
+    sign = -1 if f.semiring.descending else 1
+    monomials = [*f.coeffs.items(), *g.coeffs.items()]
+    scale = math.lcm(*(c.value.denominator for _, c in monomials))
+    lifted = [(*e, sign * c.value.numerator * (scale // c.value.denominator))
+              for e, c in monomials]
+    points = sorted(set(lifted))
 
+    def tied(a: Sequence[Fraction]) -> frozenset:
+        values = [p[-1] + sum(map(operator.mul, p[:-1], a)) for p in points]
+        top = max(values)
+        return frozenset(p for p, v in zip(points, values) if v == top)
 
-def _tie_samples(f: LayeredPolynomial, grid: GridSpec) -> List[Point]:
-    """One exact point on each pairwise tie hyperplane, per grid anchor, unless
-    its coordinate lies outside the view's values (1/2 in an integer view)."""
-    sr = f.semiring
-    anchors = grid.points(sr)
-    step = max(1, len(anchors) // 24)
-    anchors = anchors[::step]
-    samples = []
-    for (e1, c1), (e2, c2) in itertools.combinations(sorted(f.coeffs.items()), 2):
-        d = [a - b for a, b in zip(e1, e2)]
-        delta = c2.value - c1.value
-        k = next((i for i, di in enumerate(d) if di != 0), None)
-        if k is None:
+    def tie(top, below=None) -> Optional[List[Fraction]]:
+        """A point where ``top`` ties at the best value and ``below`` lies at
+        least 1 under it.  Unknowns: lam = 1 + mu, y and s (each split in
+        two) and a slack per other point, in lam*c_p + p.y + slack_p = s."""
+        rows = []
+        for p in points:
+            *e, c = p
+            row = [c, *e, *(-x for x in e), -1, 1] + [int(p == q) for q in points if q != top]
+            rhs = -c - (p == below)
+            rows.append(row + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs])
+        *columns, rhs = zip(*rows)
+        x = _feasible(columns, rhs)
+        if x is None:
+            return None
+        n = f.nvars
+        return [(x[1 + k] - x[1 + n + k]) / (1 + x[0]) for k in range(n)]
+
+    split, layers = len(f.coeffs), [c.layer for _, c in monomials]
+    for p in points:
+        a = tie(p)
+        if a is None:
             continue
-        for anchor in anchors:
-            rest = sum(d[m] * anchor[m].value for m in range(f.nvars) if m != k)
-            xk = Fraction(delta - rest, d[k])
-            try:
-                sr.values.check(xk)
-            except DomainError:
-                continue
-            point = list(anchor)
-            point[k] = LayeredScalar(anchor[k].layer, xk)
-            samples.append(tuple(point))
-    return samples
+        # Where p ties, its smallest face ties at the average of that point
+        # and one point per other tied point that can be pushed below.
+        found = [a] + [b for q in tied(a) - {p} if (b := tie(p, q)) is not None]
+        mid = [sum(xs) / len(found) for xs in zip(*found)]
+        face = tied(mid)
+        if not _agree(split, f.semiring.sorts, layers,
+                      tuple(i for i, q in enumerate(lifted) if q in face)):
+            return tuple(sign * x / scale for x in mid)
+    return None

@@ -5,7 +5,7 @@ rational evaluation of every monomial and an argmax), never touching the
 hull-based solver it is used to check.  The essentiality oracle decides
 the primal strict system by Fourier-Motzkin elimination, never touching
 the simplex it is used to check.  The functional-equality reference
-evaluates point by point, never touching the lattice scan.  The Puiseux
+evaluates point by point, never touching the hull or the lattice scan.  The Puiseux
 references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector or
 Horner's rule.
@@ -90,13 +90,60 @@ def fm_essential(f):
     return tuple(kept)
 
 
+def tie_samples(f, grid):
+    """One point on each pairwise tie hyperplane of f's monomials per grid
+    anchor (at most 24 anchors): the first coordinate the two exponent
+    vectors differ in is solved for, the others come from the anchor."""
+    anchors = brute_grid(grid)
+    anchors = anchors[::max(1, len(anchors) // 24)]
+    samples = []
+    for (e1, c1), (e2, c2) in itertools.combinations(f.coeffs.items(), 2):
+        d = [a - b for a, b in zip(e1, e2)]
+        k = next(i for i, di in enumerate(d) if di)
+        for anchor in anchors:
+            rest = sum(d[m] * anchor[m].value for m in range(f.nvars) if m != k)
+            point = list(anchor)
+            point[k] = LayeredScalar(anchor[k].layer, (c2.value - c1.value - rest) / d[k])
+            samples.append(tuple(point))
+    return samples
+
+
+def _solve(rows):
+    """The unique solution of the square system a.x = b, one (a, b) per row, or None."""
+    n = len(rows)
+    m = [[Fraction(x) for x in a] + [Fraction(b)] for a, b in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                k = m[r][col] / m[col][col]
+                m[r] = [x - k * y for x, y in zip(m[r], m[col])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def tie_vertices(f, g):
+    """Tangible points where some nvars + 1 monomials of f and g, taken
+    together, take equal values: the candidate vertices of the cells on
+    which the tied set is constant."""
+    monomials = {*f.coeffs.items(), *g.coeffs.items()}
+    points = set()
+    for (e0, c0), *rest in itertools.combinations(monomials, f.nvars + 1):
+        x = _solve([([a - b for a, b in zip(e, e0)], c0.value - c.value) for e, c in rest])
+        if x is not None:
+            points.add(tuple(LayeredScalar(1, v) for v in x))
+    return points
+
+
 def pointwise_functionally_equal(f, g, grid):
-    """Multivariate functional equality decided point by point: both sides are
-    evaluated at every grid point and at every tie sample of either side."""
-    from laytrop.polynomials import _tie_samples
-    points = set(grid.points(f.semiring))
+    """Functional equality decided point by point: both sides are evaluated
+    at every grid point, every tie sample of either side and every tie
+    vertex of the two together."""
+    points = set(brute_grid(grid)) | tie_vertices(f, g)
     for poly in (f, g):
-        points.update(_tie_samples(poly, grid))
+        points.update(tie_samples(poly, grid))
     return all(f.evaluate(a) == g.evaluate(a) for a in points)
 
 

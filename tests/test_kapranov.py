@@ -122,6 +122,16 @@ def test_verifier_rejects_non_roots():
         kapranov_verify(f, roots + [series(3, 0)])
 
 
+def test_verifier_refuses_descending_views():
+    # The correspondence is stated in the max convention: a min view would
+    # report these correct roots as one corner root 1/2 of multiplicity 2.
+    f, roots = split_product((1, -1), (2, 0))
+    with pytest.raises(DomainError):
+        kapranov_verify(f, roots, SR.dual())
+    with pytest.raises(DomainError):
+        verify_random_products(3, 2, 0, SR.dual())
+
+
 def test_cancelling_middle_coefficient():
     # opposite roots cancel the middle coefficient entirely
     f, roots = split_product((2, 1), (-2, 1))

@@ -18,6 +18,7 @@ from laytrop import (COUNTING, INF, INTEGERS, RATIONALS, SUPERTROPICAL,
                      LayeredScalar, LayeredSemiring, combined_locus, component,
                      corner_locus, essential_monomials, functionally_equal,
                      principal_open, univariate_corner_roots, variety_of)
+from laytrop.polynomials import _difference
 
 from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
                      pointwise_functionally_equal)
@@ -201,11 +202,17 @@ def test_univariate_roots_and_essentials_follow_the_view():
         assert essential_monomials(f) == fm_essential(f) == essential, f
 
 
+def _rational(f):
+    """f over the view with the same layers and rational values."""
+    sr = LayeredSemiring(f.semiring.sorts, RATIONALS, f.semiring.descending)
+    return LayeredPolynomial(sr, f.nvars, f.coeffs, f.laurent)
+
+
 def test_functional_equality_matches_pointwise_oracle():
     rng = random.Random(42)
     outcomes = []
-    for i in range(60):
-        sr = SEMIRINGS[i // 4 % len(SEMIRINGS)]  # each view meets all four kinds of g
+    for i in range(80):
+        sr = SEMIRINGS[i // 5 % len(SEMIRINGS)]  # each view meets all five kinds of g
         integer = sr.values is INTEGERS
         nvars = rng.randint(2, 3)
         laurent = rng.random() < 0.3
@@ -214,45 +221,58 @@ def test_functional_equality_matches_pointwise_oracle():
         d = (1,) + tuple(rng.randint(-1, 1) for _ in range(nvars - 1))
         a = tuple(x - y for x, y in zip(mid, d))
         b = tuple(x + y for x, y in zip(mid, d))
-        coeffs = {e: sr.scalar(_random_value(rng, sr), _random_layer(rng, sr)) for e in (a, b)}
+        coeffs = {e: sr.scalar(_random_value(rng, sr)) for e in (a, b)}
         for _ in range(rng.randint(0, 3)):
             e = tuple(rng.randint(low, 3) for _ in range(nvars))
             if e != mid:
                 coeffs[e] = sr.scalar(_random_value(rng, sr), _random_layer(rng, sr))
         f = LayeredPolynomial(sr, nvars, coeffs, laurent)
-        if i % 4 == 2:
+        kind = i % 5
+        if kind == 2:
             g = LayeredPolynomial(sr, nvars, {e: sr.scalar(_random_value(rng, sr))
                                               for e in (a, b, mid)}, laurent)
-        elif i % 4 == 3:
-            # Lone monomials have no tie samples: only the grid can tell them apart.
-            f = LayeredPolynomial(sr, nvars, {a: coeffs[a]}, laurent)
-            g = LayeredPolynomial(sr, nvars, {a: sr.scalar(coeffs[a].value,
-                                                           _random_layer(rng, sr))}, laurent)
+        elif kind == 3:
+            # f plus some of its own monomials with new layers.
+            relayered = {e: sr.scalar(c.value, _random_layer(rng, sr))
+                         for e, c in coeffs.items() if rng.random() < 0.5}
+            g = f.add(LayeredPolynomial(sr, nvars, relayered or {a: coeffs[a]}, laurent))
+        elif kind == 4:
+            g = LayeredPolynomial(sr, nvars, dict(coeffs), laurent)
         else:
             # A monomial on the chord of a and b ties them on their hyperplane;
             # one strictly behind the chord is inessential, so f + it == f.
             # Integer views round behind the chord when it is off the lattice.
             sign = -1 if sr.descending else 1
-            chord = (coeffs[a].value + coeffs[b].value) / 2 - sign * Fraction(i % 4, 2)
+            chord = (coeffs[a].value + coeffs[b].value) / 2 - sign * Fraction(kind, 2)
             if integer:
                 chord = sign * math.floor(sign * chord)
             g = f.add(LayeredPolynomial(sr, nvars, {mid: sr.scalar(chord)}, laurent))
-        side = 5 if nvars == 2 else 3
-        step = rng.choice([Fraction(1), Fraction(2)] if integer else STEPS)
-        lower = _random_value(rng, sr) // 2 if integer else _random_value(rng, sr) / 2
-        layer = 1 if laurent else rng.choice([layer for layer in (1, 2, INF)
-                                              if _layer_allowed(sr, layer)])
-        grid = GridSpec.uniform(lower, lower + side * step, step, nvars, layer)
-        outcome = functionally_equal(f, g, grid)
-        assert outcome.equal == pointwise_functionally_equal(f, g, grid), (f, g, grid)
-        assert not outcome.exact
-        outcomes.append(outcome.equal)
-    assert 10 <= sum(outcomes) <= 50
+        equal = functionally_equal(f, g)
+        witness = _difference(f, g)
+        assert equal == (witness is None), (f, g)
+        # An integer view compares its rational extension.
+        f_q, g_q = _rational(f), _rational(g)
+        if equal:
+            side = 5 if nvars == 2 else 3
+            step = rng.choice(STEPS)
+            lower = _random_value(rng, sr) / 2
+            grid = GridSpec.uniform(lower, lower + side * step, step, nvars)
+            assert pointwise_functionally_equal(f_q, g_q, grid), (f, g, grid)
+        else:
+            point = tuple(LayeredScalar(1, x) for x in witness)
+            assert f_q.evaluate(point) != g_q.evaluate(point), (f, g, witness)
+        outcomes.append(equal)
+    assert 20 <= sum(outcomes) <= 60
 
 
-def test_functional_equality_skips_tie_samples_off_an_integer_view():
-    # The tie of x1^2 and 1 lies at x1 = 1/2, which is not a point of this view.
-    f = LayeredPolynomial(NAT_INT, 2, {(2, 0): NAT_INT.one(), (0, 0): NAT_INT.scalar(1),
-                                       (0, 1): NAT_INT.one()})
-    outcome = functionally_equal(f, f, GridSpec.uniform(-2, 2, 1, 2))
-    assert outcome.equal and not outcome.exact
+def test_integer_views_compare_their_rational_extension():
+    # x1*x2 lifts into the triangle of f's three monomials, so it ties only
+    # where all four do, at (1/2, 1/2): f and g agree at every integer point.
+    f = LayeredPolynomial(NAT_INT, 2, {(4, 0): NAT_INT.scalar(-2), (0, 4): NAT_INT.scalar(-2),
+                                       (0, 0): NAT_INT.one()})
+    g = f.add(LayeredPolynomial(NAT_INT, 2, {(1, 1): NAT_INT.scalar(-1)}))
+    assert all(f.evaluate(a) == g.evaluate(a) for a in GridSpec.uniform(-3, 3, 1, 2).points(NAT_INT))
+    assert not functionally_equal(f, g) and functionally_equal(f, f)
+    assert _difference(f, g) == (Fraction(1, 2), Fraction(1, 2))
+    point = (LayeredScalar(1, Fraction(1, 2)),) * 2
+    assert _rational(f).evaluate(point) != _rational(g).evaluate(point)

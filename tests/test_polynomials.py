@@ -8,8 +8,10 @@ import pytest
 from laytrop import (COUNTING, INF, NATURALS, RATIONALS, SUPERTROPICAL,
                      TRIVIAL, DomainError, GridSpec, LayeredPolynomial,
                      LayeredSemiring, combined_locus, component, corner_locus,
-                     essential_monomials, functionally_equal, layering_map,
+                     essential_monomials, functionally_equal,
                      layering_map_set, principal_open, univariate_corner_roots)
+
+from laytrop.polynomials import _difference
 
 from oracles import brute_corner_roots, random_poly, random_tangible_univariate
 
@@ -267,10 +269,10 @@ def two_ray_family(k):
 
 def test_layering_of_two_ray_family_member():
     f = two_ray_family(2)
-    assert layering_map(f, pt(NAT, 0, 0)) == 3
-    assert layering_map(f, pt(NAT, 0, -1)) == 2
-    assert layering_map(f, pt(NAT, 1, 2)) == 2      # on the curve 2*a1 = a2 > 0
-    assert layering_map(f, pt(NAT, 5, 1)) == 1
+    assert f.layering(pt(NAT, 0, 0)) == 3
+    assert f.layering(pt(NAT, 0, -1)) == 2
+    assert f.layering(pt(NAT, 1, 2)) == 2      # on the curve 2*a1 = a2 > 0
+    assert f.layering(pt(NAT, 5, 1)) == 1
 
 
 def test_family_minimum_kills_single_member_ties():
@@ -430,17 +432,17 @@ def test_four_variable_essentiality_is_exact():
 def test_functional_equality_removes_inessential_monomials():
     f = tangible(NAT, 1, {(2,): 0, (1,): 0, (0,): 4})
     g = tangible(NAT, 1, {(2,): 0, (0,): 4})
-    result = functionally_equal(f, g)
-    assert result.equal and result.exact
+    assert functionally_equal(f, g) is True
 
 
 def test_collinear_monomial_still_contributes_layers():
     f = tangible(NAT, 1, {(2,): 0, (1,): 1, (0,): 2})
     g = tangible(NAT, 1, {(2,): 0, (0,): 2})
-    assert not functionally_equal(f, g).equal    # the tie at 1 gains a layer
+    assert not functionally_equal(f, g)    # the tie at 1 gains a layer
+    assert _difference(f, g) == (1,)
     f_triv = tangible(TRIV, 1, {(2,): 0, (1,): 1, (0,): 2})
     g_triv = tangible(TRIV, 1, {(2,): 0, (0,): 2})
-    assert functionally_equal(f_triv, g_triv).equal
+    assert functionally_equal(f_triv, g_triv)
 
 
 def test_symmetric_products_as_functions():
@@ -450,18 +452,41 @@ def test_symmetric_products_as_functions():
         right = x.add(y).mul(x.add(z)).mul(y.add(z))
         return left, right
 
-    grid = GridSpec.uniform(-2, 2, 1, 3)
     left, right = build(NAT)
-    outcome = functionally_equal(left, right, grid)
-    assert not outcome.equal and not outcome.exact
+    assert not functionally_equal(left, right)
+    assert _difference(left, right) == (0, 0, 0)   # only there does x1*x2*x3 tie
     left_t, right_t = build(TRIV)
-    assert functionally_equal(left_t, right_t, grid).equal
+    assert functionally_equal(left_t, right_t)
 
 
 def test_functional_equality_is_reflexive():
-    assert functionally_equal(QUADRATIC, QUADRATIC).equal
-    with pytest.raises(DomainError):
-        functionally_equal(tangible(NAT, 2, {(1, 0): 0}), tangible(NAT, 2, {(0, 1): 0}))
+    assert functionally_equal(QUADRATIC, QUADRATIC)
+    assert not functionally_equal(tangible(NAT, 2, {(1, 0): 0}), tangible(NAT, 2, {(0, 1): 0}))
+
+
+def test_functional_equality_sees_a_triple_point_off_every_grid():
+    # f and g differ only at the origin, (3|0) against (4|0), where x1*x2
+    # ties the three monomials of f; no pairwise tie hyperplane sees it.
+    f = tangible(NAT, 2, {(3, 0): 0, (0, 3): 0, (0, 0): 0})
+    g = f.add(tangible(NAT, 2, {(1, 1): 0}))
+    assert not functionally_equal(f, g)
+    assert _difference(f, g) == (0, 0)
+    assert f.evaluate(pt(NAT, 0, 0)) == NAT.scalar(0, 3)
+    assert g.evaluate(pt(NAT, 0, 0)) == NAT.scalar(0, 4)
+
+
+def test_functional_equality_certifies_scaled_dual_witnesses():
+    # Values over the denominator 6, in a max and a min view: g differs only
+    # on a ray where x1*x2 ties the chord's ends, so a witness mapped back
+    # through the wrong scale or sign evaluates alike.
+    for sr in (NAT, NAT.dual()):
+        sign = -1 if sr.descending else 1
+        f = poly(sr, 2, {(2, 0): sr.scalar(Fraction(1, 3)), (0, 2): sr.scalar(0),
+                         (0, 0): sr.scalar(sign * Fraction(2, 3))})
+        g = f.add(poly(sr, 2, {(1, 1): sr.scalar(Fraction(1, 6), 2)}))
+        witness = _difference(f, g)
+        a = tuple(sr.scalar(x) for x in witness)
+        assert f.evaluate(a) != g.evaluate(a)
 
 
 # ---------------------------------------------------------------------------
