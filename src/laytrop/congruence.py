@@ -9,7 +9,7 @@ correspondence is a stable antitone Galois connection on probe families.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -163,16 +163,7 @@ class ZariskiReport:
                 and self.antitone_points and self.union_law)
 
     def to_json(self) -> Dict:
-        return {
-            "variety_size": self.variety_size,
-            "probe_pairs": self.probe_pairs,
-            "diagonal": self.diagonal,
-            "stable": self.stable,
-            "antitone_generators": self.antitone_generators,
-            "antitone_points": self.antitone_points,
-            "union_law": self.union_law,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def _random_poly(rng: random.Random, template: LayeredPolynomial) -> LayeredPolynomial:
@@ -221,12 +212,14 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     if probes and grid_points:
         sample = rng.sample(grid_points, min(6, len(grid_points)))
         small = FinitePointSet.of(sample[: max(1, len(sample) // 2)])
-        large = FinitePointSet.of(sample)
+        rest = FinitePointSet.of(sample[len(small):])
+        large = small.union(rest)
         for f, g in probes:
-            if congruent_on(f, g, large) and not congruent_on(f, g, small):
+            on_small, on_large = congruent_on(f, g, small), congruent_on(f, g, large)
+            if on_large and not on_small:
                 antitone_points = False
-            both = congruent_on(f, g, small) and congruent_on(f, g, large)
-            if congruent_on(f, g, small.union(large)) != both:
+            # I(small ∪ rest) = I(small) ∧ I(rest); a one-point sample has no rest
+            if len(rest) and on_large != (on_small and congruent_on(f, g, rest)):
                 union_law = False
 
     return ZariskiReport(

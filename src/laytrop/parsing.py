@@ -2,141 +2,112 @@
 
 Scalar literals: ``v`` is tangible with value v; ``(l|v)`` carries layer l;
 ``(inf|v)`` carries the infinite layer.  Values are exact rationals written
-``p/q`` or integers.  Polynomial terms join with ``+``; a term multiplies a
-coefficient literal with variable powers ``x1^e1*...*xn^en``.  Puiseux terms
-are products of rationals, ``t^(e)`` powers, and (in polynomial mode) powers
-of the variable ``L``.
+``p/q`` or integers.  Polynomials and Puiseux text share one sum-of-products
+grammar, ``factor ('*' factor)* ('+' factor ('*' factor)*)*``, so a dangling
+``*`` or ``+`` is refused.  A layered factor is a scalar literal or a
+variable power ``xi^e``; a Puiseux factor is a rational, a ``t^(e)`` power,
+or (in polynomial mode) a power of the variable ``L``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import partial
+from math import prod
+from typing import Callable, List, Optional, Tuple
 
-from .core import INF, Layer, LayeredSemiring
+from .core import INF, Layer, LayeredScalar, LayeredSemiring
 from .errors import ParseError
 from .polynomials import LayeredPolynomial
 from .puiseux import PuiseuxPolynomial, PuiseuxSeries
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "name" | "op"
-    text: str
-    line: int
-    column: int
-
-
-_OPS = set("+-*/^()|")
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    return tokens
+# ``\d`` matches exactly the digits ``int()`` reads: ``٣`` is one, ``²`` is not.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_]\w*)|(?P<op>[-+*/^()|])|(?P<bad>\S)")
+_VARIABLE = re.compile(r"x(\d+)")
 
 
 class _Stream:
-    def __init__(self, tokens: List[Token], text: str):
-        self.tokens = tokens
+    """The tokens of one text as (kind, text, offset) triples.
+
+    An operator's kind is its own character; the other kinds are ``int``,
+    ``name`` and a final ``end``.  Line and column are computed from the
+    offset only when an error is raised.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind, word = m.lastgroup, m.group()
+            if kind == "bad":
+                raise self.error(f"unexpected character {word!r}", m.start())
+            self.tokens.append((word if kind == "op" else kind, word, m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
-        end_line = text.count("\n") + 1
-        end_col = len(text) - (text.rfind("\n") + 1) + 1
-        self.end = (end_line, end_col)
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, offset: int) -> ParseError:
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", *self.end)
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok and tok.kind == kind and (text is None or tok.text == text):
+    def accept(self, word: str) -> bool:
+        if self.tokens[self.pos][1] == word:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {text or kind}, found end of input", *self.end)
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"expected {text or kind}, found {tok.text!r}", tok.line, tok.column)
+    def expect(self, kind: str) -> str:
+        found, word, offset = self.tokens[self.pos]
+        if found != kind:
+            shown = "end of input" if found == "end" else repr(word)
+            raise self.error(f"expected {kind}, found {shown}", offset)
         self.pos += 1
-        return tok
+        return word
+
+    def number(self, digits: str, offset: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:   # past the interpreter's limit on integer digits
+            raise self.error(f"integer of {len(digits)} digits is too long", offset)
+
+    def integer(self) -> int:
+        offset = self.tokens[self.pos][2]
+        return self.number(self.expect("int"), offset)
 
     def fail(self, message: str):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(message, *self.end)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.column)
+        kind, word, offset = self.tokens[self.pos]
+        raise self.error(message if kind == "end" else f"{message}, found {word!r}", offset)
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        kind, word, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise self.error(f"trailing input {word!r}", offset)
 
 
-def _parse_rational(s: _Stream) -> Fraction:
-    sign = -1 if s.accept("op", "-") else 1
-    numerator = int(s.expect("int").text)
-    if s.accept("op", "/"):
-        denominator = int(s.expect("int").text)
-        if denominator == 0:
-            s.fail("zero denominator")
-        return Fraction(sign * numerator, denominator)
-    return Fraction(sign * numerator)
+def _sum_of_products(s: _Stream, factor: Callable) -> List[list]:
+    """``factor ('*' factor)* ('+' factor ('*' factor)*)*``: the factors of each term."""
+    terms = []
+    while True:
+        product = [factor(s)]
+        while s.accept("*"):
+            product.append(factor(s))
+        terms.append(product)
+        if not s.accept("+"):
+            s.done()
+            return terms
 
 
 def _parse_signed_int(s: _Stream) -> int:
-    sign = -1 if s.accept("op", "-") else 1
-    return sign * int(s.expect("int").text)
+    sign = -1 if s.accept("-") else 1
+    return sign * s.integer()
 
 
-def _parse_layer(s: _Stream) -> Layer:
-    if s.accept("name", "inf"):
-        return INF
-    return int(s.expect("int").text)
+def _parse_rational(s: _Stream) -> Fraction:
+    numerator = _parse_signed_int(s)
+    denominator = s.integer() if s.accept("/") else 1
+    if denominator == 0:
+        s.fail("zero denominator")
+    return Fraction(numerator, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +115,21 @@ def _parse_layer(s: _Stream) -> Layer:
 
 
 def _parse_scalar(s: _Stream, semiring: LayeredSemiring) -> LayeredScalar:
-    if s.accept("op", "("):
-        first_is_inf = s.peek() and s.peek().kind == "name" and s.peek().text == "inf"
-        if first_is_inf or _looks_like_layer(s):
-            layer = _parse_layer(s)
-            s.expect("op", "|")
-            value = _parse_rational(s)
-            s.expect("op", ")")
-            return semiring.scalar(value, layer)
-        value = _parse_rational(s)
-        s.expect("op", ")")
-        return semiring.scalar(value)
-    return semiring.scalar(_parse_rational(s))
-
-
-def _looks_like_layer(s: _Stream) -> bool:
-    # inside parens: "INT |" starts a layered literal, otherwise a bare value
-    tok = s.peek()
-    if tok is None or tok.kind != "int":
-        return False
-    after = s.tokens[s.pos + 1] if s.pos + 1 < len(s.tokens) else None
-    return after is not None and after.kind == "op" and after.text == "|"
+    if not s.accept("("):
+        return semiring.scalar(_parse_rational(s))
+    layer: Layer = 1
+    kind, word, _ = s.tokens[s.pos]
+    # "(inf|v)" and "(l|v)" carry a layer; anything else is a bare value
+    if word == "inf" or (kind == "int" and s.tokens[s.pos + 1][0] == "|"):
+        layer = INF if s.accept("inf") else s.integer()
+        s.expect("|")
+    value = _parse_rational(s)
+    s.expect(")")
+    return semiring.scalar(value, layer)
 
 
 def parse_scalar(text: str, semiring: LayeredSemiring) -> LayeredScalar:
-    s = _Stream(tokenize(text), text)
+    s = _Stream(text)
     scalar = _parse_scalar(s, semiring)
     s.done()
     return scalar
@@ -195,58 +156,44 @@ def parse_point(text: str, semiring: LayeredSemiring) -> Tuple[LayeredScalar, ..
 # Layered polynomials
 
 
-def _parse_varpow(s: _Stream, laurent: bool) -> Tuple[int, int]:
-    tok = s.expect("name")
-    if not (tok.text.startswith("x") and tok.text[1:].isdigit() and int(tok.text[1:]) >= 1):
-        raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
-    index = int(tok.text[1:]) - 1
-    exponent = 1
-    if s.accept("op", "^"):
-        exponent = _parse_signed_int(s)
-    if exponent < 0 and not laurent:
-        raise ParseError("negative exponents need Laurent mode", tok.line, tok.column)
-    return index, exponent
+def _layered_factor(s: _Stream, semiring: LayeredSemiring, laurent: bool):
+    """A scalar literal, or a variable power as (variable index, exponent)."""
+    kind, word, offset = s.tokens[s.pos]
+    if kind == "name" and word != "inf":
+        s.pos += 1
+        variable = _VARIABLE.fullmatch(word)
+        index = s.number(variable[1], offset) - 1 if variable else -1
+        if index < 0:
+            raise s.error(f"unknown variable {word!r}", offset)
+        exponent = _parse_signed_int(s) if s.accept("^") else 1
+        if exponent < 0 and not laurent:
+            raise s.error("negative exponents need Laurent mode", offset)
+        return index, exponent
+    if kind in ("int", "(", "-"):
+        return _parse_scalar(s, semiring)
+    s.fail("expected a term" if kind == "end" else "expected a coefficient or variable power")
 
 
 def parse_polynomial(text: str, semiring: LayeredSemiring,
                      laurent: bool = False, nvars: Optional[int] = None) -> LayeredPolynomial:
     """Parse polynomial text; duplicate exponent vectors merge by layered addition."""
-    s = _Stream(tokenize(text), text)
-    terms = []
-    max_index = -1
-    while True:
-        coefficient = semiring.one()
-        exponents: dict = {}
-        saw_factor = False
-        while True:
-            tok = s.peek()
-            if tok is None:
-                break
-            if tok.kind == "name" and tok.text != "inf":
-                index, exponent = _parse_varpow(s, laurent)
-                exponents[index] = exponents.get(index, 0) + exponent
-                max_index = max(max_index, index)
-            elif tok.kind == "int" or (tok.kind == "op" and tok.text in "(-"):
-                coefficient = semiring.mul(coefficient, _parse_scalar(s, semiring))
-            else:
-                s.fail("expected a coefficient or variable power")
-            saw_factor = True
-            if not s.accept("op", "*"):
-                break
-        if not saw_factor:
-            s.fail("expected a term")
-        terms.append((coefficient, exponents))
-        if not s.accept("op", "+"):
-            break
-    s.done()
+    terms = _sum_of_products(_Stream(text), partial(_layered_factor, semiring=semiring,
+                                                    laurent=laurent))
+    arity = max((f[0] + 1 for product in terms for f in product if isinstance(f, tuple)),
+                default=0)
     if nvars is None:
-        nvars = max(max_index + 1, 1)
-    elif max_index + 1 > nvars:
-        raise ParseError(f"variable x{max_index + 1} exceeds the declared {nvars} variables")
+        nvars = max(arity, 1)
+    elif arity > nvars:
+        raise ParseError(f"variable x{arity} exceeds the declared {nvars} variables")
     coeffs = []
-    for coefficient, exponents in terms:
-        vector = tuple(exponents.get(i, 0) for i in range(nvars))
-        coeffs.append((vector, coefficient))
+    for product in terms:
+        coefficient, vector = semiring.one(), [0] * nvars
+        for factor in product:
+            if isinstance(factor, tuple):
+                vector[factor[0]] += factor[1]
+            else:
+                coefficient = semiring.mul(coefficient, factor)
+        coeffs.append((tuple(vector), coefficient))
     return LayeredPolynomial(semiring, nvars, coeffs, laurent)
 
 
@@ -254,65 +201,45 @@ def parse_polynomial(text: str, semiring: LayeredSemiring,
 # Puiseux series and polynomials
 
 
-def _parse_puiseux_factor(s: _Stream, allow_variable: bool) -> Tuple[Fraction, Fraction, int]:
+def _puiseux_factor(s: _Stream, allow_variable: bool) -> Tuple[Fraction, Fraction, int]:
     """One factor as (coefficient, t-exponent, variable degree)."""
-    tok = s.peek()
-    if tok is None:
-        s.fail("expected a factor")
-    if tok.kind == "name" and tok.text == "t":
-        s.next()
-        exponent = Fraction(0)
-        if s.accept("op", "^"):
-            if s.accept("op", "("):
-                exponent = _parse_rational(s)
-                s.expect("op", ")")
-            else:
-                exponent = Fraction(_parse_signed_int(s))
-        else:
-            exponent = Fraction(1)
-        return Fraction(1), exponent, 0
-    if allow_variable and tok.kind == "name" and tok.text == "L":
-        s.next()
-        degree = 1
-        if s.accept("op", "^"):
-            degree = int(s.expect("int").text)
-        return Fraction(1), Fraction(0), degree
-    if tok.kind == "op" and tok.text == "(":
-        s.next()
+    kind, word, _ = s.tokens[s.pos]
+    if word == "t":
+        s.pos += 1
+        if not s.accept("^"):
+            return Fraction(1), Fraction(1), 0
+        if s.accept("("):
+            exponent = _parse_rational(s)
+            s.expect(")")
+            return Fraction(1), exponent, 0
+        return Fraction(1), Fraction(_parse_signed_int(s)), 0
+    if allow_variable and word == "L":
+        s.pos += 1
+        return Fraction(1), Fraction(0), s.integer() if s.accept("^") else 1
+    if s.accept("("):
         value = _parse_rational(s)
-        s.expect("op", ")")
+        s.expect(")")
         return value, Fraction(0), 0
-    if tok.kind == "int" or (tok.kind == "op" and tok.text == "-"):
+    if kind in ("int", "-"):
         return _parse_rational(s), Fraction(0), 0
-    s.fail("expected a coefficient, t power, or variable power")
+    s.fail("expected a factor" if kind == "end"
+           else "expected a coefficient, t power, or variable power")
 
 
-def _parse_puiseux_terms(text: str, allow_variable: bool):
-    s = _Stream(tokenize(text), text)
-    terms = []
-    while True:
-        coefficient, exponent, degree = Fraction(1), Fraction(0), 0
-        while True:
-            c, e, d = _parse_puiseux_factor(s, allow_variable)
-            coefficient *= c
-            exponent += e
-            degree += d
-            if not s.accept("op", "*"):
-                break
-        terms.append((coefficient, exponent, degree))
-        if not s.accept("op", "+"):
-            break
-    s.done()
-    return terms
+def _puiseux_monomials(text: str, allow_variable: bool):
+    """Each term of Puiseux text as (coefficient, t-exponent, variable degree)."""
+    terms = _sum_of_products(_Stream(text),
+                             partial(_puiseux_factor, allow_variable=allow_variable))
+    return [(prod(c for c, _, _ in product), sum(e for _, e, _ in product),
+             sum(d for _, _, d in product)) for product in terms]
 
 
 def parse_puiseux(text: str) -> PuiseuxSeries:
     """Parse a Puiseux series; duplicate exponents merge, zero terms drop."""
-    terms = _parse_puiseux_terms(text, allow_variable=False)
-    return PuiseuxSeries.from_terms((e, c) for c, e, _ in terms)
+    return PuiseuxSeries.from_terms((e, c) for c, e, _ in _puiseux_monomials(text, False))
 
 
 def parse_puiseux_polynomial(text: str) -> PuiseuxPolynomial:
     """Parse a polynomial in the variable L with Puiseux series coefficients."""
-    terms = _parse_puiseux_terms(text, allow_variable=True)
-    return PuiseuxPolynomial.from_coeffs((d, PuiseuxSeries.term(c, e)) for c, e, d in terms)
+    return PuiseuxPolynomial.from_coeffs((d, PuiseuxSeries.term(c, e))
+                                         for c, e, d in _puiseux_monomials(text, True))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from laytrop import congruence
 from laytrop import (COUNTING, RATIONALS, DomainError, FinitePointSet,
                      GridSpec, LayeredPolynomial, LayeredSemiring,
                      congruent_on, coordinate_semiring, corner_locus,
@@ -159,6 +160,9 @@ def test_roundtrip_on_forced_generator():
              LayeredPolynomial.constant(NAT, 1, NAT.scalar(2)))]
     report = zariski_roundtrip(gens, GridSpec.uniform(-4, 4, 1, 1))
     assert report.passed and report.variety_size == 1 and not report.diagonal
+    # a one-point grid leaves the union law nothing to split
+    report = zariski_roundtrip(gens, GridSpec.uniform(2, 2, 1, 1))
+    assert report.passed and report.variety_size == 1
 
 
 def test_adding_generators_never_grows_the_variety():
@@ -193,3 +197,16 @@ def test_roundtrip_on_corner_congruence_of_a_line():
 def test_roundtrip_reports_diagonal_degeneracy():
     report = zariski_roundtrip([], GridSpec.uniform(0, 1, 1, 1))
     assert report.diagonal and report.passed
+    assert list(report.to_json()) == ["variety_size", "probe_pairs", "diagonal", "stable",
+                                      "antitone_generators", "antitone_points", "union_law",
+                                      "pass"]
+
+
+def test_union_law_judges_the_rest_of_the_sample(monkeypatch):
+    gens = [(LayeredPolynomial.variable(NAT, 2, 0), LayeredPolynomial.variable(NAT, 2, 1))]
+    grid = GridSpec.uniform(-2, 2, 1, 2)
+    assert zariski_roundtrip(gens, grid, seed=4).passed
+    # a judge that reads only a set's first point breaks I(X ∪ Y) = I(X) ∧ I(Y)
+    monkeypatch.setattr(congruence, "congruent_on",
+                        lambda f, g, x: f.evaluate(x.points[0]) == g.evaluate(x.points[0]))
+    assert not zariski_roundtrip(gens, grid, seed=4).union_law

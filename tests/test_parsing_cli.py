@@ -1,12 +1,15 @@
 """Expression grammar round trips and the command-line interface."""
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laytrop import (COUNTING, RATIONALS, INF, LayeredSemiring, ParseError,
+from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredSemiring, ParseError,
                      PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
                      parse_puiseux_polynomial, parse_scalar)
 from laytrop.cli import main
@@ -70,6 +73,45 @@ def test_parse_errors_carry_positions():
         parse_polynomial("", NAT)
     with pytest.raises(ParseError):
         parse_scalar("(2|)", NAT)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1 +\n  2 * @", NAT)
+    assert (err.value.line, err.value.column) == (2, 7)
+    with pytest.raises(ParseError) as err:
+        parse_puiseux("t +\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+def test_non_decimal_digits_are_parse_errors():
+    # "²".isdigit() holds, but int() reads only decimal digits
+    for text in ("x²", "x1^²"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, NAT)
+    with pytest.raises(ParseError):
+        parse_scalar("(²|1)", NAT)
+    with pytest.raises(ParseError):
+        parse_puiseux_polynomial("L^²")
+    # decimal digits of other scripts read as int() reads them
+    assert parse_polynomial("x1 + ٣", NAT) == parse_polynomial("x1 + 3", NAT)
+    assert parse_polynomial("x٢", NAT).nvars == 2
+
+
+def test_integers_past_the_digit_limit_are_parse_errors():
+    digits = "1" * 5000
+    for text in (digits, f"x{digits}", f"x1^{digits}", f"(2|1/{digits})"):
+        with pytest.raises(ParseError, match="too long"):
+            parse_polynomial(text, NAT)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (lambda text: parse_polynomial(text, NAT), "x1*", "expected a term"),
+    (lambda text: parse_polynomial(text, NAT), "x1 +", "expected a term"),
+    (lambda text: parse_polynomial(text, NAT), "2 * + x1", "expected a coefficient"),
+    (parse_puiseux, "t*", "expected a factor"),
+    (parse_puiseux_polynomial, "L + ", "expected a factor"),
+], ids=["layered-star", "layered-plus", "layered-star-plus", "series-star", "poly-plus"])
+def test_dangling_operators_are_refused(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
 
 
 def test_puiseux_parsing():
@@ -280,6 +322,12 @@ def test_cli_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["x1^²", "x²", "x1*"])
+def test_cli_refuses_malformed_text(capsys, text):
+    code, out, err = run_cli(capsys, "eval", text, "--point", "1")
+    assert code == 1 and out == "" and err.startswith("error: "), err
+
+
 def test_cli_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "locus", "x1 + 0", "--grid=nonsense")
     assert code == 2 and "usage" in err
@@ -289,3 +337,41 @@ def test_cli_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["roots", "--frobnicate", "x1"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed text boundary: whole-token atoms joined by spaces, so variable
+# indices and exponents stay small (huge ones are an open limits item).
+
+ATOMS = ["x1", "x2", "x2^3", "x1^-1", "x0", "y", "(2|4)", "(inf|1/2)", "(-5)", "(1|0)",
+         "3", "-3/4", "0", "1/0", "inf", "t", "t^2", "t^(-1/2)", "L", "L^2",
+         "-", "+", "*", "/", "^", "(", ")", "|", ",", "@", "\n", "²", "٣"]
+TEXTS = st.lists(st.sampled_from(ATOMS), max_size=12).map(" ".join)
+
+
+def exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(TEXTS)
+def test_parsers_return_or_refuse(text):
+    for parse in (lambda: parse_scalar(text, NAT), lambda: parse_point(text, NAT),
+                  lambda: parse_polynomial(text, NAT),
+                  lambda: parse_polynomial(text, NAT, laurent=True, nvars=2),
+                  lambda: parse_puiseux(text), lambda: parse_puiseux_polynomial(text)):
+        try:
+            parse()
+        except (ParseError, DomainError):
+            pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(TEXTS)
+def test_cli_exit_codes_on_fuzzed_text(text):
+    assert exit_code(["eval", "--point", "1", "--", text]) in (0, 1, 2)
+    assert exit_code(["trop", "--", text]) in (0, 1, 2)
