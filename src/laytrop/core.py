@@ -25,6 +25,18 @@ def format_layer(layer: Layer) -> str:
     return "inf" if layer == INF else str(layer)
 
 
+def power(x, m: int, mul, one):
+    """x ** m under an associative ``mul`` by square-and-multiply; ``one`` if m <= 0."""
+    result = None
+    while m > 0:
+        if m & 1:
+            result = x if result is None else mul(result, x)
+        m >>= 1
+        if m:
+            x = mul(x, x)
+    return one if result is None else result
+
+
 # ---------------------------------------------------------------------------
 # Sort (layer) flavors
 
@@ -49,15 +61,10 @@ class SortFlavor:
         raise NotImplementedError
 
     def pow(self, k: Layer, m: int) -> Layer:
-        """k to the m-th power under ``mul`` (square-and-multiply); only layer 1 inverts."""
+        """k to the m-th power under ``mul``; only layer 1 inverts."""
         if m < 0 and k != 1:
             raise DomainError(f"layer {format_layer(k)} is not invertible")
-        result = 1
-        while m > 0:
-            if m & 1:
-                result = self.mul(result, k)
-            k, m = self.mul(k, k), m >> 1
-        return result
+        return power(k, m, self.mul, 1)
 
     def __repr__(self):
         return f"<sorts {self.name}>"

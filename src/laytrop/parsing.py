@@ -28,17 +28,17 @@ _VARIABLE = re.compile(r"x(\d+)")
 
 
 class _Stream:
-    """The tokens of one text as (kind, text, offset) triples.
+    """The tokens of one text, from offset ``start`` on, as (kind, text, offset) triples.
 
     An operator's kind is its own character; the other kinds are ``int``,
     ``name`` and a final ``end``.  Line and column are computed from the
     offset only when an error is raised.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, start: int = 0):
         self.text = text
         self.tokens = []
-        for m in _TOKEN.finditer(text):
+        for m in _TOKEN.finditer(text, start):
             kind, word = m.lastgroup, m.group()
             if kind == "bad":
                 raise self.error(f"unexpected character {word!r}", m.start())
@@ -136,20 +136,19 @@ def parse_scalar(text: str, semiring: LayeredSemiring) -> LayeredScalar:
 
 
 def parse_point(text: str, semiring: LayeredSemiring) -> Tuple[LayeredScalar, ...]:
-    """A comma-separated list of scalar literals (commas outside parens)."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    """Comma-separated scalar literals (commas outside parens), each parsed in place."""
+    cuts, depth = [-1], 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return tuple(parse_scalar(part, semiring) for part in parts)
+            cuts.append(i)
+    cuts.append(len(text))
+    point = []
+    for start, end in zip(cuts, cuts[1:]):
+        s = _Stream(text[:end], start + 1)
+        point.append(_parse_scalar(s, semiring))
+        s.done()
+    return tuple(point)
 
 
 # ---------------------------------------------------------------------------

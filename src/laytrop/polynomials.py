@@ -7,6 +7,8 @@ every monomial's sort; cluster roots are points where a single dominant
 monomial already evaluates to a ghost.  Exact univariate corner roots come
 from the breakpoints of the upper envelope of the coefficient data; essential
 monomials come from one exact rational LP per monomial, in every dimension.
+Grid scans walk each row from breakpoint to breakpoint of the same kind of
+envelope, so a row of m monomials costs O(m * events), not O(m * points).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL
+from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL, power
 from .errors import DomainError
 
 Exponents = Tuple[int, ...]
@@ -132,10 +134,7 @@ class LayeredPolynomial:
     def pow(self, m: int) -> "LayeredPolynomial":
         if not isinstance(m, int) or m < 1:
             raise DomainError(f"polynomial power {m!r} must be a positive integer")
-        out = self
-        for _ in range(m - 1):
-            out = out.mul(self)
-        return out
+        return power(self, m, LayeredPolynomial.mul, None)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -312,50 +311,70 @@ def _scan(tasks, grid: GridSpec) -> Tuple[Point, ...]:
     end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
     tied at the group's best value.  Loci run one task per polynomial,
     varieties one per pair.  Each axis has one layer, so monomial layers, and
-    hence verdicts given the tied set, are the same at every point.  Scaled
-    by a common denominator, values are integer affine in the lattice index.
+    hence verdicts given the tied set, are the same at every point.  Each row
+    gives kept index ranges per task, intersected before points are emitted.
     """
     polynomials = _common([f for group, _ in tasks for f in group])
     axes = grid.axis_points(polynomials[0].semiring)
     rows = [_lattice_row(group, axes, grid, judge) for group, judge in tasks]
-    *outer, inner = [range(len(axis)) for axis in axes]
+    *outer, last = axes
     out = []
-    for prefix in itertools.product(*outer):
-        keep = map(all, zip(*(row(prefix) for row in rows)))
+    for prefix in itertools.product(*(range(len(axis)) for axis in outer)):
+        kept = functools.reduce(_intersect, (row(prefix) for row in rows))
         head = tuple(axis[k] for axis, k in zip(axes, prefix))
-        out.extend(head + (axes[-1][k],) for k in itertools.compress(inner, keep))
+        out.extend(head + (last[k],) for lo, hi in kept for k in range(lo, hi))
     return tuple(out)
+
+
+def _intersect(a, b):
+    """Overlaps of two sorted lists of disjoint half-open index ranges, sorted."""
+    return [(lo, hi) for p, q in a for r, s in b if (lo := max(p, r)) < (hi := min(q, s))]
 
 
 def _lattice_row(group: Sequence[LayeredPolynomial], axes: Sequence[Sequence[LayeredScalar]],
                  grid: GridSpec, judge):
-    """A map from a lattice prefix to the group's verdicts along the last axis."""
+    """A map from a lattice prefix to the kept index ranges along the last axis.
+
+    Scaled by a common denominator and negated in a descending view, monomial
+    i is the line ``start_i + k * slope_i`` in the lattice index k; the tied
+    set changes only at breakpoints of the lines' upper envelope.  An event k
+    judges its tied set, whose steepest lines (identical, so all of them) form
+    the lane: it alone ties until a steeper line reaches it, found by one
+    ceiling division per line, and the indices in between inherit its verdict.
+    The lead slope grows at each event, so a row costs O(m * events).
+    """
     origin = tuple(axis[0] for axis in axes)
     profiles = [f._profile(origin) for f in group]
-    steps = [step for _, _, step in grid.axes]
+    sr = group[0].semiring
+    sign = -1 if sr.descending else 1
+    steps = [sign * step for _, _, step in grid.axes]
     scale = math.lcm(*(p[0] for p in profiles), *(s.denominator for s in steps))
     base, layers, deltas = [], [], []
     for f, (origin_scale, values, f_layers, _) in zip(group, profiles):
-        base += [v * (scale // origin_scale) for v in values]
+        base += [sign * v * (scale // origin_scale) for v in values]
         layers += f_layers
         deltas += [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
-    sr = group[0].semiring
-    sorts, best = sr.sorts, (min if sr.descending else max)
-    indices, n = range(len(base)), len(axes[-1])
-    verdicts: Dict[Tuple[int, ...], bool] = {}
+    slopes = [d[-1] for d in deltas]
+    n = len(axes[-1])
+    verdict = functools.cache(functools.partial(judge, sr.sorts, layers))
 
-    def row(prefix: Tuple[int, ...]) -> List[bool]:
+    def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int]]:
         starts = [b + sum(map(operator.mul, prefix, d)) for b, d in zip(base, deltas)]
-        out = []
-        lanes = map(itertools.count, starts, (d[-1] for d in deltas))
-        for vals in itertools.islice(zip(*lanes), n):
-            top = best(vals)
-            tied = tuple(itertools.compress(indices, map(top.__eq__, vals)))
-            ok = verdicts.get(tied)
-            if ok is None:
-                ok = verdicts[tied] = judge(sorts, layers, tied)
-            out.append(ok)
-        return out
+        kept, k = [], 0
+        while k < n:
+            values = [s + k * d for s, d in zip(starts, slopes)]
+            top = max(values)
+            tied = tuple(i for i, v in enumerate(values) if v == top)
+            lead = max(slopes[i] for i in tied)
+            lane = tuple(i for i in tied if slopes[i] == lead)
+            # k + ceil(gap / (d - lead)) for each steeper line, gap below the lane
+            stop = min([n, *(k - (v - top) // (d - lead) for v, d in zip(values, slopes) if d > lead)])
+            assert stop > k, "every steeper line lies strictly below the lane"
+            for lo, hi, ties in ((k, k + 1, tied), (k + 1, stop, lane)):
+                if lo < hi and verdict(ties):
+                    kept.append((lo, hi))
+            k = stop
+        return kept
 
     return row
 

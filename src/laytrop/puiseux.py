@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Tuple, Union
 
+from .core import power
 from .errors import DomainError
 
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -105,10 +106,7 @@ class PuiseuxSeries:
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if not isinstance(m, int) or m < 0:
             raise DomainError(f"series exponent {m!r} must be a non-negative integer")
-        out = PuiseuxSeries.one()
-        for _ in range(m):
-            out = out * self
-        return out
+        return power(self, m, mul, PuiseuxSeries.one())
 
     def scale(self, coefficient) -> "PuiseuxSeries":
         c = Fraction(coefficient)
@@ -211,10 +209,7 @@ class PuiseuxPolynomial:
     def __pow__(self, m: int) -> "PuiseuxPolynomial":
         if not isinstance(m, int) or m < 0:
             raise DomainError(f"polynomial exponent {m!r} must be a non-negative integer")
-        out = PuiseuxPolynomial.constant(PuiseuxSeries.one())
-        for _ in range(m):
-            out = out * self
-        return out
+        return power(self, m, mul, PuiseuxPolynomial.constant(PuiseuxSeries.one()))
 
     def __call__(self, x: PuiseuxSeries) -> PuiseuxSeries:
         """Horner's rule: one series product and one sum per degree."""

@@ -276,3 +276,139 @@ def test_integer_views_compare_their_rational_extension():
     assert _difference(f, g) == (Fraction(1, 2), Fraction(1, 2))
     point = (LayeredScalar(1, Fraction(1, 2)),) * 2
     assert _rational(f).evaluate(point) != _rational(g).evaluate(point)
+
+
+# ---------------------------------------------------------------------------
+# The envelope walk: rows judged breakpoint to breakpoint
+
+
+def assert_variety_matches_evaluate(pairs, grid):
+    points = brute_grid(grid)
+    expected = tuple(a for a in points if all(f.evaluate(a) == g.evaluate(a) for f, g in pairs))
+    assert variety_of(pairs, grid).points == expected
+
+
+def _walk_case(rng):
+    """Rows long enough to cross several breakpoints, with steep monomials."""
+    sr = rng.choice(SEMIRINGS)
+    nvars = rng.randint(1, 2)
+    laurent = sr.values is not INTEGERS and rng.random() < 0.3
+    low = -3 if laurent else 0
+    polynomials = []
+    for _ in range(rng.randint(2, 3)):
+        coeffs = {}
+        for _ in range(rng.randint(2, 8)):
+            e = tuple(rng.randint(low, 5) for _ in range(nvars))
+            coeffs[e] = sr.scalar(_random_value(rng, sr), _random_layer(rng, sr))
+        polynomials.append(LayeredPolynomial(sr, nvars, coeffs, laurent))
+    allowed = [1] if sr.sorts is TRIVIAL else [1, INF] if sr.sorts is SUPERTROPICAL else [1, 2, INF]
+    axes, layers = [], []
+    for length in ((120,), (10, 40))[nvars - 1]:
+        step = Fraction(1) if sr.values is INTEGERS else rng.choice(STEPS)
+        lower = _random_value(rng, sr)
+        axes.append((lower, lower + step * rng.randint(0, length), step))
+        layers.append(1 if laurent else rng.choice(allowed))
+    return polynomials, GridSpec(tuple(axes), tuple(layers))
+
+
+def test_envelope_walk_matches_brute_force_on_long_rows():
+    rng = random.Random(909)
+    seen = set()
+    for _ in range(40):
+        polynomials, grid = _walk_case(rng)
+        assert_matches_oracle(polynomials, grid)
+        f, g, *rest = polynomials
+        # A pair sharing f's monomials puts identical lines on both sides.
+        pairs = [(f, g), (f, f.add(g)), *((h, h.add(f)) for h in rest)]
+        assert_variety_matches_evaluate(pairs, grid)
+        for pair in pairs:
+            assert_variety_matches_evaluate([pair], grid)
+        seen.add((f.semiring, f.laurent, grid.layers[-1], len(polynomials)))
+    assert len({s[0] for s in seen}) == len(SEMIRINGS)
+    assert {s[2] for s in seen} == {1, 2, INF} and {s[3] for s in seen} == {2, 3}
+    assert any(s[1] for s in seen)
+
+
+def _tangible(sr, nvars, mapping):
+    return LayeredPolynomial(sr, nvars, {e: sr.scalar(Fraction(v)) for e, v in mapping.items()})
+
+
+def test_a_long_row_with_breakpoints_on_and_off_the_lattice():
+    # Breakpoints at -1 (a lattice point) and 1/2 (between two, 997 being
+    # odd); the dual view negates both.
+    for sr in (NAT, NAT.dual()):
+        sign = -1 if sr.descending else 1
+        f = _tangible(sr, 1, {(3,): sign * Fraction(-1, 2), (2,): 0, (0,): sign * -2})
+        assert univariate_corner_roots(f) == tuple(sorted([(sign * Fraction(-1), 2),
+                                                           (sign * Fraction(1, 2), 1)]))
+        grid = GridSpec.uniform(-2, 2, Fraction(1, 997), 1)
+        assert corner_locus([f], grid) == ((sr.scalar(sign * -1),),)
+        assert_matches_oracle([f, _tangible(sr, 1, {(1,): 0, (0,): Fraction(1, 3)})], grid)
+
+
+def test_ties_of_three_and_four_lines_at_one_breakpoint():
+    for sr in (NAT, SUP.dual(), TRIV):
+        cubic = _tangible(sr, 1, {(3,): 0, (2,): 0, (1,): 0, (0,): 0})
+        assert corner_locus([cubic], GridSpec.uniform(-2, 2, Fraction(1, 3), 1)) == ((sr.scalar(0),),)
+        plane = _tangible(sr, 2, {(1, 0): 0, (0, 1): 0, (0, 0): 0, (1, 1): -5})
+        assert_matches_oracle([cubic.add(_tangible(sr, 1, {(0,): 1})), cubic],
+                              GridSpec.uniform(-2, 2, Fraction(1, 3), 1))
+        assert_matches_oracle([plane], GridSpec.uniform(-2, 2, Fraction(1, 2), 2))
+
+
+def test_breakpoint_strictly_between_lattice_points():
+    f = _tangible(NAT, 1, {(1,): 0, (0,): Fraction(1, 2)})
+    grid = GridSpec.uniform(-3, 3, 1, 1)
+    assert corner_locus([f], grid) == ()
+    assert principal_open(f, grid) == tuple(brute_grid(grid))
+    assert [a[0].value for a in component(f, (1,), grid)] == [1, 2, 3]
+    assert [a[0].value for a in component(f, (0,), grid)] == [-3, -2, -1, 0]
+    assert_matches_oracle([f], grid)
+
+
+def test_parallel_and_zero_slope_lines():
+    # Along x2, x1*x2 and x2 are parallel; x1^2 and 3 have slope zero.
+    f = _tangible(NAT, 2, {(1, 1): 0, (0, 1): 1, (2, 0): 0, (0, 0): 3})
+    g = _tangible(NAT, 2, {(1, 0): 0, (0, 0): 1})
+    grid = GridSpec.uniform(-4, 4, Fraction(1, 2), 2)
+    assert_matches_oracle([f, g], grid)
+    # Parallel lines on the two sides of a pair never meet: x1 and 1*x1,
+    # each above its constant -10 on the whole grid.
+    h = _tangible(NAT, 1, {(1,): 0, (0,): -10})
+    shifted = _tangible(NAT, 1, {(1,): 1, (0,): -10})
+    line = GridSpec.uniform(-3, 3, Fraction(1, 3), 1)
+    assert variety_of([(h, shifted)], line).points == ()
+    assert_variety_matches_evaluate([(h, shifted), (h, h.add(_tangible(NAT, 1, {(0,): 0})))], line)
+
+
+def test_identical_lines_of_a_pair_share_one_lane():
+    # x1 is a monomial of both sides, so they agree wherever it dominates.
+    for sr in (NAT, NAT.dual(), SUP, TRIV):
+        sign = -1 if sr.descending else 1
+        f = _tangible(sr, 1, {(1,): 0, (0,): 0})
+        g = _tangible(sr, 1, {(1,): 0, (0,): sign * -5})
+        grid = GridSpec.uniform(-8, 8, Fraction(1, 4), 1)
+        expected = tuple(a for a in brute_grid(grid) if sign * a[0].value > 0
+                         or (sr.sorts is TRIVIAL and sign * a[0].value == 0))
+        assert variety_of([(f, g)], grid).points == expected
+        assert_variety_matches_evaluate([(f, g), (g, f.add(g))], grid)
+
+
+def test_one_point_rows():
+    f = _tangible(NAT, 2, {(1, 0): 0, (0, 1): 0, (0, 0): 0})
+    for axes in (((-1, 1, 1), (0, 0, 1)), ((0, 0, 1), (-2, 2, Fraction(1, 2))), ((0, 0, 1),) * 2):
+        grid = GridSpec(tuple(tuple(map(Fraction, axis)) for axis in axes))
+        assert_matches_oracle([f, _tangible(NAT, 2, {(0, 1): 0, (0, 0): 0})], grid)
+
+
+def test_a_million_point_row_matches_exact_roots():
+    # An independent oracle: the corner locus of a tangible univariate
+    # polynomial is the set of its exact roots that lie on the grid.
+    f = _tangible(NAT, 1, {(5,): -7, (3,): Fraction(-1, 2), (2,): 0, (1,): Fraction(1, 3),
+                           (0,): 2})
+    lower, step = Fraction(-5), Fraction(1, 100000)
+    grid = GridSpec.uniform(lower, 5, step, 1)
+    roots = [r for r, _ in univariate_corner_roots(f)]
+    on_grid = tuple((NAT.scalar(r),) for r in roots if ((r - lower) / step).denominator == 1)
+    assert 0 < len(on_grid) < len(roots)
+    assert corner_locus([f], grid) == on_grid

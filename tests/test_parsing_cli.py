@@ -81,6 +81,14 @@ def test_parse_errors_carry_positions():
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+def test_point_errors_count_from_the_start_of_the_text():
+    for text, position in (("0, 1, @", (1, 7)), ("0,\n(2|@)", (2, 4)), ("1,,2", (1, 3)),
+                           ("1, (2|x)", (1, 7))):
+        with pytest.raises(ParseError) as err:
+            parse_point(text, NAT)
+        assert (err.value.line, err.value.column) == position, text
+
+
 def test_non_decimal_digits_are_parse_errors():
     # "²".isdigit() holds, but int() reads only decimal digits
     for text in ("x²", "x1^²"):

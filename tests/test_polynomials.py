@@ -13,7 +13,8 @@ from laytrop import (COUNTING, INF, NATURALS, RATIONALS, SUPERTROPICAL,
 
 from laytrop.polynomials import _difference
 
-from oracles import brute_corner_roots, random_poly, random_tangible_univariate
+from oracles import (brute_corner_roots, random_poly, random_scalar,
+                     random_tangible_univariate)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -130,6 +131,24 @@ def test_function_level_power_identity():
             lhs = f.add(g).pow(m).evaluate(a)
             rhs = f.pow(m).add(g.pow(m)).evaluate(a)
             assert lhs == rhs
+
+
+def test_power_matches_repeated_multiplication():
+    # Square-and-multiply regroups the products, which is exact in every
+    # distributive flavor (a saturating one is not, so it is left out).
+    rng = random.Random(14)
+    for sr in (NAT, SUP, TRIV):
+        for _ in range(40):
+            nvars = rng.randint(1, 2)
+            f = poly(sr, nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                                 random_scalar(rng, sr) for _ in range(rng.randint(1, 4))})
+            m = rng.randint(1, 9)
+            expected = f
+            for _ in range(m - 1):
+                expected = expected.mul(f)
+            assert f.pow(m) == expected, (f, m)
+    with pytest.raises(DomainError):
+        QUADRATIC.pow(0)
 
 
 # ---------------------------------------------------------------------------

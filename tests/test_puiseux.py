@@ -219,6 +219,24 @@ def test_polynomial_arithmetic_and_evaluation_match_reference():
     assert zeros >= 20
 
 
+def test_powers_match_repeated_reference_products():
+    rng = random.Random(9)
+    for _ in range(60):
+        p = random_series(rng, max_terms=3, allow_zero=rng.random() < 0.1)
+        f = random_polynomial(rng)
+        m = rng.randint(0, 7)
+        series, polynomial = PuiseuxSeries.one(), PuiseuxPolynomial.constant(PuiseuxSeries.one())
+        for _ in range(m):
+            series = reference_series_mul(series, p)
+            polynomial = reference_poly_mul(polynomial, f)
+        assert p ** m == series, (p, m)
+        assert f ** m == polynomial, (f, m)
+    with pytest.raises(DomainError):
+        PuiseuxSeries.one() ** -1
+    with pytest.raises(DomainError):
+        PuiseuxPolynomial.zero() ** -1
+
+
 def test_from_coeffs_pairs_add_like_degrees():
     rng = random.Random(8)
     for _ in range(200):
