@@ -5,9 +5,10 @@ the points (degree, lowest exponent of the coefficient) determines the
 valuations of all roots: a hull segment of slope s and horizontal length m
 contributes the valuation s with multiplicity m (with val being the
 negative of the lowest exponent, these coincide with the corner roots of
-the tropicalized polynomial).  The verifier checks this correspondence in
-both directions on polynomials built from known roots, plus the exploded
-refinement through leading coefficients.
+the tropicalized polynomial, and the lower hull is the mirrored upper hull
+of (degree, val) shared with ``univariate_corner_roots``).  The verifier
+checks this correspondence in both directions on polynomials built from
+known roots, plus the exploded refinement through leading coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import LayeredSemiring
 from .errors import DomainError
-from .polynomials import univariate_corner_roots
+from .polynomials import _upper_hull, univariate_corner_roots
 from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
 from .tropical import explode_poly, exploded_eval, trop_poly
 
@@ -38,30 +39,17 @@ class NewtonPolygon:
     segments: Tuple[NewtonSegment, ...]
 
 
-def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
-    hull: List[Tuple[int, Fraction]] = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep only strictly increasing slopes; collinear middles merge
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def newton_polygon(f: PuiseuxPolynomial) -> NewtonPolygon:
-    """The lower hull of the coefficient support, segments ordered by slope."""
+    """The lower hull of the coefficient support, segments ordered by slope:
+    the mirrored upper hull of (d, val), shared with ``univariate_corner_roots``."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no Newton polygon")
-    support = tuple(sorted((d, -c.val()) for d, c in f.coeffs))
-    hull = _lower_hull(list(support))
+    mirrored = sorted((d, c.val()) for d, c in f.coeffs)
+    hull = _upper_hull(mirrored)
     segments = tuple(
-        NewtonSegment(Fraction(y2 - y1, x2 - x1), x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
-    return NewtonPolygon(support, segments)
+        NewtonSegment(Fraction(v1 - v2, x2 - x1), x2 - x1)
+        for (x1, v1), (x2, v2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple((d, -v) for d, v in mirrored), segments)
 
 
 def root_valuations(f: PuiseuxPolynomial) -> Tuple[Fraction, ...]:

@@ -7,6 +7,7 @@ every monomial's sort; cluster roots are points where a single dominant
 monomial already evaluates to a ghost.  Exact univariate corner roots come
 from the breakpoints of the upper envelope of the coefficient data; essential
 monomials come from one exact rational LP per monomial, in every dimension.
+These exact solvers read coefficients through one lift, ``_lift``.
 Grid scans walk each row from breakpoint to breakpoint of the same kind of
 envelope, so a row of m monomials costs O(m * events), not O(m * points).
 """
@@ -19,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL, power
 from .errors import DomainError
@@ -114,22 +115,15 @@ class LayeredPolynomial:
 
     def add(self, other: "LayeredPolynomial") -> "LayeredPolynomial":
         self._compatible(other)
-        sr = self.semiring
-        acc = dict(self.coeffs)
-        for exponents, scalar in other.coeffs.items():
-            acc[exponents] = sr.add(acc[exponents], scalar) if exponents in acc else scalar
-        return LayeredPolynomial(sr, self.nvars, acc, self.laurent)
+        return LayeredPolynomial(self.semiring, self.nvars,
+                                 [*self.coeffs.items(), *other.coeffs.items()], self.laurent)
 
     def mul(self, other: "LayeredPolynomial") -> "LayeredPolynomial":
         self._compatible(other)
         sr = self.semiring
-        acc: Dict[Exponents, LayeredScalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                term = sr.mul(c1, c2)
-                acc[e] = sr.add(acc[e], term) if e in acc else term
-        return LayeredPolynomial(sr, self.nvars, acc, self.laurent)
+        return LayeredPolynomial(sr, self.nvars, [
+            (tuple(map(operator.add, e1, e2)), sr.mul(c1, c2))
+            for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()], self.laurent)
 
     def pow(self, m: int) -> "LayeredPolynomial":
         if not isinstance(m, int) or m < 1:
@@ -422,6 +416,17 @@ def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
 # Exact univariate corner roots and essentiality
 
 
+def _lift(monomials: Collection[Tuple[Exponents, LayeredScalar]],
+          semiring: LayeredSemiring) -> Tuple[int, int, List[Tuple[int, ...]]]:
+    """(sign, scale, lifted): each monomial (e, c) as the int row
+    ``(*e, sign * c * scale)``, ``scale`` one common denominator and ``sign``
+    -1 in a descending view, as min(c + e.x) = -max(-c + e.(-x))."""
+    sign = -1 if semiring.descending else 1
+    scale = math.lcm(*(c.value.denominator for _, c in monomials))
+    return sign, scale, [(*e, sign * c.value.numerator * (scale // c.value.denominator))
+                         for e, c in monomials]
+
+
 def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -446,12 +451,10 @@ def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int],
     """
     if f.nvars != 1:
         raise DomainError("exact corner roots require a univariate polynomial")
-    sign = -1 if f.semiring.descending else 1
-    hull = _upper_hull(sorted((e[0], sign * c.value) for e, c in f.coeffs.items()))
-    roots = []
-    for (i, ci), (j, cj) in zip(hull, hull[1:]):
-        roots.append((sign * (ci - cj) / (j - i), j - i))
-    return tuple(sorted(roots))
+    sign, scale, lifted = _lift(f.coeffs.items(), f.semiring)
+    hull = _upper_hull(sorted(lifted))
+    return tuple(sorted((Fraction(sign * (ci - cj), (j - i) * scale), j - i)
+                        for (i, ci), (j, cj) in zip(hull, hull[1:])))
 
 
 def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
@@ -463,10 +466,7 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     monomial decides this in every dimension.  A descending view runs it on
     negated values.
     """
-    sign = -1 if f.semiring.descending else 1
-    scale = math.lcm(*(c.value.denominator for c in f.coeffs.values()))
-    lifted = [(*e, sign * c.value.numerator * (scale // c.value.denominator))
-              for e, c in f.coeffs.items()]
+    _, _, lifted = _lift(f.coeffs.items(), f.semiring)
     # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_o - c_e) - slack = 0.
     slack = [0] * f.nvars + [0, -1]
     rhs = [0] * f.nvars + [1, 0]
@@ -544,11 +544,8 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
     as ``essential_monomials`` does.
     """
     f._compatible(g)
-    sign = -1 if f.semiring.descending else 1
     monomials = [*f.coeffs.items(), *g.coeffs.items()]
-    scale = math.lcm(*(c.value.denominator for _, c in monomials))
-    lifted = [(*e, sign * c.value.numerator * (scale // c.value.denominator))
-              for e, c in monomials]
+    sign, scale, lifted = _lift(monomials, f.semiring)
     points = sorted(set(lifted))
 
     def tied(a: Sequence[Fraction]) -> frozenset:

@@ -8,14 +8,16 @@ the simplex it is used to check.  The functional-equality reference
 evaluates point by point, never touching the hull or the lattice scan.  The Puiseux
 references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector or
-Horner's rule.
+Horner's rule.  The layered-polynomial references merge like exponents in
+their own dict loops, and the Newton-polygon reference finds hull vertices
+by testing chords, never touching the shared monotone-chain hull.
 """
 
 import itertools
 from fractions import Fraction
 
-from laytrop import (INF, DomainError, LayeredScalar, LayeredSemiring,
-                     PuiseuxPolynomial, PuiseuxSeries)
+from laytrop import (INF, DomainError, LayeredPolynomial, LayeredScalar,
+                     LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries)
 from laytrop.core import SortFlavor
 
 
@@ -48,6 +50,20 @@ def brute_corner_roots(monomials):
         if len(winners) >= 2:
             roots.append((x, max(winners) - min(winners)))
     return tuple(roots)
+
+
+def brute_lower_hull(points):
+    """Vertices of the lower convex hull of points with distinct abscissas, by
+    chords in O(n^3): the outermost points are vertices, and a middle point is
+    one iff it lies strictly below every chord from a point on its left to a
+    point on its right, so collinear middle points are not vertices."""
+    points = sorted(points)
+
+    def below(p, a, b):
+        return (p[1] - a[1]) * (b[0] - a[0]) < (b[1] - a[1]) * (p[0] - a[0])
+
+    return [p for k, p in enumerate(points)
+            if all(below(p, a, b) for a in points[:k] for b in points[k + 1:])]
 
 
 def _strictly_feasible(rows, nvars):
@@ -224,8 +240,28 @@ def reference_poly_call(f, x):
     return total
 
 
+def reference_layered_add(f, g):
+    """f + g, merging g's monomials into a copy of f's coefficient dict."""
+    sr = f.semiring
+    acc = dict(f.coeffs)
+    for exponents, scalar in g.coeffs.items():
+        acc[exponents] = sr.add(acc[exponents], scalar) if exponents in acc else scalar
+    return LayeredPolynomial(sr, f.nvars, acc, f.laurent)
+
+
+def reference_layered_mul(f, g):
+    """f * g, merging every pairwise product into a dict, in pair order."""
+    sr = f.semiring
+    acc = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            term = sr.mul(c1, c2)
+            acc[e] = sr.add(acc[e], term) if e in acc else term
+    return LayeredPolynomial(sr, f.nvars, acc, f.laurent)
+
+
 def random_tangible_univariate(rng, sr: LayeredSemiring, max_degree=8):
-    from laytrop import LayeredPolynomial
     exponents = rng.sample(range(max_degree + 1), rng.randint(2, min(9, max_degree + 1)))
     coeffs = {(e,): sr.scalar(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
               for e in exponents}
@@ -234,7 +270,6 @@ def random_tangible_univariate(rng, sr: LayeredSemiring, max_degree=8):
 
 def random_poly(rng, sr: LayeredSemiring, nvars, max_terms=4, tangible=False,
                 exponent_span=2):
-    from laytrop import LayeredPolynomial
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, exponent_span) for _ in range(nvars))

@@ -31,7 +31,7 @@ def random_case(rng, sr, nvars):
     values = {}
     for _ in range(rng.randint(1, 8)):
         e = tuple(rng.randint(2 * low, 3 if nvars < 3 else 2) for _ in range(nvars))
-        values[e] = rng.choice([Fraction(0), Fraction(1, 2), random_value(rng)])
+        values[e] = rng.choice([Fraction(0), Fraction(1, 2), random_value(rng, den=6)])
     for _ in range(rng.randint(0, 2)):
         a = rng.choice(list(values))
         step = [rng.randint(low, 1) for _ in a]

@@ -11,6 +11,8 @@ from laytrop import (DomainError, LayeredSemiring, PuiseuxPolynomial,
                      trop_poly, univariate_corner_roots,
                      verify_random_products)
 
+from oracles import brute_lower_hull, random_value
+
 SR = LayeredSemiring()
 
 
@@ -48,6 +50,31 @@ def test_binomial_polygon_has_one_long_segment():
 def test_zero_polynomial_rejected():
     with pytest.raises(DomainError):
         newton_polygon(PuiseuxPolynomial.zero())
+
+
+def random_newton_case(rng):
+    """A Puiseux polynomial of degree <= 12 with coefficients of up to four
+    terms; about half the lowest exponents lie on one line, so the support
+    has collinear points."""
+    a, b = random_value(rng, span=3, den=2), random_value(rng, span=2, den=3)
+    coeffs = {}
+    for d in rng.sample(range(13), rng.randint(1, 9)):
+        low = a + b * d if rng.random() < 0.5 else random_value(rng, span=6, den=3)
+        higher = [(low + Fraction(rng.randint(1, 6), rng.randint(1, 3)), random_value(rng))
+                  for _ in range(rng.randint(0, 3))]
+        coeffs[d] = PuiseuxSeries.from_terms([(low, rng.choice([-2, -1, 1, 3]))] + higher)
+    return PuiseuxPolynomial.from_coeffs(coeffs)
+
+
+def test_newton_polygon_matches_the_chord_oracle():
+    rng = random.Random(28)
+    for _ in range(300):
+        f = random_newton_case(rng)
+        polygon = newton_polygon(f)
+        assert polygon.support == tuple((d, c.terms[0][0]) for d, c in sorted(f.coeffs))
+        hull = brute_lower_hull(polygon.support)
+        assert [(s.slope, s.length) for s in polygon.segments] == [
+            ((y2 - y1) / (x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])], f
 
 
 def test_root_valuations_of_known_products():

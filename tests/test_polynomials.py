@@ -13,12 +13,14 @@ from laytrop import (COUNTING, INF, NATURALS, RATIONALS, SUPERTROPICAL,
 
 from laytrop.polynomials import _difference
 
-from oracles import (brute_corner_roots, random_poly, random_scalar,
-                     random_tangible_univariate)
+from oracles import (SATURATING, brute_corner_roots, random_poly, random_scalar,
+                     random_tangible_univariate, random_value, reference_layered_add,
+                     reference_layered_mul)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
 TRIV = LayeredSemiring(TRIVIAL, RATIONALS)
+SAT = LayeredSemiring(SATURATING, RATIONALS)
 
 
 def poly(sr, nvars, coeffs, laurent=False):
@@ -94,6 +96,24 @@ def test_empty_polynomial_rejected():
 def test_duplicate_exponents_merge_by_layered_addition():
     f = poly(NAT, 1, [((1,), NAT.one()), ((1,), NAT.one())])
     assert f.coeffs == {(1,): NAT.scalar(0, 2)}
+
+
+def test_add_and_mul_match_the_reference_merge():
+    rng = random.Random(16)
+    for sr in (NAT, SUP, TRIV, SAT, NAT.dual(), SUP.dual(), TRIV.dual(), SAT.dual()):
+        layers = [1] if sr.sorts is TRIVIAL else [1, INF] if sr.sorts is SUPERTROPICAL else [1, 2, 3, INF]
+        for _ in range(40):
+            nvars, laurent = rng.randint(1, 3), rng.random() < 0.3
+
+            def draw():
+                return poly(sr, nvars, [
+                    (tuple(rng.randint(-2 if laurent else 0, 2) for _ in range(nvars)),
+                     sr.scalar(random_value(rng, den=6), rng.choice(layers)))
+                    for _ in range(rng.randint(1, 5))], laurent)
+
+            f, g = draw(), draw()
+            assert f.add(g) == reference_layered_add(f, g), (f, g)
+            assert f.mul(g) == reference_layered_mul(f, g), (f, g)
 
 
 def test_symmetric_products_differ_in_layers():
@@ -382,11 +402,15 @@ def test_single_monomial_has_no_roots():
 
 
 def test_solver_agrees_with_brute_force():
+    # A min view's roots are the negated max roots of the negated data.
     rng = random.Random(18)
-    for _ in range(150):
-        f = random_tangible_univariate(rng, NAT)
-        data = [(e[0], c.value) for e, c in sorted(f.coeffs.items())]
-        assert univariate_corner_roots(f) == brute_corner_roots(data)
+    for sr in (NAT, NAT.dual()):
+        sign = -1 if sr.descending else 1
+        for _ in range(150):
+            f = random_tangible_univariate(rng, sr)
+            data = [(e[0], sign * c.value) for e, c in sorted(f.coeffs.items())]
+            expected = tuple(sorted((sign * x, m) for x, m in brute_corner_roots(data)))
+            assert univariate_corner_roots(f) == expected
 
 
 def test_roots_match_grid_corner_detection():
@@ -495,17 +519,18 @@ def test_functional_equality_sees_a_triple_point_off_every_grid():
 
 
 def test_functional_equality_certifies_scaled_dual_witnesses():
-    # Values over the denominator 6, in a max and a min view: g differs only
+    # Values over the denominator q, in a max and a min view: g differs only
     # on a ray where x1*x2 ties the chord's ends, so a witness mapped back
     # through the wrong scale or sign evaluates alike.
     for sr in (NAT, NAT.dual()):
         sign = -1 if sr.descending else 1
-        f = poly(sr, 2, {(2, 0): sr.scalar(Fraction(1, 3)), (0, 2): sr.scalar(0),
-                         (0, 0): sr.scalar(sign * Fraction(2, 3))})
-        g = f.add(poly(sr, 2, {(1, 1): sr.scalar(Fraction(1, 6), 2)}))
-        witness = _difference(f, g)
-        a = tuple(sr.scalar(x) for x in witness)
-        assert f.evaluate(a) != g.evaluate(a)
+        for q in range(2, 7):
+            f = poly(sr, 2, {(2, 0): sr.scalar(Fraction(2, q)), (0, 2): sr.scalar(0),
+                             (0, 0): sr.scalar(sign * Fraction(4, q))})
+            g = f.add(poly(sr, 2, {(1, 1): sr.scalar(Fraction(1, q), 2)}))
+            witness = _difference(f, g)
+            a = tuple(sr.scalar(x) for x in witness)
+            assert f.evaluate(a) != g.evaluate(a), (sr, q)
 
 
 # ---------------------------------------------------------------------------
