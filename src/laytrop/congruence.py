@@ -8,6 +8,7 @@ correspondence is a stable antitone Galois connection on probe families.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -25,18 +26,10 @@ class FinitePointSet:
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FinitePointSet":
-        seen, out = set(), []
-        arity = None
-        for p in points:
-            p = tuple(p)
-            if arity is None:
-                arity = len(p)
-            elif len(p) != arity:
-                raise DomainError("points of mixed arity in one set")
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return cls(tuple(out))
+        unique = tuple(dict.fromkeys(map(tuple, points)))
+        if len(set(map(len, unique))) > 1:
+            raise DomainError("points of mixed arity in one set")
+        return cls(unique)
 
     def union(self, other: "FinitePointSet") -> "FinitePointSet":
         return FinitePointSet.of(self.points + other.points)
@@ -200,17 +193,14 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     revisited = variety_of(probes, grid) if probes else variety
     stable = set(revisited.points) == set(variety.points)
 
-    if len(pairs) >= 2:
-        smaller = variety_of(pairs[:-1], grid)
-        antitone_generators = set(variety.points) <= set(smaller.points)
-    else:
-        antitone_generators = True
+    smaller = variety_of(pairs[:-1], grid) if len(pairs) >= 2 else variety
+    antitone_generators = set(variety.points) <= set(smaller.points)
 
-    antitone_points = True
-    union_law = True
-    grid_points = grid.points(pairs[0][0].semiring) if pairs else []
-    if probes and grid_points:
-        sample = rng.sample(grid_points, min(6, len(grid_points)))
+    antitone_points = union_law = True
+    if probes:
+        # rng.sample draws the same positions from range(total) as from the listed grid.
+        total = math.prod(grid.counts)
+        sample = [grid.point(rank) for rank in rng.sample(range(total), min(6, total))]
         small = FinitePointSet.of(sample[: max(1, len(sample) // 2)])
         rest = FinitePointSet.of(sample[len(small):])
         large = small.union(rest)

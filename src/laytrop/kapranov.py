@@ -111,22 +111,22 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
                     semiring: Optional[LayeredSemiring] = None) -> KapranovReport:
     """Check the root-valuation correspondence for f with its known roots.
 
-    Verifies that (a) the valuation of every known root is a corner root of
-    the tropicalization, (b) the corner-root multiset equals both the
-    Newton-polygon valuations and the known-root valuations, and (c) at
-    every corner root the exploded evaluation at (leading coefficient,
-    valuation) of some known root with that valuation has sort 0.  The
-    correspondence is stated in the max convention, so a descending view
-    is refused.
+    Refuses known roots that are not all the roots of f with multiplicity,
+    i.e. unless f = lead(f) * prod(L - r).  Then verifies that (a) the
+    valuation of every known root is a corner root of the tropicalization,
+    (b) the corner-root multiset equals both the Newton-polygon valuations
+    and the known-root valuations, and (c) at every corner root the
+    exploded evaluation at (leading coefficient, valuation) of some known
+    root with that valuation has sort 0.  The correspondence is stated in
+    the max convention, so a descending view is refused.
     """
     sr = semiring or LayeredSemiring()
     if sr.descending:
         raise DomainError("the root correspondence needs an ascending (max) view")
     if f.is_zero:
         raise DomainError("cannot verify the zero polynomial")
-    for r in known_roots:
-        if not f(r).is_zero:
-            raise DomainError(f"claimed root {r} does not annihilate the polynomial")
+    if f != PuiseuxPolynomial.constant(f.coeffs[-1][1]) * PuiseuxPolynomial.from_roots(known_roots):
+        raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity")
 
     tropicalized = trop_poly(sr, f)
     corner = univariate_corner_roots(tropicalized)
@@ -139,14 +139,10 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     reverse_ok = corner_multiset == newton_vals == known_vals
 
     exploded = explode_poly(f)
-    exploded_ok = True
-    for x0, _ in corner:
-        lifts = [r for r in known_roots if r.val() == x0]
-        hit = any(
-            exploded_eval(exploded, ExplodedScalar(r.leading(), x0)).is_corner_ghost
-            for r in lifts)
-        if not hit:
-            exploded_ok = False
+    exploded_ok = all(
+        any(exploded_eval(exploded, ExplodedScalar(r.leading(), x0)).is_corner_ghost
+            for r in known_roots if r.val() == x0)
+        for x0, _ in corner)
 
     return KapranovReport(
         polynomial=str(f),

@@ -242,7 +242,7 @@ def _format_monomial(scalar: LayeredScalar, exponents: Exponents) -> str:
 class GridSpec:
     """A finite rational sampling box: per-axis (lower, upper, step) triples.
 
-    Sampled coordinates carry the per-axis layer (tangible by default).
+    Axis i samples ``lower + k * step`` for ``k < counts[i]``, with its layer (default 1).
     """
 
     axes: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
@@ -266,23 +266,38 @@ class GridSpec:
     def nvars(self) -> int:
         return len(self.axes)
 
-    def axis_values(self, i: int) -> List[Fraction]:
-        lower, upper, step = self.axes[i]
-        out = []
-        v = lower
-        while v <= upper:
-            out.append(v)
-            v += step
-        return out
+    @functools.cached_property
+    def counts(self) -> Tuple[int, ...]:
+        return tuple((upper - lower) // step + 1 for lower, upper, step in self.axes)
 
-    def axis_points(self, semiring: LayeredSemiring) -> List[List[LayeredScalar]]:
-        """Sampled coordinates per axis, each validated by ``semiring.scalar``."""
-        layers = self.layers or (1,) * self.nvars
-        return [[semiring.scalar(v, layers[i]) for v in self.axis_values(i)]
-                for i in range(self.nvars)]
+    @functools.cached_property
+    def origin(self) -> Point:
+        return self.point(0)
+
+    def check(self, semiring: LayeredSemiring) -> None:
+        """Raise the error of the first coordinate, axis by axis, that ``semiring``
+        refuses.  An axis has one layer, and each value flavor is closed under adding
+        a positive difference of its values, so ``lower`` and ``lower + step`` decide."""
+        for axis, count in enumerate(self.counts):
+            for k in range(min(count, 2)):
+                semiring.check(self.coordinate(axis, k))
+
+    def coordinate(self, axis: int, k: int) -> LayeredScalar:
+        """Sampled coordinate k of an axis, unchecked (see ``check``)."""
+        lower, _, step = self.axes[axis]
+        return LayeredScalar(self.layers[axis] if self.layers else 1, lower + k * step)
+
+    def point(self, rank: int) -> Point:
+        """The sampled point of a rank in product order (last axis fastest), unchecked."""
+        index = []
+        for count in reversed(self.counts):
+            rank, k = divmod(rank, count)
+            index.insert(0, k)
+        return tuple(map(self.coordinate, range(self.nvars), index))
 
     def points(self, semiring: LayeredSemiring) -> List[Point]:
-        return list(itertools.product(*self.axis_points(semiring)))
+        self.check(semiring)
+        return [self.point(rank) for rank in range(math.prod(self.counts))]
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +321,18 @@ def _scan(tasks, grid: GridSpec) -> Tuple[Point, ...]:
     tied at the group's best value.  Loci run one task per polynomial,
     varieties one per pair.  Each axis has one layer, so monomial layers, and
     hence verdicts given the tied set, are the same at every point.  Each row
-    gives kept index ranges per task, intersected before points are emitted.
+    gives kept ranges per task; only their overlap builds (cached) coordinates.
     """
     polynomials = _common([f for group, _ in tasks for f in group])
-    axes = grid.axis_points(polynomials[0].semiring)
-    rows = [_lattice_row(group, axes, grid, judge) for group, judge in tasks]
-    *outer, last = axes
+    grid.check(polynomials[0].semiring)
+    rows = [_lattice_row(group, grid, judge) for group, judge in tasks]
+    *outer, last = [functools.cache(functools.partial(grid.coordinate, axis))
+                    for axis in range(grid.nvars)]
     out = []
-    for prefix in itertools.product(*(range(len(axis)) for axis in outer)):
-        kept = functools.reduce(_intersect, (row(prefix) for row in rows))
-        head = tuple(axis[k] for axis, k in zip(axes, prefix))
-        out.extend(head + (last[k],) for lo, hi in kept for k in range(lo, hi))
+    for prefix in itertools.product(*map(range, grid.counts[:-1])):
+        for lo, hi in functools.reduce(_intersect, (row(prefix) for row in rows)):
+            head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
+            out.extend(zip(*head, map(last, range(lo, hi))))
     return tuple(out)
 
 
@@ -325,8 +341,7 @@ def _intersect(a, b):
     return [(lo, hi) for p, q in a for r, s in b if (lo := max(p, r)) < (hi := min(q, s))]
 
 
-def _lattice_row(group: Sequence[LayeredPolynomial], axes: Sequence[Sequence[LayeredScalar]],
-                 grid: GridSpec, judge):
+def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
     """A map from a lattice prefix to the kept index ranges along the last axis.
 
     Scaled by a common denominator and negated in a descending view, monomial
@@ -337,8 +352,7 @@ def _lattice_row(group: Sequence[LayeredPolynomial], axes: Sequence[Sequence[Lay
     ceiling division per line, and the indices in between inherit its verdict.
     The lead slope grows at each event, so a row costs O(m * events).
     """
-    origin = tuple(axis[0] for axis in axes)
-    profiles = [f._profile(origin) for f in group]
+    profiles = [f._profile(grid.origin) for f in group]
     sr = group[0].semiring
     sign = -1 if sr.descending else 1
     steps = [sign * step for _, _, step in grid.axes]
@@ -349,7 +363,7 @@ def _lattice_row(group: Sequence[LayeredPolynomial], axes: Sequence[Sequence[Lay
         layers += f_layers
         deltas += [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
     slopes = [d[-1] for d in deltas]
-    n = len(axes[-1])
+    n = grid.counts[-1]
     verdict = functools.cache(functools.partial(judge, sr.sorts, layers))
 
     def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int]]:

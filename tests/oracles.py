@@ -10,7 +10,9 @@ references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector or
 Horner's rule.  The layered-polynomial references merge like exponents in
 their own dict loops, and the Newton-polygon reference finds hull vertices
-by testing chords, never touching the shared monotone-chain hull.
+by testing chords, never touching the shared monotone-chain hull.  The grid
+reference steps along each axis and validates every coordinate, never
+touching the closed-form check or the lattice index arithmetic.
 """
 
 import itertools
@@ -285,6 +287,21 @@ def brute_grid(grid):
     for (lower, upper, step), layer in zip(grid.axes, layers):
         count = int((upper - lower) / step) + 1
         axes.append([LayeredScalar(layer, lower + k * step) for k in range(count)])
+    return list(itertools.product(*axes))
+
+
+def reference_grid_points(grid, semiring: LayeredSemiring):
+    """Grid points in product order, every coordinate stepped to by repeated
+    addition and validated in turn by ``semiring.scalar``, axis by axis: the
+    per-coordinate reference for the closed-form ``GridSpec.check``."""
+    layers = grid.layers or (1,) * len(grid.axes)
+    axes = []
+    for (lower, upper, step), layer in zip(grid.axes, layers):
+        axis, v = [], lower
+        while v <= upper:
+            axis.append(semiring.scalar(v, layer))
+            v += step
+        axes.append(axis)
     return list(itertools.product(*axes))
 
 

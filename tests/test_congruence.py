@@ -165,6 +165,36 @@ def test_roundtrip_on_forced_generator():
     assert report.passed and report.variety_size == 1
 
 
+def test_roundtrip_samples_ranks_of_the_listed_grid(monkeypatch):
+    # The sample is what rng.sample draws from the grid listed in product
+    # order, so round-trip verdicts do not depend on how points are drawn.
+    gens = [(tangible(2, {(1, 0): 0, (0, 0): 1}), tangible(2, {(0, 1): 0, (0, 0): 1}))]
+    grid = GridSpec(((Fraction(-2), Fraction(1), Fraction(1)),
+                     (Fraction(0), Fraction(3), Fraction(1, 2))))
+    rng = random.Random(5)
+    congruence._probe_family(gens, rng)
+    expected = tuple(rng.sample(grid.points(NAT), 6))
+    judged = []
+    monkeypatch.setattr(congruence, "congruent_on", lambda f, g, x: judged.append(x.points))
+    zariski_roundtrip(gens, grid, seed=5)
+    assert judged[1] == expected  # small, then small and rest together
+
+
+def test_roundtrip_on_a_billion_point_row():
+    # Both pairs agree only at 0, so every variety is that one point of the
+    # 10**9 + 1, and the six sampled points are decoded from their ranks.
+    x = LayeredPolynomial.variable(NAT, 1, 0)
+    zero = LayeredPolynomial.constant(NAT, 1, NAT.one())
+    gens = [(x, zero), (x.mul(x), zero)]
+    grid = GridSpec.uniform(-5, 5, Fraction(1, 10 ** 8), 1)
+    assert grid.counts == (10 ** 9 + 1,)
+    assert variety_of(gens, grid).points == ((NAT.scalar(0),),)
+    assert zariski_roundtrip(gens, grid, seed=1).to_json() == {
+        "variety_size": 1, "probe_pairs": 8, "diagonal": False, "stable": True,
+        "antitone_generators": True, "antitone_points": True, "union_law": True,
+        "pass": True}
+
+
 def test_adding_generators_never_grows_the_variety():
     rng = random.Random(35)
     grid = GridSpec.uniform(-3, 3, 1, 2)

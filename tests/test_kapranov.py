@@ -149,6 +149,50 @@ def test_verifier_rejects_non_roots():
         kapranov_verify(f, roots + [series(3, 0)])
 
 
+def test_verifier_refuses_root_lists_that_do_not_factor_f():
+    # Each claimed root annihilates f and the valuation multisets agree, yet
+    # a repeated root stands in for a missing root of equal valuation.
+    f, _ = split_product((1, 0), (2, 0))
+    with pytest.raises(DomainError):
+        kapranov_verify(f, [series(1, 0), series(1, 0)])
+    f, roots = split_product((1, -1), (3, -1), (5, 2))
+    with pytest.raises(DomainError):
+        kapranov_verify(f, [series(1, -1), series(1, -1), series(5, 2)])
+    with pytest.raises(DomainError):  # a partial list
+        kapranov_verify(f, roots[:2])
+    assert kapranov_verify(f, roots).passed
+
+
+def _random_root(rng):
+    """c*t^e and up to two higher terms, e in {-1, 0, 1} so valuations repeat."""
+    e = Fraction(rng.randint(-1, 1))
+    terms = [(e, rng.choice([-3, -2, -1, 1, 2, 3]))]
+    terms += [(e + Fraction(rng.randint(1, 3), 2), rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))]
+    return PuiseuxSeries.from_terms(terms)
+
+
+def test_verifier_refuses_a_duplicated_or_perturbed_root():
+    rng = random.Random(77)
+    duplicated = 0
+    for _ in range(150):
+        roots = [_random_root(rng) for _ in range(rng.randint(2, 5))]
+        f = PuiseuxPolynomial.from_roots(roots)
+        assert kapranov_verify(f, roots).passed
+        twins = [(i, j) for i, r in enumerate(roots) for j, q in enumerate(roots)
+                 if i != j and r != q and r.val() == q.val()]
+        if twins:
+            i, j = rng.choice(twins)
+            with pytest.raises(DomainError):
+                kapranov_verify(f, roots[:j] + [roots[i]] + roots[j + 1:])
+            duplicated += 1
+        i = rng.randrange(len(roots))
+        (e, c), *rest = roots[i].terms
+        lead = c + rng.choice([n for n in (-2, -1, 1, 2) if c + n])
+        with pytest.raises(DomainError):
+            kapranov_verify(f, roots[:i] + [PuiseuxSeries(((e, lead), *rest))] + roots[i + 1:])
+    assert duplicated >= 50
+
+
 def test_verifier_refuses_descending_views():
     # The correspondence is stated in the max convention: a min view would
     # report these correct roots as one corner root 1/2 of multiplicity 2.

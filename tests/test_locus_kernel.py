@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from laytrop import (COUNTING, INF, INTEGERS, RATIONALS, SUPERTROPICAL,
+from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL,
                      TRIVIAL, DomainError, GridSpec, LayeredPolynomial,
                      LayeredScalar, LayeredSemiring, combined_locus, component,
                      corner_locus, essential_monomials, functionally_equal,
@@ -21,7 +21,7 @@ from laytrop import (COUNTING, INF, INTEGERS, RATIONALS, SUPERTROPICAL,
 from laytrop.polynomials import _difference
 
 from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
-                     pointwise_functionally_equal)
+                     pointwise_functionally_equal, reference_grid_points)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -412,3 +412,70 @@ def test_a_million_point_row_matches_exact_roots():
     on_grid = tuple((NAT.scalar(r),) for r in roots if ((r - lower) / step).denominator == 1)
     assert 0 < len(on_grid) < len(roots)
     assert corner_locus([f], grid) == on_grid
+
+
+def test_a_billion_point_row_matches_exact_roots():
+    # As above, on rows of 10**9 + 1 points; the bivariate copy of f ignores
+    # x1, so its locus is each of three rows times the roots on the grid.
+    coeffs = {5: -7, 3: Fraction(-1, 2), 2: 0, 1: Fraction(1, 3), 0: 2}
+    f = _tangible(NAT, 1, {(e,): v for e, v in coeffs.items()})
+    lower, step = Fraction(-5), Fraction(1, 10 ** 8)
+    roots = [r for r, _ in univariate_corner_roots(f)]
+    on_grid = [NAT.scalar(r) for r in roots if ((r - lower) / step).denominator == 1]
+    assert 0 < len(on_grid) < len(roots)
+    row = GridSpec.uniform(lower, 5, step, 1)
+    assert row.counts == (10 ** 9 + 1,)
+    assert corner_locus([f], row) == tuple((r,) for r in on_grid)
+    rows = GridSpec(((Fraction(-1), Fraction(1), Fraction(1)), row.axes[0]))
+    f2 = _tangible(NAT, 2, {(0, e): v for e, v in coeffs.items()})
+    assert corner_locus([f2], rows) == tuple((NAT.scalar(a), r) for a in (-1, 0, 1) for r in on_grid)
+
+
+# ---------------------------------------------------------------------------
+# Grid axes read as (lower, step, count), checked in closed form
+
+
+NAT_NAT = LayeredSemiring(COUNTING, NATURALS)
+
+
+def _random_grid(rng):
+    """Axes that may be one point long, end between lattice points, or carry
+    a layer, lower bound or step the view refuses."""
+    axes = []
+    for _ in range(rng.randint(1, 3)):
+        step = Fraction(rng.randint(1, 4), rng.choice([1, 1, 1, 2, 3]))
+        lower = Fraction(rng.randint(-3, 4), rng.choice([1, 1, 1, 2]))
+        upper = lower + rng.choice([0, step * rng.randint(1, 4),
+                                    Fraction(rng.randint(0, 9), rng.choice([1, 2, 5]))])
+        axes.append((lower, upper, step))
+    layers = tuple(rng.choice([1, 1, 1, 1, 2, 3, INF, 4]) for _ in axes)
+    return GridSpec(tuple(axes), layers)
+
+
+def test_closed_form_grid_check_matches_the_per_coordinate_reference():
+    rng = random.Random(1009)
+    views = SEMIRINGS + [NAT_NAT]
+    seen, errors = set(), set()
+    for i in range(900):
+        sr = views[i % len(views)]
+        grid = _random_grid(rng)
+        f = LayeredPolynomial(sr, grid.nvars, {(0,) * grid.nvars: sr.one(),
+                                              (1,) * grid.nvars: sr.scalar(rng.randint(0, 2))})
+        try:
+            expected = reference_grid_points(grid, sr)
+        except DomainError as err:
+            for scan in (grid.points, lambda sr: corner_locus([f], grid),
+                         lambda sr: variety_of([(f, f.add(f))], grid)):
+                with pytest.raises(DomainError) as caught:
+                    scan(sr)
+                assert str(caught.value) == str(err), (sr, grid)
+            errors.add(str(err).split()[0] + (" negative" if "negative" in str(err) else ""))
+            continue
+        assert grid.points(sr) == expected, (sr, grid)
+        assert corner_locus([f], grid) == tuple(a for a in expected if brute_judge(f, a)["corner"])
+        seen.add(sr)
+        for (lower, upper, step), count in zip(grid.axes, grid.counts):
+            seen.add("one point" if count == 1 else
+                     "uneven" if (upper - lower) % step else "even")
+    assert seen == set(views) | {"one point", "uneven", "even"}
+    assert errors == {"layer", "value", "value negative"}

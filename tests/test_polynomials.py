@@ -543,4 +543,4 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         GridSpec(((Fraction(2), Fraction(1), Fraction(1)),))
     grid = GridSpec.uniform(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), 1)
-    assert grid.axis_values(0) == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
+    assert [a[0].value for a in grid.points(NAT)] == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
