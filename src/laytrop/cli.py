@@ -71,15 +71,11 @@ def _parse_set(texts, sr, laurent=False):
     return [parse_polynomial(t, sr, laurent=laurent, nvars=nvars) for t in texts], nvars
 
 
-def _locus_records(points, polynomials):
-    records = []
-    for a in points:
-        records.append({
-            "point": [str(c.value) for c in a],
-            "layers": [format_layer(c.layer) for c in a],
-            "layering": format_layer(poly.layering_map_set(polynomials, a)),
-        })
-    return records
+def _locus_records(located):
+    """JSON records of (point, layering) pairs."""
+    return [{"point": [str(c.value) for c in a],
+             "layers": [format_layer(c.layer) for c in a],
+             "layering": format_layer(layer)} for a, layer in located]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +123,7 @@ def _cmd_locus(args) -> int:
     polynomials, nvars = _parse_set(args.exprs, semiring(args.L), args.laurent)
     grid = _parse_grid(args.grid, nvars, _parse_layer_flag(args.grid_layer))
     locus_fn = poly.combined_locus if args.combined else poly.corner_locus
-    records = _locus_records(locus_fn(polynomials, grid), polynomials)
+    records = _locus_records(locus_fn(polynomials, grid, layering=True))
     rows = [(" ".join(r["point"]), " ".join(r["layers"]), r["layering"]) for r in records]
     _emit(records, args.format, rows=rows, header=("point", "layers", "layering"))
     return 0
@@ -204,82 +200,70 @@ def _cmd_kapranov(args) -> int:
 # Argument wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **options):
+    return names, options
+
+
+_FLAVOR = _arg("--L", choices=("trivial", "super", "nat"), default="nat",
+               help="layer flavor (default: nat)")
+_LAURENT = _arg("--laurent", action="store_true", help="allow negative exponents")
+_FORMAT = _arg("--format", choices=("json", "csv"), default="json")
+_SEED = _arg("--seed", type=int, default=0)
+
+#: name -> (help, handler, arguments), in the order the top-level help lists them.
+_COMMANDS = {
+    "eval": ("evaluate a layered polynomial at a point", _cmd_eval,
+             [_FLAVOR, _LAURENT, _arg("expr"),
+              _arg("--point", required=True, help="comma-separated scalar literals")]),
+    "trop": ("tropicalize a Puiseux polynomial", _cmd_trop, [_FLAVOR, _arg("expr")]),
+    "explode": ("exploded tropicalization of a Puiseux polynomial", _cmd_explode,
+                [_arg("expr")]),
+    "roots": ("exact corner roots of a univariate polynomial", _cmd_roots,
+              [_FLAVOR, _FORMAT, _arg("expr")]),
+    "locus": ("corner locus of polynomials on a grid", _cmd_locus,
+              [_FLAVOR, _LAURENT, _FORMAT, _arg("exprs", nargs="+"),
+               _arg("--grid", required=True, help="per-axis lo:hi:step, comma-separated"),
+               _arg("--grid-layer", default="1", help="layer of sampled coordinates"),
+               _arg("--combined", action="store_true", help="include cluster roots as well")]),
+    "layering": ("layer of a polynomial set at a point", _cmd_layering,
+                 [_FLAVOR, _LAURENT, _arg("exprs", nargs="+"), _arg("--point", required=True)]),
+    "essential": ("essential monomials of a polynomial", _cmd_essential,
+                  [_FLAVOR, _LAURENT, _arg("expr")]),
+    "congruence": ("congruence checks and the Zariski round trip", _cmd_congruence,
+                   [_FLAVOR, _arg("file", help="JSON file with pairs, optional points and grid"),
+                    _arg("--grid", help="override the grid from the file"), _SEED]),
+    "kapranov": ("randomized univariate correspondence check", _cmd_kapranov,
+                 [_FLAVOR, _arg("--degree", type=int, default=3),
+                  _arg("--trials", type=int, default=100), _SEED]),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when that names one
+    exactly, else with all of them.  Usage text lists every command either
+    way, so both builds print the same help and errors."""
     parser = argparse.ArgumentParser(
         prog="laytrop",
         description="Exact layered tropical algebra: evaluation, loci, "
                     "valuations, and the univariate root correspondence.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, laurent=False, fmt=False):
-        p.add_argument("--L", choices=("trivial", "super", "nat"), default="nat",
-                       help="layer flavor (default: nat)")
-        if laurent:
-            p.add_argument("--laurent", action="store_true",
-                           help="allow negative exponents")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("eval", help="evaluate a layered polynomial at a point")
-    common(p, laurent=True)
-    p.add_argument("expr")
-    p.add_argument("--point", required=True, help="comma-separated scalar literals")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("trop", help="tropicalize a Puiseux polynomial")
-    common(p)
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_trop)
-
-    p = sub.add_parser("explode", help="exploded tropicalization of a Puiseux polynomial")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_explode)
-
-    p = sub.add_parser("roots", help="exact corner roots of a univariate polynomial")
-    common(p, fmt=True)
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_roots)
-
-    p = sub.add_parser("locus", help="corner locus of polynomials on a grid")
-    common(p, laurent=True, fmt=True)
-    p.add_argument("exprs", nargs="+")
-    p.add_argument("--grid", required=True, help="per-axis lo:hi:step, comma-separated")
-    p.add_argument("--grid-layer", default="1", help="layer of sampled coordinates")
-    p.add_argument("--combined", action="store_true",
-                   help="include cluster roots as well")
-    p.set_defaults(handler=_cmd_locus)
-
-    p = sub.add_parser("layering", help="layer of a polynomial set at a point")
-    common(p, laurent=True)
-    p.add_argument("exprs", nargs="+")
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=_cmd_layering)
-
-    p = sub.add_parser("essential", help="essential monomials of a polynomial")
-    common(p, laurent=True)
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_essential)
-
-    p = sub.add_parser("congruence", help="congruence checks and the Zariski round trip")
-    common(p)
-    p.add_argument("file", help="JSON file with pairs, optional points and grid")
-    p.add_argument("--grid", help="override the grid from the file")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_congruence)
-
-    p = sub.add_parser("kapranov", help="randomized univariate correspondence check")
-    common(p)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_kapranov)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # An explicit metavar would rename the missing-command error, which only
+    # the full build can raise.
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None))
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except UsageError as err:

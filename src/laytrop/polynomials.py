@@ -313,15 +313,18 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
-def _scan(tasks, grid: GridSpec) -> Tuple[Point, ...]:
-    """Grid points, in product order, where the judge of every task accepts.
+def _scan(tasks, grid: GridSpec, layering: bool = False) -> Tuple:
+    """Grid points, in product order, where the judge of every task accepts;
+    with ``layering``, (point, layer) pairs, the layer being the minimum over
+    tasks of the tied monomials' layer sum.
 
     A task is ``(polynomials, judge)``: the group's monomials are laid end to
     end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
     tied at the group's best value.  Loci run one task per polynomial,
     varieties one per pair.  Each axis has one layer, so monomial layers, and
-    hence verdicts given the tied set, are the same at every point.  Each row
-    gives kept ranges per task; only their overlap builds (cached) coordinates.
+    hence verdicts and layer sums given the tied set, are the same at every
+    point.  Each row gives kept ranges per task; only their overlap builds
+    (cached) coordinates.
     """
     polynomials = _common([f for group, _ in tasks for f in group])
     grid.check(polynomials[0].semiring)
@@ -330,19 +333,23 @@ def _scan(tasks, grid: GridSpec) -> Tuple[Point, ...]:
                     for axis in range(grid.nvars)]
     out = []
     for prefix in itertools.product(*map(range, grid.counts[:-1])):
-        for lo, hi in functools.reduce(_intersect, (row(prefix) for row in rows)):
+        for lo, hi, layer in functools.reduce(_intersect, (row(prefix) for row in rows)):
             head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
-            out.extend(zip(*head, map(last, range(lo, hi))))
+            points = zip(*head, map(last, range(lo, hi)))
+            out.extend(zip(points, itertools.repeat(layer)) if layering else points)
     return tuple(out)
 
 
 def _intersect(a, b):
-    """Overlaps of two sorted lists of disjoint half-open index ranges, sorted."""
-    return [(lo, hi) for p, q in a for r, s in b if (lo := max(p, r)) < (hi := min(q, s))]
+    """Overlaps of two sorted lists of disjoint half-open index ranges, sorted,
+    each range with a layer; an overlap keeps the smaller one."""
+    return [(lo, hi, min(x, y)) for p, q, x in a for r, s, y in b
+            if (lo := max(p, r)) < (hi := min(q, s))]
 
 
 def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
-    """A map from a lattice prefix to the kept index ranges along the last axis.
+    """A map from a lattice prefix to the kept index ranges along the last
+    axis, each with the layer sum of the set tied on it.
 
     Scaled by a common denominator and negated in a descending view, monomial
     i is the line ``start_i + k * slope_i`` in the lattice index k; the tied
@@ -365,8 +372,9 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
     slopes = [d[-1] for d in deltas]
     n = grid.counts[-1]
     verdict = functools.cache(functools.partial(judge, sr.sorts, layers))
+    total = functools.cache(functools.partial(_layer_sum, sr.sorts, layers))
 
-    def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int, Layer]]:
         starts = [b + sum(map(operator.mul, prefix, d)) for b, d in zip(base, deltas)]
         kept, k = [], 0
         while k < n:
@@ -380,7 +388,7 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
             assert stop > k, "every steeper line lies strictly below the lane"
             for lo, hi, ties in ((k, k + 1, tied), (k + 1, stop, lane)):
                 if lo < hi and verdict(ties):
-                    kept.append((lo, hi))
+                    kept.append((lo, hi, total(ties)))
             k = stop
         return kept
 
@@ -395,14 +403,18 @@ def _agree(split: int, sorts, layers: Sequence[Layer], tied: Sequence[int]) -> b
             and _layer_sum(sorts, layers, tied[:k]) == _layer_sum(sorts, layers, tied[k:]))
 
 
-def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
-    """Grid points that are corner roots of every polynomial in the set."""
-    return _scan([([f], lambda *args: _verdict(*args)[0]) for f in polynomials], grid)
+def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
+                 layering: bool = False) -> Tuple:
+    """Grid points that are corner roots of every polynomial in the set; with
+    ``layering``, (point, ``layering_map_set`` at the point) pairs."""
+    return _scan([([f], lambda *args: _verdict(*args)[0]) for f in polynomials], grid, layering)
 
 
-def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec) -> Tuple[Point, ...]:
-    """Grid points that are corner or cluster roots of every polynomial in the set."""
-    return _scan([([f], lambda *args: any(_verdict(*args))) for f in polynomials], grid)
+def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
+                   layering: bool = False) -> Tuple:
+    """Grid points that are corner or cluster roots of every polynomial in the
+    set; with ``layering``, (point, ``layering_map_set`` at the point) pairs."""
+    return _scan([([f], lambda *args: any(_verdict(*args))) for f in polynomials], grid, layering)
 
 
 def layering_map_set(polynomials: Sequence[LayeredPolynomial], point: Point) -> Layer:

@@ -17,7 +17,8 @@ from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL
                      TRIVIAL, DomainError, GridSpec, LayeredPolynomial,
                      LayeredScalar, LayeredSemiring, combined_locus, component,
                      corner_locus, essential_monomials, functionally_equal,
-                     principal_open, univariate_corner_roots, variety_of)
+                     layering_map_set, principal_open, univariate_corner_roots,
+                     variety_of)
 from laytrop.polynomials import _difference
 
 from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
@@ -344,6 +345,61 @@ def test_a_long_row_with_breakpoints_on_and_off_the_lattice():
         grid = GridSpec.uniform(-2, 2, Fraction(1, 997), 1)
         assert corner_locus([f], grid) == ((sr.scalar(sign * -1),),)
         assert_matches_oracle([f, _tangible(sr, 1, {(1,): 0, (0,): Fraction(1, 3)})], grid)
+
+
+def assert_scan_layering_matches_evaluation(polynomials, grid):
+    """Each locus with ``layering=True`` gives the plain call's points, in
+    order, each with ``layering_map_set`` (and the brute-force minimum) there;
+    returns the located pairs of both loci."""
+    located = []
+    for locus in (corner_locus, combined_locus):
+        pairs = locus(polynomials, grid, layering=True)
+        assert tuple(a for a, _ in pairs) == locus(polynomials, grid)
+        for a, layer in pairs:
+            assert layer == layering_map_set(polynomials, a), (polynomials, grid, a)
+            assert layer == min(brute_judge(f, a)["layer"] for f in polynomials)
+        located += pairs
+    return located
+
+
+def test_scan_layering_matches_layering_map_set():
+    rng = random.Random(5150)
+    cases, layers, refused = set(), set(), 0
+    for i in range(160):
+        polynomials, grid = (_walk_case if i % 2 else _random_case)(rng)
+        if not all(_layer_allowed(polynomials[0].semiring, layer) for layer in grid.layers):
+            for locus in (corner_locus, combined_locus):
+                with pytest.raises(DomainError):
+                    locus(polynomials, grid, layering=True)
+            refused += 1
+            continue
+        located = assert_scan_layering_matches_evaluation(polynomials, grid)
+        cases.add((polynomials[0].semiring, polynomials[0].laurent, max(grid.layers),
+                   len(polynomials) > 1, bool(located)))
+        layers.update(layer for _, layer in located)
+    assert {c[0] for c in cases} == set(SEMIRINGS) and refused >= 3
+    found = [c[1:4] for c in cases if c[4]]   # (laurent, grid layer, several) of nonempty loci
+    assert any(laurent for laurent, _, _ in found)
+    assert {layer for _, layer, _ in found} >= {1, 2, INF}
+    assert any(several for _, _, several in found)
+    assert layers >= {2, 3, INF}
+
+
+def test_scan_layering_on_long_rows_with_off_lattice_breakpoints():
+    # As in the row above: breakpoints at -1 (on the lattice) and 1/2 (off
+    # it, 97 being odd); ghost coefficients and grid layers give the kept
+    # points layers other than 1.
+    for sr in (NAT, NAT.dual(), SUP, SUP.dual(), TRIV, TRIV.dual(), SAT):
+        sign = -1 if sr.descending else 1
+        ghost = 1 if sr.sorts is TRIVIAL else INF if sr.sorts is SUPERTROPICAL else 2
+        f = LayeredPolynomial(sr, 1, {(3,): sr.scalar(sign * Fraction(-1, 2), ghost),
+                                      (2,): sr.scalar(0), (0,): sr.scalar(sign * -2, ghost)})
+        g = _tangible(sr, 1, {(1,): 0, (0,): Fraction(1, 3)})
+        for layer in {1, ghost}:
+            grid = GridSpec.uniform(-2, 2, Fraction(1, 97), 1, layer=layer)
+            assert assert_scan_layering_matches_evaluation([f], grid)
+            assert_scan_layering_matches_evaluation([f, g], grid)
+            assert_scan_layering_matches_evaluation([f, f.add(g)], grid)
 
 
 def test_ties_of_three_and_four_lines_at_one_breakpoint():

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredSemiring, ParseError,
                      PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
                      parse_puiseux_polynomial, parse_scalar)
+from laytrop import cli
 from laytrop.cli import main
 
 from oracles import random_poly, random_series, reference_poly_add, reference_series
@@ -307,6 +309,19 @@ def test_cli_congruence_arity_counts_both_sides(tmp_path, capsys):
     assert code == 0 and roundtrip["diagonal"] and roundtrip["variety_size"] == 3
 
 
+def test_cli_congruence_counts_an_empty_pair_list_on_a_billion_points(tmp_path, capsys):
+    # The diagonal variety is the whole grid; it is counted, never listed.
+    path = tmp_path / "congruence.json"
+    path.write_text(json.dumps({"pairs": [], "grid": "-5000:5000:1/100000"}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "congruence", str(path))
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == ('{"roundtrip": {"variety_size": 1000000001, "probe_pairs": 0, '
+                   '"diagonal": true, "stable": true, "antitone_generators": true, '
+                   '"antitone_points": true, "union_law": true, "pass": true}}\n')
+
+
 @pytest.mark.parametrize("content, field", [
     (b'{"pairs": [["x1", "0", "1"]]}', "pairs"),
     (b'{"pairs": [["x1", "0"]', "JSON"),
@@ -345,6 +360,50 @@ def test_cli_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["roots", "--frobnicate", "x1"])
     assert excinfo.value.code == 2
+
+
+def outcome(argv):
+    """(stdout, stderr, exit code) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+# One usage error per subcommand: missing, malformed and unknown arguments.
+USAGE_ERRORS = [
+    ["eval", "x1"], ["trop"], ["explode", "t", "extra"], ["roots", "--format", "xml", "x1"],
+    ["locus", "x1"], ["layering", "x1", "--point"], ["essential", "--laurent=1", "x1"],
+    ["congruence", "spec.json", "--seed", "x"], ["kapranov", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [], ["bogus"], ["loc"], ["--", "locus"], ["-h", "locus"],
+    *([name, "--help"] for name in cli._COMMANDS), *USAGE_ERRORS,
+    ["essential", "x1^2 + 0*x1 + 4"], ["locus", "x1 + x2 + 0", "--grid=-1:1:1", "--combined"],
+], ids=repr)
+def test_single_subparser_build_matches_the_full_build(argv, monkeypatch):
+    single = outcome(argv)
+    full_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: full_build(None))
+    assert outcome(argv) == single
+    assert single[2] in (0, 2) and single[0] + single[1]
+
+
+def test_the_single_subparser_build_holds_one_command():
+    assert set(cli._COMMANDS) == {"eval", "trop", "explode", "roots", "locus", "layering",
+                                  "essential", "congruence", "kapranov"}
+    assert [argv[0] for argv in USAGE_ERRORS] == list(cli._COMMANDS)
+    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()) as err:
+        cli._build_parser("locus").parse_args(["essential", "x1"])
+    assert "invalid choice: 'essential'" in err.getvalue()
+    # The full build names the missing positional as before.
+    _, err, code = outcome([])
+    assert code == 2 and err.endswith("error: the following arguments are required: command\n")
 
 
 # ---------------------------------------------------------------------------
