@@ -80,15 +80,23 @@ def bourbaki_extension(alpha: PuiseuxSeries, i: int, beta: PuiseuxSeries, j: int
 
 @dataclass
 class KapranovReport:
-    """Outcome of one correspondence check for a polynomial with known roots."""
+    """Outcome of one correspondence check for a polynomial with known roots.
 
-    polynomial: str
+    Keeps the polynomial itself and formats it only when read, through
+    ``polynomial`` or ``to_json``; the CLI reports failed trials only.
+    """
+
+    f: PuiseuxPolynomial
     roots: List[str]
     root_vals: List[str]
     corner_roots: List[Tuple[str, int]]
     forward_ok: bool
     reverse_ok: bool
     exploded_ok: bool
+
+    @property
+    def polynomial(self) -> str:
+        return str(self.f)
 
     @property
     def passed(self) -> bool:
@@ -125,7 +133,7 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
         raise DomainError("the root correspondence needs an ascending (max) view")
     if f.is_zero:
         raise DomainError("cannot verify the zero polynomial")
-    if f != PuiseuxPolynomial.constant(f.coeffs[-1][1]) * PuiseuxPolynomial.from_roots(known_roots):
+    if f != PuiseuxPolynomial.from_roots(known_roots, f.coeffs[-1][1]):
         raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity")
 
     tropicalized = trop_poly(sr, f)
@@ -145,7 +153,7 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
         for x0, _ in corner)
 
     return KapranovReport(
-        polynomial=str(f),
+        f=f,
         roots=[str(r) for r in known_roots],
         root_vals=[str(v) for v in known_vals],
         corner_roots=[(str(x), m) for x, m in corner],

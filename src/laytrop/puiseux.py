@@ -7,15 +7,18 @@ Exploded scalars pair a value with the leading coefficient ("sort"); a sort
 of 0 marks a corner ghost produced by leading-term cancellation.
 
 Series terms and polynomial coefficients share one canonical form: keys
-strictly increasing, no zero values.  ``_collect`` is the one place that
-merges like keys and sorts; ``from_terms`` and ``from_coeffs`` validate
-their input before it, and arithmetic on canonical data calls it directly.
+strictly increasing, no zero values.  Two places merge like keys and sort:
+``_collect`` for sums, series products and validated input (``from_terms``
+and ``from_coeffs`` validate before it), and ``_product`` for every
+polynomial product, which accumulates over scaled integers and builds the
+canonical form once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -33,6 +36,38 @@ def _collect(pairs: Iterable[tuple], zero) -> tuple:
         prior = acc.get(key)
         acc[key] = value if prior is None else prior + value
     return tuple(sorted(((k, v) for k, v in acc.items() if v != zero), key=itemgetter(0)))
+
+
+def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
+    """The canonical coefficients of the product of polynomials, each given as
+    (degree, series) pairs, computed over ints.
+
+    Every exponent is multiplied by ``scale``, the lcm of all exponent
+    denominators, and each factor's coefficients by ``q``, the lcm of that
+    factor's coefficient denominators.  Products accumulate in one int dict
+    keyed by (degree, scaled exponent); each sum k, v becomes
+    (Fraction(k, scale), Fraction(v, den)) once, at the end, where ``den``
+    is the product of every ``q``.
+    """
+    factors = [[(d, e, c) for d, series in f for e, c in series.terms] for f in factors]
+    scale = lcm(*(e.denominator for f in factors for _, e, _ in f))
+    acc, den = {(0, 0): 1}, 1
+    for f in factors:
+        q = lcm(*(c.denominator for _, _, c in f))
+        den *= q
+        scaled = [(d, e.numerator * (scale // e.denominator), c.numerator * (q // c.denominator))
+                  for d, e, c in f]
+        nxt: dict = {}
+        for (d1, k1), v1 in acc.items():
+            for d2, k2, v2 in scaled:
+                key = (d1 + d2, k1 + k2)
+                nxt[key] = nxt.get(key, 0) + v1 * v2
+        acc = nxt
+    coeffs: dict = {}
+    for (d, k), v in sorted(acc.items()):
+        if v:
+            coeffs.setdefault(d, []).append((Fraction(k, scale), Fraction(v, den)))
+    return tuple((d, PuiseuxSeries(tuple(terms))) for d, terms in coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -168,12 +203,11 @@ class PuiseuxPolynomial:
         return cls.from_coeffs({0: series})
 
     @classmethod
-    def from_roots(cls, roots: Iterable[PuiseuxSeries]) -> "PuiseuxPolynomial":
-        """The monic product of (variable - r) over the given roots."""
-        out = cls.constant(PuiseuxSeries.one())
-        for r in roots:
-            out = out * cls.from_coeffs({1: PuiseuxSeries.one(), 0: -r})
-        return out
+    def from_roots(cls, roots: Iterable[PuiseuxSeries],
+                   lead: PuiseuxSeries = PuiseuxSeries.one()) -> "PuiseuxPolynomial":
+        """lead * prod(variable - r) over the given roots; monic by default."""
+        one = PuiseuxSeries.one()
+        return cls(_product([((0, lead),), *(((1, one), (0, -r)) for r in roots)]))
 
     @property
     def is_zero(self) -> bool:
@@ -203,8 +237,7 @@ class PuiseuxPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxPolynomial") -> "PuiseuxPolynomial":
-        return PuiseuxPolynomial(_collect(((d1 + d2, c1 * c2) for d1, c1 in self.coeffs
-                                           for d2, c2 in other.coeffs), PuiseuxSeries.zero()))
+        return PuiseuxPolynomial(_product((self.coeffs, other.coeffs)))
 
     def __pow__(self, m: int) -> "PuiseuxPolynomial":
         if not isinstance(m, int) or m < 0:

@@ -7,9 +7,10 @@ the primal strict system by Fourier-Motzkin elimination, never touching
 the simplex it is used to check.  The functional-equality reference
 evaluates point by point, never touching the hull or the lattice scan.  The Puiseux
 references accumulate terms in dicts and evaluate term by term with
-repeated products, never touching the shared canonical-form collector or
-Horner's rule.  The layered-polynomial references merge like exponents in
-their own dict loops, and the Newton-polygon reference finds hull vertices
+repeated products, never touching the shared canonical-form collector, the
+integer product kernel or Horner's rule; the initial-form identity checks
+claimed roots on leading coefficients alone.  The layered-polynomial
+references merge like exponents in their own dict loops, and the Newton-polygon reference finds hull vertices
 by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
 touching the closed-form check or the lattice index arithmetic.
@@ -229,6 +230,50 @@ def reference_poly_mul(f, g):
             product = reference_series_mul(c1, c2)
             acc[d1 + d2] = reference_series_add(acc.get(d1 + d2, PuiseuxSeries.zero()), product)
     return _reference_polynomial(acc)
+
+
+def reference_from_roots(roots, lead=None):
+    """lead * prod(L - r), one linear factor at a time by ``reference_poly_mul``."""
+    out = PuiseuxPolynomial.constant(PuiseuxSeries.one() if lead is None else lead)
+    for r in roots:
+        out = reference_poly_mul(out, PuiseuxPolynomial.from_coeffs({1: PuiseuxSeries.one(), 0: -r}))
+    return out
+
+
+def initial_form_identity(f, roots):
+    """Whether claimed roots of f satisfy the Newton-Puiseux initial-form identity.
+
+    The zero roots must number the lowest degree of f.  Each segment of the
+    lower hull of (d, lowest exponent of a_d), of slope m from d0 to d1, must
+    carry the nonzero claimed roots of lowest exponent -m, and
+    sum lead(a_d) * y^(d - d0) over the points on the segment must equal
+    lead(a_d1) * prod(y - lead(r)) over those roots, as rational polynomials
+    in y; no other nonzero root may be claimed.  Every split f = lead(f) *
+    prod(L - r) satisfies it, so False refuses a claim and True decides
+    nothing.  Works on leading coefficients only, by schoolbook products of
+    rational coefficient lists, never touching the series kernel.
+    """
+    coeffs = dict(f.coeffs)
+    nonzero = [r for r in roots if not r.is_zero]
+    if len(roots) - len(nonzero) != f.coeffs[0][0]:
+        return False
+    hull = brute_lower_hull([(d, c.terms[0][0]) for d, c in f.coeffs])
+    placed = 0
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slope = (y2 - y1) / (x2 - x1)
+        edge = [Fraction(0)] * (x2 - x1 + 1)
+        for d in range(x1, x2 + 1):
+            if d in coeffs and coeffs[d].terms[0][0] == y1 + slope * (d - x1):
+                edge[d - x1] = coeffs[d].terms[0][1]
+        claimed = [coeffs[x2].terms[0][1]]
+        for r in nonzero:
+            if r.terms[0][0] == -slope:
+                placed += 1
+                lead = r.terms[0][1]
+                claimed = [a - lead * b for a, b in zip([0] + claimed, claimed + [0])]
+        if edge != claimed:
+            return False
+    return placed == len(nonzero)
 
 
 def reference_poly_call(f, x):

@@ -189,6 +189,14 @@ def test_criterion_5_valuation_correspondence():
     _finish("criterion 5 (valuation correspondence, 200 products)", start, 30.0)
 
 
+def test_high_degree_valuation_correspondence():
+    start = time.perf_counter()
+    summary = verify_random_products(degree=30, trials=10, seed=0)
+    assert summary.trials == 10
+    assert summary.passed, summary.failures[:3]
+    _finish("criterion 5 at high degree (10 products of degree up to 30)", start, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # 6. Valuation laws on random series pairs
 

@@ -11,7 +11,7 @@ from laytrop import (DomainError, LayeredSemiring, PuiseuxPolynomial,
                      trop_poly, univariate_corner_roots,
                      verify_random_products)
 
-from oracles import brute_lower_hull, random_value
+from oracles import brute_lower_hull, initial_form_identity, random_value, reference_from_roots
 
 SR = LayeredSemiring()
 
@@ -191,6 +191,41 @@ def test_verifier_refuses_a_duplicated_or_perturbed_root():
         with pytest.raises(DomainError):
             kapranov_verify(f, roots[:i] + [PuiseuxSeries(((e, lead), *rest))] + roots[i + 1:])
     assert duplicated >= 50
+
+
+def test_verifier_agrees_with_the_initial_form_oracle():
+    # f is built by the reference products and the oracle reads leading
+    # coefficients only, so neither side of the check runs the product kernel.
+    rng = random.Random(78)
+    decided = undecided = 0
+    for _ in range(150):
+        roots = [_random_root(rng) for _ in range(rng.randint(1, 5))]
+        f = reference_from_roots(roots)
+        for claimed in (roots, roots[::-1]):
+            assert initial_form_identity(f, claimed)
+            assert kapranov_verify(f, claimed).passed
+        wrong = []
+        twins = [(i, j) for i, r in enumerate(roots) for j, q in enumerate(roots)
+                 if i != j and r != q and r.val() == q.val()]
+        if twins:
+            i, j = rng.choice(twins)
+            wrong.append(roots[:j] + [roots[i]] + roots[j + 1:])
+        i = rng.randrange(len(roots))
+        (e, c), *rest = roots[i].terms
+        for head, tail in (((e, c + rng.choice([n for n in (-2, -1, 1, 2) if c + n])), rest),
+                           ((e + rng.choice((-1, 1)), c), rest),
+                           ((e, c), [(x, y + 1) for x, y in rest] or [(e + 5, Fraction(1))])):
+            wrong.append(roots[:i] + [PuiseuxSeries.from_terms([head, *tail])] + roots[i + 1:])
+        for claimed in wrong:
+            with pytest.raises(DomainError):
+                kapranov_verify(f, claimed)
+            if initial_form_identity(f, claimed):
+                undecided += 1
+            else:
+                decided += 1
+    assert decided >= 300 and undecided >= 150, (decided, undecided)
+    f, _ = split_product((1, 0), (2, 0))
+    assert not initial_form_identity(f, [series(1, 0), series(1, 0)])
 
 
 def test_verifier_refuses_descending_views():

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from laytrop import DomainError, ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
 
-from oracles import (random_series, reference_poly_add, reference_poly_call,
-                     reference_poly_mul, reference_series, reference_series_add,
-                     reference_series_mul)
+from oracles import (random_series, reference_from_roots, reference_poly_add,
+                     reference_poly_call, reference_poly_mul, reference_series,
+                     reference_series_add, reference_series_mul)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 term_lists = st.lists(st.tuples(rationals, rationals), max_size=5)
@@ -235,6 +235,59 @@ def test_powers_match_repeated_reference_products():
         PuiseuxSeries.one() ** -1
     with pytest.raises(DomainError):
         PuiseuxPolynomial.zero() ** -1
+
+
+def kernel_series(rng, denominators, max_terms=3):
+    """Up to ``max_terms`` terms, exponent denominators from {1, 2, 3, 7} and
+    coefficient denominators from ``denominators``; zero when terms cancel."""
+    return PuiseuxSeries.from_terms(
+        (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))),
+         Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.choice(denominators)))
+        for _ in range(rng.randint(1, max_terms)))
+
+
+LARGE = (1, 4, 10 ** 9 + 7, 2 ** 61 - 1)
+
+
+def test_from_roots_matches_repeated_reference_products():
+    rng = random.Random(12)
+    assert PuiseuxPolynomial.from_roots([]) == PuiseuxPolynomial.constant(PuiseuxSeries.one())
+    assert PuiseuxPolynomial.from_roots([PuiseuxSeries.zero()]) == PuiseuxPolynomial.variable()
+    seen = {"zero": 0, "repeated": 0, "cancelled": 0}
+    for _ in range(150):
+        roots = [kernel_series(rng, LARGE) if rng.random() < 0.85 else PuiseuxSeries.zero()
+                 for _ in range(rng.randint(0, 5))]
+        if roots and rng.random() < 0.3:
+            roots.append(rng.choice(roots))
+            seen["repeated"] += 1
+        if rng.random() < 0.3:
+            r = kernel_series(rng, LARGE)
+            # (L - r)(L + r) = L^2 - r^2: the L coefficient cancels.
+            assert PuiseuxPolynomial.from_roots([r, -r]).support() == (0, 2)
+            roots += [r, -r]
+            seen["cancelled"] += 1
+        rng.shuffle(roots)
+        seen["zero"] += any(r.is_zero for r in roots)
+        lead = rng.choice([None, kernel_series(rng, LARGE)])
+        f = (PuiseuxPolynomial.from_roots(roots) if lead is None
+             else PuiseuxPolynomial.from_roots(roots, lead))
+        assert f == reference_from_roots(roots, lead), (roots, lead)
+        assert_canonical_polynomial(f)
+        assert f.is_zero or f.degree() == len(roots)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_products_with_unrelated_denominators_match_reference():
+    rng = random.Random(13)
+    for _ in range(150):
+        f, g = (PuiseuxPolynomial.from_coeffs(
+                    (d, kernel_series(rng, dens)) for d in rng.sample(range(6), rng.randint(1, 4)))
+                for dens in ((3, 7, 10 ** 9 + 7), (2, 10, 2 ** 61 - 1)))
+        for product, expected in ((f * g, reference_poly_mul(f, g)),
+                                  (g * f, reference_poly_mul(g, f)),
+                                  (f * -f, reference_poly_mul(f, -f))):
+            assert product == expected, (f, g)
+            assert_canonical_polynomial(product)
 
 
 def test_from_coeffs_pairs_add_like_degrees():
