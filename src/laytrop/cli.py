@@ -17,7 +17,7 @@ from typing import List, Optional
 from . import congruence as cg
 from . import kapranov as kp
 from . import polynomials as poly
-from .core import format_layer, semiring
+from .core import INF, format_layer, semiring
 from .errors import DomainError, LaytropError, UsageError
 from .parsing import (parse_point, parse_polynomial, parse_puiseux_polynomial,
                       parse_scalar)
@@ -32,7 +32,6 @@ def _fraction(text: str) -> Fraction:
 
 
 def _parse_layer_flag(text: str):
-    from .core import INF
     text = text.strip()
     if text == "inf":
         return INF
@@ -56,19 +55,23 @@ def _parse_grid(spec: str, nvars: int, layer) -> poly.GridSpec:
     return poly.GridSpec(tuple(axes), (layer,) * nvars)
 
 
-def _emit(payload, fmt: str, rows=None, header=None) -> None:
-    if fmt == "csv" and rows is not None:
+def _emit(records, fmt: str, header, row) -> None:
+    """Print the records as JSON, or as CSV: ``header``, then ``row(record)`` each."""
+    if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(row, records))
     else:
-        print(json.dumps(payload))
+        print(json.dumps(records))
 
 
 def _parse_set(texts, sr, laurent=False):
-    """Parse expressions over the largest variable count among them (1 if none)."""
-    nvars = max((parse_polynomial(t, sr, laurent=laurent).nvars for t in texts), default=1)
-    return [parse_polynomial(t, sr, laurent=laurent, nvars=nvars) for t in texts], nvars
+    """Parse expressions over the largest variable count among them (1 if none);
+    only a text over fewer variables is read again, at that count."""
+    polynomials = [parse_polynomial(t, sr, laurent=laurent) for t in texts]
+    nvars = max((f.nvars for f in polynomials), default=1)
+    return [f if f.nvars == nvars else parse_polynomial(t, sr, laurent=laurent, nvars=nvars)
+            for f, t in zip(polynomials, texts)], nvars
 
 
 def _locus_records(located):
@@ -114,8 +117,7 @@ def _cmd_roots(args) -> int:
     sr = semiring(args.L)
     f = parse_polynomial(args.expr, sr)
     records = [{"root": str(x), "mult": m} for x, m in poly.univariate_corner_roots(f)]
-    _emit(records, args.format, rows=[(r["root"], r["mult"]) for r in records],
-          header=("root", "mult"))
+    _emit(records, args.format, ("root", "mult"), lambda r: (r["root"], r["mult"]))
     return 0
 
 
@@ -124,8 +126,8 @@ def _cmd_locus(args) -> int:
     grid = _parse_grid(args.grid, nvars, _parse_layer_flag(args.grid_layer))
     locus_fn = poly.combined_locus if args.combined else poly.corner_locus
     records = _locus_records(locus_fn(polynomials, grid, layering=True))
-    rows = [(" ".join(r["point"]), " ".join(r["layers"]), r["layering"]) for r in records]
-    _emit(records, args.format, rows=rows, header=("point", "layers", "layering"))
+    _emit(records, args.format, ("point", "layers", "layering"),
+          lambda r: (" ".join(r["point"]), " ".join(r["layers"]), r["layering"]))
     return 0
 
 
@@ -269,10 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except LaytropError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (LaytropError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -65,11 +65,12 @@ def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
 
     One lattice scan decides all pairs, so an invalid grid raises
     ``DomainError`` whatever their order.  An empty generator list describes
-    the diagonal congruence, whose variety is the whole grid; callers can
-    flag that degenerate case.
+    the diagonal congruence, whose variety is the whole grid: it is refused
+    with ``DomainError`` rather than listed (``zariski_roundtrip`` counts it).
     """
     if not pairs:
-        return FinitePointSet.of(grid.points(LayeredSemiring()))
+        raise DomainError("an empty generator list (the diagonal congruence) has the "
+                          "whole grid as its variety, which is not listed")
     return FinitePointSet(_scan([((f, g), partial(_agree, len(f.coeffs)))
                                  for f, g in pairs], grid))
 

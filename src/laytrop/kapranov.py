@@ -119,8 +119,9 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
                     semiring: Optional[LayeredSemiring] = None) -> KapranovReport:
     """Check the root-valuation correspondence for f with its known roots.
 
-    Refuses known roots that are not all the roots of f with multiplicity,
-    i.e. unless f = lead(f) * prod(L - r).  Then verifies that (a) the
+    Refuses a zero known root, which has no valuation, and known roots that
+    are not all the roots of f with multiplicity, i.e. unless
+    f = lead(f) * prod(L - r).  Then verifies that (a) the
     valuation of every known root is a corner root of the tropicalization,
     (b) the corner-root multiset equals both the Newton-polygon valuations
     and the known-root valuations, and (c) at every corner root the
@@ -133,6 +134,9 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
         raise DomainError("the root correspondence needs an ascending (max) view")
     if f.is_zero:
         raise DomainError("cannot verify the zero polynomial")
+    if any(r.is_zero for r in known_roots):
+        raise DomainError(f"the claimed roots [{', '.join(map(str, known_roots))}] of {f} "
+                          "include 0, which has no valuation")
     if f != PuiseuxPolynomial.from_roots(known_roots, f.coeffs[-1][1]):
         raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity")
 

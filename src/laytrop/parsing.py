@@ -23,22 +23,22 @@ from .polynomials import LayeredPolynomial
 from .puiseux import PuiseuxPolynomial, PuiseuxSeries
 
 # ``\d`` matches exactly the digits ``int()`` reads: ``٣`` is one, ``²`` is not.
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_]\w*)|(?P<op>[-+*/^()|])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_]\w*)|(?P<op>[-+*/^()|,])|(?P<bad>\S)")
 _VARIABLE = re.compile(r"x(\d+)")
 
 
 class _Stream:
-    """The tokens of one text, from offset ``start`` on, as (kind, text, offset) triples.
+    """The tokens of one text as (kind, text, offset) triples.
 
     An operator's kind is its own character; the other kinds are ``int``,
     ``name`` and a final ``end``.  Line and column are computed from the
     offset only when an error is raised.
     """
 
-    def __init__(self, text: str, start: int = 0):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = []
-        for m in _TOKEN.finditer(text, start):
+        for m in _TOKEN.finditer(text):
             kind, word = m.lastgroup, m.group()
             if kind == "bad":
                 raise self.error(f"unexpected character {word!r}", m.start())
@@ -136,18 +136,12 @@ def parse_scalar(text: str, semiring: LayeredSemiring) -> LayeredScalar:
 
 
 def parse_point(text: str, semiring: LayeredSemiring) -> Tuple[LayeredScalar, ...]:
-    """Comma-separated scalar literals (commas outside parens), each parsed in place."""
-    cuts, depth = [-1], 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            cuts.append(i)
-    cuts.append(len(text))
-    point = []
-    for start, end in zip(cuts, cuts[1:]):
-        s = _Stream(text[:end], start + 1)
+    """Comma-separated scalar literals, ``scalar (',' scalar)*``."""
+    s = _Stream(text)
+    point = [_parse_scalar(s, semiring)]
+    while s.accept(","):
         point.append(_parse_scalar(s, semiring))
-        s.done()
+    s.done()
     return tuple(point)
 
 

@@ -142,12 +142,9 @@ class LayeredPolynomial:
 
     def monomial_value(self, exponents: Exponents, point: Point) -> LayeredScalar:
         """Evaluate the single monomial with the given exponent vector."""
-        sr = self.semiring
-        term = self.coeffs[tuple(exponents)]
-        for coordinate, e in zip(point, exponents):
-            if e != 0:
-                term = sr.mul(term, sr.pow(coordinate, e))
-        return term
+        exponents = tuple(exponents)
+        return LayeredPolynomial(self.semiring, self.nvars, {exponents: self.coeffs[exponents]},
+                                 self.laurent).evaluate(point)
 
     def _profile(self, point: Point) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
         """(scale, values, layers, tied): each monomial's value times the common

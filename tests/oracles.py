@@ -350,6 +350,17 @@ def reference_grid_points(grid, semiring: LayeredSemiring):
     return list(itertools.product(*axes))
 
 
+def reference_monomial_value(f, exponents, point):
+    """One monomial's value by the semiring's own ``mul`` and ``pow``, one
+    coordinate at a time (coordinates under a zero exponent are skipped)."""
+    sr = f.semiring
+    term = f.coeffs[tuple(exponents)]
+    for x, e in zip(point, exponents):
+        if e != 0:
+            term = sr.mul(term, sr.pow(x, e))
+    return term
+
+
 def brute_judge(f, point):
     """Everything the locus code decides about f at a point, from first principles.
 

@@ -1,6 +1,7 @@
 """Congruences over finite point sets, varieties, and the Zariski round trip."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,9 +121,15 @@ def test_union_congruence_is_the_conjunction():
             (congruent_on(f, g, x) and congruent_on(f, g, y))
 
 
-def test_empty_generators_give_the_whole_grid():
-    grid = GridSpec.uniform(0, 2, 1, 1)
-    assert len(variety_of([], grid)) == 3
+def test_empty_generators_are_refused():
+    # The diagonal variety is the whole grid: refused at once, never listed,
+    # even on a row of 10**9 + 1 points; the round trip counts it instead.
+    grid = GridSpec.uniform(-5, 5, Fraction(1, 10 ** 8), 1)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="empty generator list"):
+        variety_of([], grid)
+    assert time.perf_counter() - start < 0.1
+    assert zariski_roundtrip([], grid).variety_size == 10 ** 9 + 1
 
 
 def test_quotient_map_is_a_homomorphism():

@@ -163,6 +163,15 @@ def test_verifier_refuses_root_lists_that_do_not_factor_f():
     assert kapranov_verify(f, roots).passed
 
 
+def test_verifier_refuses_a_zero_root_by_name():
+    # f = L^2 - L factors as L * (L - 1): the identity holds, but the root 0
+    # has no valuation, so the claim is refused naming both.
+    roots = [PuiseuxSeries.zero(), PuiseuxSeries.one()]
+    f = PuiseuxPolynomial.from_roots(roots)
+    with pytest.raises(DomainError, match=r"claimed roots \[0, 1\] of L\^2 \+ \(-1\)\*L include 0"):
+        kapranov_verify(f, roots)
+
+
 def _random_root(rng):
     """c*t^e and up to two higher terms, e in {-1, 0, 1} so valuations repeat."""
     e = Fraction(rng.randint(-1, 1))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredSemiring, ParseError,
                      PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
                      parse_puiseux_polynomial, parse_scalar)
-from laytrop import cli
+from laytrop import cli, kapranov
 from laytrop.cli import main
 
 from oracles import random_poly, random_series, reference_poly_add, reference_series
@@ -89,6 +89,8 @@ def test_point_errors_count_from_the_start_of_the_text():
         with pytest.raises(ParseError) as err:
             parse_point(text, NAT)
         assert (err.value.line, err.value.column) == position, text
+    with pytest.raises(ParseError, match="expected int, found ','"):
+        parse_point("1,,2", NAT)
 
 
 def test_non_decimal_digits_are_parse_errors():
@@ -262,6 +264,30 @@ def test_cli_locus_csv_and_determinism(capsys):
     assert first == second
 
 
+def test_cli_locus_on_an_infinite_layer_grid(capsys):
+    # At (inf|v) the monomial x1 is ghost over both sorts from v = 2 on,
+    # where it ties or beats the tangible 2; below, 2 alone is not a root.
+    expected = [{"point": [v], "layers": ["inf"], "layering": "inf"} for v in ("2", "3")]
+    code, out, _ = run_cli(capsys, "locus", "x1 + 2", "--grid=1:3:1", "--grid-layer", "inf")
+    assert code == 0 and json.loads(out) == expected
+    code, out, _ = run_cli(capsys, "locus", "x1 + 2", "--grid=1:3:1", "--grid-layer", "inf",
+                           "--format", "csv")
+    assert code == 0 and out.splitlines() == ["point,layers,layering", "2,inf,inf", "3,inf,inf"]
+
+
+def test_cli_parses_each_expression_once_unless_narrower(capsys, monkeypatch):
+    calls = []
+    parse = cli.parse_polynomial
+    monkeypatch.setattr(cli, "parse_polynomial",
+                        lambda text, *args, **kw: calls.append(text) or parse(text, *args, **kw))
+    code, _, _ = run_cli(capsys, "locus", "x1 + x2", "x2 + 0", "x1*x2 + 1", "--grid=-1:1:1")
+    assert code == 0 and calls == ["x1 + x2", "x2 + 0", "x1*x2 + 1"]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "layering", "x1 + 0", "x2 + 1", "--point", "0,0")
+    assert (code, json.loads(out)) == (0, {"layer": 1})
+    assert calls == ["x1 + 0", "x2 + 1", "x1 + 0"]   # x1 + 0 is read again over two
+
+
 def test_cli_combined_locus(capsys):
     code, out, _ = run_cli(capsys, "locus", "x1 + 2", "--grid=3:5:1",
                            "--grid-layer", "2", "--combined")
@@ -281,6 +307,24 @@ def test_cli_kapranov(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["trials"] == 25
+
+
+def test_cli_reports_failed_kapranov_trials(capsys, monkeypatch):
+    # Valuations that never match the corner roots fail every trial; each
+    # failure is reported as a JSON record of the polynomial and its roots.
+    monkeypatch.setattr(kapranov, "root_valuations", lambda f: ())
+    code, out, _ = run_cli(capsys, "kapranov", "--degree", "2", "--trials", "2", "--seed", "3")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False and payload["trials"] == 2
+    rng = random.Random(3)
+    for failure in payload["failures"]:
+        f, roots = kapranov.random_split_product(rng, rng.randint(1, 2))
+        assert failure["poly"] == str(f) and failure["roots"] == [str(r) for r in roots]
+        assert failure["valuations"] == [str(v) for v in sorted(r.val() for r in roots)]
+        assert (failure["forward"], failure["reverse"], failure["pass"]) == (True, False, False)
+        assert list(failure) == ["poly", "roots", "valuations", "corner_roots", "forward",
+                                 "reverse", "exploded", "pass"]
+    assert len(payload["failures"]) == 2
 
 
 def test_cli_congruence(tmp_path, capsys):
@@ -354,6 +398,16 @@ def test_cli_refuses_malformed_text(capsys, text):
 def test_cli_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "locus", "x1 + 0", "--grid=nonsense")
     assert code == 2 and "usage" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["x1 + 0", "--grid=a:1:1"], "not an exact rational: 'a'"),
+    (["x1 + x2", "--grid=0:1:1,0:1:1,0:1:1"], "grid has 3 axes but the data needs 2"),
+    (["x1 + 0", "--grid=0:1:1", "--grid-layer", "x"], "not a layer: 'x'"),
+], ids=["axis-value", "axis-count", "grid-layer"])
+def test_cli_grid_flag_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "locus", *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_cli_unknown_flag_rejected(capsys):

@@ -15,7 +15,7 @@ from laytrop.polynomials import _difference
 
 from oracles import (SATURATING, brute_corner_roots, random_poly, random_scalar,
                      random_tangible_univariate, random_value, reference_layered_add,
-                     reference_layered_mul)
+                     reference_layered_mul, reference_monomial_value)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -544,3 +544,34 @@ def test_grid_validation():
         GridSpec(((Fraction(2), Fraction(1), Fraction(1)),))
     grid = GridSpec.uniform(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), 1)
     assert [a[0].value for a in grid.points(NAT)] == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
+
+
+def test_monomial_value_matches_the_coordinatewise_reference():
+    # Over every flavor, both orientations and Laurent mode, at points with
+    # ghost coordinates: a negative power of a ghost refuses in both, and
+    # only the asked monomial's exponents matter, not the other monomials'.
+    rng = random.Random(62)
+    checked = refused = 0
+    for base, layers in ((NAT, (1, 2, 5, INF)), (SUP, (1, INF)), (TRIV, (1,)),
+                         (SAT, (1, 2, 3, INF))):
+        for sr in (base, base.dual()):
+            def scalar():
+                return sr.scalar(random_value(rng), rng.choice(layers))
+            for laurent in (False, True):
+                low = -2 if laurent else 0
+                for _ in range(30):
+                    nvars = rng.randint(1, 3)
+                    f = poly(sr, nvars, {tuple(rng.randint(low, 2) for _ in range(nvars)):
+                                         scalar() for _ in range(4)}, laurent)
+                    a = tuple(scalar() for _ in range(nvars))
+                    for e in f.coeffs:
+                        try:
+                            expected = reference_monomial_value(f, e, a)
+                        except DomainError as err:
+                            with pytest.raises(DomainError, match=str(err)):
+                                f.monomial_value(e, a)
+                            refused += 1
+                            continue
+                        assert f.monomial_value(list(e), a) == expected, (f, e, a)
+                        checked += 1
+    assert checked > 500 and refused > 10
