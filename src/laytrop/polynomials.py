@@ -310,17 +310,19 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
-def _scan(tasks, grid: GridSpec, layering: bool = False) -> Tuple:
+def _scan(tasks, grid: GridSpec, layering: bool = False, cuts: Optional[Sequence[int]] = None):
     """Grid points, in product order, where the judge of every task accepts;
     with ``layering``, (point, layer) pairs, the layer being the minimum over
-    tasks of the tied monomials' layer sum.
+    tasks of the tied monomials' layer sum.  With ascending ``cuts`` (n >= 1),
+    a list of those for each ``tasks[:n]``, from one walk.
 
     A task is ``(polynomials, judge)``: the group's monomials are laid end to
     end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
-    tied at the group's best value.  Loci run one task per polynomial,
-    varieties one per pair.  Each axis has one layer, so monomial layers, and
-    hence verdicts and layer sums given the tied set, are the same at every
-    point.  Each row gives kept ranges per task; only their overlap builds
+    tied at the group's best value.  Each axis has one layer, so monomial
+    layers, and hence verdicts and layer sums given the tied set, are the
+    same at every point.  Rows are set up first, so any member the grid
+    cannot evaluate raises.  A row intersects the tasks' kept ranges in
+    order and stops at the first that keeps nothing; only kept points build
     (cached) coordinates.
     """
     polynomials = _common([f for group, _ in tasks for f in group])
@@ -328,13 +330,18 @@ def _scan(tasks, grid: GridSpec, layering: bool = False) -> Tuple:
     rows = [_lattice_row(group, grid, judge) for group, judge in tasks]
     *outer, last = [functools.cache(functools.partial(grid.coordinate, axis))
                     for axis in range(grid.nvars)]
-    out = []
+    ends = cuts or (len(tasks),)
+    outs = [[] for _ in ends]
     for prefix in itertools.product(*map(range, grid.counts[:-1])):
-        for lo, hi, layer in functools.reduce(_intersect, (row(prefix) for row in rows)):
-            head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
-            points = zip(*head, map(last, range(lo, hi)))
-            out.extend(zip(points, itertools.repeat(layer)) if layering else points)
-    return tuple(out)
+        kept, done = rows[0](prefix), 1
+        for n, out in zip(ends, outs):
+            while kept and done < n:
+                kept, done = _intersect(kept, rows[done](prefix)), done + 1
+            for lo, hi, layer in kept:
+                head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
+                points = zip(*head, map(last, range(lo, hi)))
+                out.extend(zip(points, itertools.repeat(layer)) if layering else points)
+    return list(map(tuple, outs)) if cuts else tuple(outs[0])
 
 
 def _intersect(a, b):
@@ -359,13 +366,13 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
     profiles = [f._profile(grid.origin) for f in group]
     sr = group[0].semiring
     sign = -1 if sr.descending else 1
-    steps = [sign * step for _, _, step in grid.axes]
-    scale = math.lcm(*(p[0] for p in profiles), *(s.denominator for s in steps))
+    scale = math.lcm(*(p[0] for p in profiles), *(step.denominator for _, _, step in grid.axes))
+    steps = [sign * int(step * scale) for _, _, step in grid.axes]
     base, layers, deltas = [], [], []
     for f, (origin_scale, values, f_layers, _) in zip(group, profiles):
         base += [sign * v * (scale // origin_scale) for v in values]
         layers += f_layers
-        deltas += [[e * int(s * scale) for e, s in zip(exponents, steps)] for exponents in f.coeffs]
+        deltas += [list(map(operator.mul, exponents, steps)) for exponents in f.coeffs]
     slopes = [d[-1] for d in deltas]
     n = grid.counts[-1]
     verdict = functools.cache(functools.partial(judge, sr.sorts, layers))

@@ -13,14 +13,20 @@ claimed roots on leading coefficients alone.  The layered-polynomial
 references merge like exponents in their own dict loops, and the Newton-polygon reference finds hull vertices
 by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
-touching the closed-form check or the lattice index arithmetic.
+touching the closed-form check or the lattice index arithmetic.  The
+round-trip reference scans each of its three varieties on its own through
+``variety_of``, never sharing one walk between them.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from laytrop import (INF, DomainError, LayeredPolynomial, LayeredScalar,
                      LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries)
+from laytrop.congruence import (FinitePointSet, ZariskiReport, _probe_family, congruent_on,
+                                variety_of)
 from laytrop.core import SortFlavor
 
 
@@ -425,3 +431,33 @@ class SaturatingSorts(SortFlavor):
 
 
 SATURATING = SaturatingSorts()
+
+
+def reference_roundtrip(pairs, grid, seed=0):
+    """The Zariski round trip with one ``variety_of`` scan per variety: the
+    pairs first, then the probe family, then ``pairs[:-1]``."""
+    if not pairs:
+        grid.check(LayeredSemiring())
+        return ZariskiReport(math.prod(grid.counts), 0, True, True, True, True, True)
+    variety = variety_of(pairs, grid)
+    rng = random.Random(seed)
+    probes = _probe_family(pairs, rng)
+    stable = set(variety_of(probes, grid).points) == set(variety.points)
+
+    smaller = variety_of(pairs[:-1], grid) if len(pairs) >= 2 else variety
+    antitone_generators = set(variety.points) <= set(smaller.points)
+
+    antitone_points = union_law = True
+    total = math.prod(grid.counts)
+    sample = [grid.point(rank) for rank in rng.sample(range(total), min(6, total))]
+    small = FinitePointSet.of(sample[: max(1, len(sample) // 2)])
+    rest = FinitePointSet.of(sample[len(small):])
+    large = small.union(rest)
+    for f, g in probes:
+        on_small, on_large = congruent_on(f, g, small), congruent_on(f, g, large)
+        if on_large and not on_small:
+            antitone_points = False
+        if len(rest) and on_large != (on_small and congruent_on(f, g, rest)):
+            union_law = False
+    return ZariskiReport(len(variety), len(probes), False, stable, antitone_generators,
+                         antitone_points, union_law)

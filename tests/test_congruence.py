@@ -7,14 +7,18 @@ from fractions import Fraction
 import pytest
 
 from laytrop import congruence
-from laytrop import (COUNTING, RATIONALS, DomainError, FinitePointSet,
-                     GridSpec, LayeredPolynomial, LayeredSemiring,
-                     congruent_on, coordinate_semiring, corner_locus,
-                     quotient_map, restrict, variety_of, zariski_roundtrip)
+from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL,
+                     TRIVIAL, DomainError, FinitePointSet, GridSpec,
+                     LayeredPolynomial, LayeredSemiring, congruent_on,
+                     coordinate_semiring, corner_locus, quotient_map, restrict,
+                     variety_of, zariski_roundtrip)
+from laytrop.parsing import parse_polynomial
+from laytrop.polynomials import _scan
 
-from oracles import random_poly
+from oracles import SATURATING, random_poly, reference_roundtrip
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
+NATURAL = LayeredSemiring(COUNTING, NATURALS)
 
 
 def tangible(nvars, mapping):
@@ -247,3 +251,87 @@ def test_union_law_judges_the_rest_of_the_sample(monkeypatch):
     monkeypatch.setattr(congruence, "congruent_on",
                         lambda f, g, x: f.evaluate(x.points[0]) == g.evaluate(x.points[0]))
     assert not zariski_roundtrip(gens, grid, seed=4).union_law
+
+
+def test_roundtrip_draws_probe_values_the_view_accepts():
+    # Probe coefficients were drawn from -3..3 on every view, so a natural
+    # view refused some seeds with "value -3 is negative".
+    f, g = (parse_polynomial(text, NATURAL) for text in ("x1^2 + 1", "2*x1 + 1"))
+    for seed in range(5):
+        report = zariski_roundtrip([(f, g)], GridSpec.uniform(0, 4, 1, 1), seed=seed)
+        assert report.passed and report.variety_size == 1
+
+
+VIEWS = [NAT, LayeredSemiring(SUPERTROPICAL, RATIONALS), LayeredSemiring(TRIVIAL, RATIONALS),
+         LayeredSemiring(COUNTING, INTEGERS), LayeredSemiring(SATURATING, RATIONALS), NATURAL]
+VIEWS += [sr.dual() for sr in VIEWS]
+
+
+def _roundtrip_case(rng):
+    """(pairs, grid): 1-3 pairs over one view, some of them (f, f + m), now and
+    then an incompatible one, on a small grid that may be refused."""
+    sr = rng.choice(VIEWS)
+    laurent = sr.values is RATIONALS and rng.random() < 0.3
+    nvars = rng.randint(1, 2)
+    layers = ([1] if sr.sorts is TRIVIAL else [1, INF] if sr.sorts is SUPERTROPICAL
+              else [1, 1, 2, 3, INF])
+
+    def value():
+        v = Fraction(rng.randint(-4, 4), 1 if sr.values is not RATIONALS else rng.choice([1, 2, 3]))
+        return abs(v) if sr.values is NATURALS else v
+
+    def poly(terms, arity=nvars):
+        return LayeredPolynomial(sr, arity, {
+            tuple(rng.randint(-2 if laurent else 0, 2) for _ in range(arity)):
+                sr.scalar(value(), rng.choice(layers)) for _ in range(terms)}, laurent)
+
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        f = poly(rng.randint(1, 4))
+        pairs.append((f, f.add(poly(1))) if rng.random() < 0.5 else (f, poly(rng.randint(1, 4))))
+    if rng.random() < 0.05:
+        # wrong arity, and over another view: which mismatch is named depends on the order of checks
+        other = rng.choice([view for view in VIEWS if view != sr])
+        stranger = LayeredPolynomial(other, nvars + 1, {(0,) * (nvars + 1): other.one()})
+        pairs.insert(rng.randrange(len(pairs) + 1), (poly(2, nvars + 1), stranger))
+    axes = []
+    for _ in range(nvars):
+        step = Fraction(1) if rng.random() < 0.5 else Fraction(1, rng.choice([2, 3]))
+        lower = Fraction(rng.randint(-1 if sr.values is NATURALS else -3, 3), rng.choice([1, 1, 2]))
+        axes.append((lower, lower + step * rng.randint(0, (12, 5)[nvars - 1]), step))
+    grid_layers = tuple(rng.choice([1, 1, 2, INF]) for _ in range(nvars))
+    return pairs, GridSpec(tuple(axes), grid_layers)
+
+
+def _outcome(roundtrip, pairs, grid, seed):
+    try:
+        return roundtrip(pairs, grid, seed=seed).to_json()
+    except DomainError as error:
+        return f"DomainError: {error}"
+
+
+def test_roundtrip_matches_three_separate_variety_scans():
+    rng = random.Random(1515)
+    seen, refused, sizes = set(), 0, set()
+    for i in range(240):
+        pairs, grid = _roundtrip_case(rng)
+        expected = _outcome(reference_roundtrip, pairs, grid, i)
+        assert _outcome(zariski_roundtrip, pairs, grid, i) == expected, (pairs, grid, i)
+        if isinstance(expected, str):
+            refused += 1
+            continue
+        sr = pairs[0][0].semiring
+        seen.add((sr, pairs[0][0].laurent, max(grid.layers), len(pairs)))
+        sizes.add(expected["variety_size"] > 0)
+        # Each snapshot of the one walk is the scan of that prefix on its own.
+        tasks = congruence._pair_tasks(congruence._probe_family(pairs, random.Random(i)))
+        for cuts in ((max(1, len(pairs) - 1), len(pairs), len(tasks)),
+                     tuple(sorted(rng.choices(range(1, len(tasks) + 1), k=3)))):
+            layering = rng.random() < 0.5
+            assert _scan(tasks, grid, layering, cuts=cuts) == [
+                _scan(tasks[:n], grid, layering) for n in cuts], (pairs, grid, cuts)
+    assert {view for view, *_ in seen} == set(VIEWS)
+    assert any(laurent for _, laurent, _, _ in seen)
+    assert {layer for *_, layer, _ in seen} == {1, 2, INF}
+    assert {count for *_, count in seen} == {1, 2, 3}
+    assert sizes == {True, False} and refused >= 20

@@ -19,7 +19,7 @@ from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL
                      corner_locus, essential_monomials, functionally_equal,
                      layering_map_set, principal_open, univariate_corner_roots,
                      variety_of)
-from laytrop.polynomials import _difference
+from laytrop.polynomials import _difference, _scan
 
 from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
                      pointwise_functionally_equal, reference_grid_points)
@@ -448,6 +448,25 @@ def test_identical_lines_of_a_pair_share_one_lane():
                          or (sr.sorts is TRIVIAL and sign * a[0].value == 0))
         assert variety_of([(f, g)], grid).points == expected
         assert_variety_matches_evaluate([(f, g), (g, f.add(g))], grid)
+
+
+def test_a_row_stops_at_the_first_task_that_keeps_nothing():
+    def refuse(*args):
+        raise AssertionError("judged after the running intersection was empty")
+
+    f = _tangible(NAT, 2, {(1, 0): 0, (0, 1): 0, (0, 0): 0})
+    grid = GridSpec.uniform(-2, 2, Fraction(1, 2), 2)
+    nothing, everything = ([f], lambda *args: False), ([f], lambda *args: True)
+    assert _scan([nothing, ([f], refuse)], grid) == ()
+    assert _scan([everything, nothing, ([f], refuse)], grid, cuts=(1, 2, 3)) == [
+        tuple(brute_grid(grid)), (), ()]
+    # The first polynomial has no corner root on the grid: its root is at 0.
+    g = _tangible(NAT, 1, {(1,): 0, (0,): 0})
+    h = _tangible(NAT, 1, {(2,): 0, (1,): 2, (0,): 4})
+    line = GridSpec.uniform(1, 6, Fraction(1, 3), 1)
+    assert corner_locus([g], line) == () and corner_locus([h], line) != ()
+    assert corner_locus([g, h], line) == combined_locus([g, h], line, layering=True) == ()
+    assert_matches_oracle([g, h], line)
 
 
 def test_one_point_rows():
