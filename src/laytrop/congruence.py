@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import LayeredSemiring
 from .errors import DomainError
-from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _common, _scan
+from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _common, _merged, _points, _scan
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,16 @@ Pair = Tuple[LayeredPolynomial, LayeredPolynomial]
 
 
 def congruent_on(f: LayeredPolynomial, g: LayeredPolynomial, x: FinitePointSet) -> bool:
-    """Pointwise full scalar equality over the set (layers included)."""
+    """Pointwise full scalar equality over the set (layers included).  All points
+    are checked before any is evaluated, so a refusal does not depend on their
+    order; f and g are then evaluated on one integer scale for the whole set."""
     f._compatible(g)
     if not len(x):
         raise DomainError("congruence needs a non-empty point set")
-    return all(f.evaluate(a) == g.evaluate(a) for a in x)
+    points = [f._check_point(a) for a in x]
+    scale = math.lcm(*(c.value.denominator for h in (f, g) for c in h.coeffs.values()),
+                     *(c.value.denominator for a in points for c in a))
+    return all(f._scaled(a, scale) == g._scaled(a, scale) for a in points)
 
 
 def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
@@ -71,7 +76,7 @@ def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
     if not pairs:
         raise DomainError("an empty generator list (the diagonal congruence) has the "
                           "whole grid as its variety, which is not listed")
-    return FinitePointSet(_scan(_pair_tasks(pairs), grid))
+    return FinitePointSet(_points(_scan(_pair_tasks(pairs), grid), grid))
 
 
 def _pair_tasks(pairs: Sequence[Pair]) -> List:
@@ -190,9 +195,10 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
                       seed: int = 0) -> ZariskiReport:
     """Verify stability of the variety and both antitone laws on a probe family.
 
-    The probes start with the pairs, so one scan gives all three varieties.
-    No pairs generate the diagonal congruence, whose variety is the whole
-    grid: it is counted, not listed, and every law holds trivially.
+    The probes start with the pairs, so one scan gives all three varieties,
+    compared as kept ranges: one step per row and per kept range.  No pairs
+    generate the diagonal congruence, whose variety is the whole grid: it is
+    counted, not listed, and every law holds trivially.
     """
     if not pairs:
         grid.check(LayeredSemiring())
@@ -201,9 +207,12 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     rng = random.Random(seed)
     probes = _probe_family(pairs, rng)
     cuts = (max(1, len(pairs) - 1), len(pairs), len(probes))
-    smaller, variety, probed = map(set, _scan(_pair_tasks(probes), grid, cuts=cuts))
+    # Points only: a snapshot's layers are minima over its own tasks.
+    smaller, variety, probed = (_merged(r[:3] for r in snapshot)
+                                for snapshot in _scan(_pair_tasks(probes), grid, cuts=cuts))
     stable = probed == variety
-    antitone_generators = variety <= smaller
+    # variety <= smaller iff joining them leaves smaller (two sorted runs: a linear sort)
+    antitone_generators = _merged(sorted(smaller + variety)) == smaller
     antitone_points = union_law = True
     # rng.sample draws the same positions from range(total) as from the listed grid.
     total = math.prod(grid.counts)
@@ -220,7 +229,7 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
             union_law = False
 
     return ZariskiReport(
-        variety_size=len(variety),
+        variety_size=sum(hi - lo for _, lo, hi in variety),
         probe_pairs=len(probes),
         diagonal=False,
         stable=stable,

@@ -285,8 +285,10 @@ class LayeredSemiring:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: LayeredScalar, y: LayeredScalar) -> LayeredScalar:
-        self.check(x)
-        self.check(y)
+        return self._add(self.check(x), self.check(y))
+
+    def _add(self, x: LayeredScalar, y: LayeredScalar) -> LayeredScalar:
+        """``add`` on scalars known to be valid."""
         c = self.nu_compare(x, y)
         if c > 0:
             return x

@@ -121,7 +121,8 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
 
     Refuses a zero known root, which has no valuation, and known roots that
     are not all the roots of f with multiplicity, i.e. unless
-    f = lead(f) * prod(L - r).  Then verifies that (a) the
+    f = lead(f) * prod(L - r), naming the lowest degree where the two
+    sides' coefficients differ.  Then verifies that (a) the
     valuation of every known root is a corner root of the tropicalization,
     (b) the corner-root multiset equals both the Newton-polygon valuations
     and the known-root valuations, and (c) at every corner root the
@@ -137,8 +138,13 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     if any(r.is_zero for r in known_roots):
         raise DomainError(f"the claimed roots [{', '.join(map(str, known_roots))}] of {f} "
                           "include 0, which has no valuation")
-    if f != PuiseuxPolynomial.from_roots(known_roots, f.coeffs[-1][1]):
-        raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity")
+    product = PuiseuxPolynomial.from_roots(known_roots, f.coeffs[-1][1])
+    if f != product:
+        d = min(d for d in {*f.support(), *product.support()}
+                if f.coefficient(d) != product.coefficient(d))
+        raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity: at "
+                          f"degree {d}, f has {f.coefficient(d)} but lead(f) * prod(L - r) has "
+                          f"{product.coefficient(d)}")
 
     tropicalized = trop_poly(sr, f)
     corner = univariate_corner_roots(tropicalized)

@@ -44,28 +44,36 @@ class LayeredPolynomial:
         if not isinstance(nvars, int) or nvars < 1:
             raise DomainError(f"variable count {nvars!r} must be a positive integer")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: Dict[Exponents, LayeredScalar] = {}
+        checked = []
         for exponents, scalar in items:
             exponents = tuple(exponents)
             if len(exponents) != nvars or not all(isinstance(e, int) for e in exponents):
                 raise DomainError(f"exponent vector {exponents!r} does not have {nvars} integer entries")
             if not laurent and any(e < 0 for e in exponents):
                 raise DomainError(f"negative exponent in {exponents!r} outside Laurent mode")
-            scalar = semiring.check(scalar)
-            if exponents in merged:
-                merged[exponents] = semiring.add(merged[exponents], scalar)
-            else:
-                merged[exponents] = scalar
-        if not merged:
+            checked.append((exponents, semiring.check(scalar)))
+        if not checked:
             raise DomainError("a polynomial needs at least one monomial")
         if laurent:
             # Negative powers act on values by negation, so the flavor must be a group.
             semiring.values.check(Fraction(-1))
-        self.semiring = semiring
-        self.nvars = nvars
+        self._fill(semiring, nvars, checked, laurent)
+
+    def _fill(self, semiring: LayeredSemiring, nvars: int, items, laurent: bool) -> "LayeredPolynomial":
+        """Set the fields from valid (exponents, scalar) items, merging equal
+        exponent vectors by the unchecked layered sum; returns self."""
+        merged: Dict[Exponents, LayeredScalar] = {}
+        for exponents, scalar in items:
+            merged[exponents] = semiring._add(merged[exponents], scalar) if exponents in merged else scalar
+        self.semiring, self.nvars, self.laurent = semiring, nvars, laurent
         # Support order fixes the order in which tie layers are summed.
         self.coeffs = dict(sorted(merged.items()))
-        self.laurent = laurent
+        return self
+
+    def _like(self, items) -> "LayeredPolynomial":
+        """A polynomial over this view, arity and mode, built unchecked from valid
+        items: sums and products of valid polynomials are valid in every flavor."""
+        return object.__new__(LayeredPolynomial)._fill(self.semiring, self.nvars, items, self.laurent)
 
     # -- constructors ----------------------------------------------------------
 
@@ -115,15 +123,14 @@ class LayeredPolynomial:
 
     def add(self, other: "LayeredPolynomial") -> "LayeredPolynomial":
         self._compatible(other)
-        return LayeredPolynomial(self.semiring, self.nvars,
-                                 [*self.coeffs.items(), *other.coeffs.items()], self.laurent)
+        return self._like([*self.coeffs.items(), *other.coeffs.items()])
 
     def mul(self, other: "LayeredPolynomial") -> "LayeredPolynomial":
         self._compatible(other)
-        sr = self.semiring
-        return LayeredPolynomial(sr, self.nvars, [
-            (tuple(map(operator.add, e1, e2)), sr.mul(c1, c2))
-            for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()], self.laurent)
+        sorts = self.semiring.sorts
+        return self._like([(tuple(map(operator.add, e1, e2)),
+                            LayeredScalar(sorts.mul(c1.layer, c2.layer), c1.value + c2.value))
+                           for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()])
 
     def pow(self, m: int) -> "LayeredPolynomial":
         if not isinstance(m, int) or m < 1:
@@ -143,18 +150,20 @@ class LayeredPolynomial:
     def monomial_value(self, exponents: Exponents, point: Point) -> LayeredScalar:
         """Evaluate the single monomial with the given exponent vector."""
         exponents = tuple(exponents)
-        return LayeredPolynomial(self.semiring, self.nvars, {exponents: self.coeffs[exponents]},
-                                 self.laurent).evaluate(point)
+        return self._like([(exponents, self.coeffs[exponents])]).evaluate(point)
 
-    def _profile(self, point: Point) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
+    def _profile(self, point: Point, scale: Optional[int] = None
+                 ) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
         """(scale, values, layers, tied): each monomial's value times the common
         denominator ``scale`` as an int and its layer, in support order, and the
-        indices tied at the best value.  Validates the point once; the rest is
-        raw int and sort arithmetic on data that is already valid."""
-        point = self._check_point(point)
+        indices tied at the best value.  Validates the point, unless the caller
+        did and gives a ``scale`` that every denominator divides; the rest is raw
+        int and sort arithmetic on valid data, and layer 1 leaves layers alone."""
+        if scale is None:
+            point = self._check_point(point)
+            scale = math.lcm(*(c.value.denominator for c in self.coeffs.values()),
+                             *(x.value.denominator for x in point))
         sorts = self.semiring.sorts
-        scale = math.lcm(*(c.value.denominator for c in self.coeffs.values()),
-                         *(x.value.denominator for x in point))
         coords = [(x.value.numerator * (scale // x.value.denominator), x.layer) for x in point]
         values, layers = [], []
         for exponents, c in self.coeffs.items():
@@ -162,16 +171,20 @@ class LayeredPolynomial:
             for (xv, xl), e in zip(coords, exponents):
                 if e != 0:
                     value += e * xv
-                    layer = sorts.mul(layer, sorts.pow(xl, e))
+                    layer = layer if xl == 1 else sorts.mul(layer, sorts.pow(xl, e))
             values.append(value)
             layers.append(layer)
         best = (min if self.semiring.descending else max)(values)
         return scale, values, layers, tuple(i for i, v in enumerate(values) if v == best)
 
+    def _scaled(self, point: Point, scale: Optional[int] = None) -> Tuple[int, int, Layer]:
+        """(scale, value times scale, layer) of the evaluated scalar; see ``_profile``."""
+        scale, values, layers, tied = self._profile(point, scale)
+        return scale, values[tied[0]], _layer_sum(self.semiring.sorts, layers, tied)
+
     def evaluate(self, point: Point) -> LayeredScalar:
-        scale, values, layers, tied = self._profile(point)
-        return LayeredScalar(_layer_sum(self.semiring.sorts, layers, tied),
-                             Fraction(values[tied[0]], scale))
+        scale, value, layer = self._scaled(point)
+        return LayeredScalar(layer, Fraction(value, scale))
 
     def dominant_part(self, point: Point) -> Tuple[Exponents, ...]:
         """Exponent vectors of the monomials whose value ties the evaluated value."""
@@ -310,11 +323,12 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
-def _scan(tasks, grid: GridSpec, layering: bool = False, cuts: Optional[Sequence[int]] = None):
-    """Grid points, in product order, where the judge of every task accepts;
-    with ``layering``, (point, layer) pairs, the layer being the minimum over
+def _scan(tasks, grid: GridSpec, cuts: Optional[Sequence[int]] = None):
+    """Kept ranges ``(prefix, lo, hi, layer)`` in canonical form (``_merged``):
+    indices lo <= k < hi of the last axis, on the row at lattice ``prefix``,
+    where the judge of every task accepts, the layer being the minimum over
     tasks of the tied monomials' layer sum.  With ascending ``cuts`` (n >= 1),
-    a list of those for each ``tasks[:n]``, from one walk.
+    a list of those for each ``tasks[:n]``, from one walk.  No point is built.
 
     A task is ``(polynomials, judge)``: the group's monomials are laid end to
     end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
@@ -322,14 +336,11 @@ def _scan(tasks, grid: GridSpec, layering: bool = False, cuts: Optional[Sequence
     layers, and hence verdicts and layer sums given the tied set, are the
     same at every point.  Rows are set up first, so any member the grid
     cannot evaluate raises.  A row intersects the tasks' kept ranges in
-    order and stops at the first that keeps nothing; only kept points build
-    (cached) coordinates.
+    order and stops at the first that keeps nothing.
     """
     polynomials = _common([f for group, _ in tasks for f in group])
     grid.check(polynomials[0].semiring)
     rows = [_lattice_row(group, grid, judge) for group, judge in tasks]
-    *outer, last = [functools.cache(functools.partial(grid.coordinate, axis))
-                    for axis in range(grid.nvars)]
     ends = cuts or (len(tasks),)
     outs = [[] for _ in ends]
     for prefix in itertools.product(*map(range, grid.counts[:-1])):
@@ -337,11 +348,33 @@ def _scan(tasks, grid: GridSpec, layering: bool = False, cuts: Optional[Sequence
         for n, out in zip(ends, outs):
             while kept and done < n:
                 kept, done = _intersect(kept, rows[done](prefix)), done + 1
-            for lo, hi, layer in kept:
-                head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
-                points = zip(*head, map(last, range(lo, hi)))
-                out.extend(zip(points, itertools.repeat(layer)) if layering else points)
-    return list(map(tuple, outs)) if cuts else tuple(outs[0])
+            out.extend((prefix, *r) for r in kept)
+    return list(map(_merged, outs)) if cuts else _merged(outs[0])
+
+
+def _merged(ranges) -> List[Tuple]:
+    """Ranges ``(prefix, lo, hi, *rest)`` sorted by (prefix, lo), each run of
+    overlapping or touching ranges with one prefix and one rest joined: the
+    canonical form of what they cover, so equal coverage gives equal lists."""
+    out = []
+    for prefix, lo, hi, *rest in ranges:
+        if out and out[-1][0] == prefix and out[-1][2] >= lo and list(out[-1][3:]) == rest:
+            lo, hi = out[-1][1], max(hi, out.pop()[2])
+        out.append((prefix, lo, hi, *rest))
+    return out
+
+
+def _points(ranges, grid: GridSpec, layering: bool = False) -> Tuple:
+    """The grid points of kept ranges, in order; with ``layering``, (point,
+    layer) pairs.  Coordinates are built once each, and only for kept points."""
+    *outer, last = [functools.cache(functools.partial(grid.coordinate, axis))
+                    for axis in range(grid.nvars)]
+    out = []
+    for prefix, lo, hi, layer in ranges:
+        head = (itertools.repeat(axis(k)) for axis, k in zip(outer, prefix))
+        points = zip(*head, map(last, range(lo, hi)))
+        out.extend(zip(points, itertools.repeat(layer)) if layering else points)
+    return tuple(out)
 
 
 def _intersect(a, b):
@@ -411,14 +444,16 @@ def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
                  layering: bool = False) -> Tuple:
     """Grid points that are corner roots of every polynomial in the set; with
     ``layering``, (point, ``layering_map_set`` at the point) pairs."""
-    return _scan([([f], lambda *args: _verdict(*args)[0]) for f in polynomials], grid, layering)
+    tasks = [([f], lambda *args: _verdict(*args)[0]) for f in polynomials]
+    return _points(_scan(tasks, grid), grid, layering)
 
 
 def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
                    layering: bool = False) -> Tuple:
     """Grid points that are corner or cluster roots of every polynomial in the
     set; with ``layering``, (point, ``layering_map_set`` at the point) pairs."""
-    return _scan([([f], lambda *args: any(_verdict(*args))) for f in polynomials], grid, layering)
+    tasks = [([f], lambda *args: any(_verdict(*args))) for f in polynomials]
+    return _points(_scan(tasks, grid), grid, layering)
 
 
 def layering_map_set(polynomials: Sequence[LayeredPolynomial], point: Point) -> Layer:
@@ -433,13 +468,13 @@ def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> Tup
     if exponents not in f.coeffs:
         raise DomainError(f"{exponents!r} is not a monomial of the polynomial")
     j = tuple(f.coeffs).index(exponents)
-    return _scan([([f], lambda sorts, layers, tied:
-                  j in tied and layers[j] == _layer_sum(sorts, layers, tied))], grid)
+    return _points(_scan([([f], lambda sorts, layers, tied:
+                           j in tied and layers[j] == _layer_sum(sorts, layers, tied))], grid), grid)
 
 
 def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
     """The complement of the corner locus of f within the grid."""
-    return _scan([([f], lambda *args: not _verdict(*args)[0])], grid)
+    return _points(_scan([([f], lambda *args: not _verdict(*args)[0])], grid), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ import pytest
 from laytrop import congruence
 from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL,
                      TRIVIAL, DomainError, FinitePointSet, GridSpec,
-                     LayeredPolynomial, LayeredSemiring, congruent_on,
+                     LayeredPolynomial, LayeredScalar, LayeredSemiring, congruent_on,
                      coordinate_semiring, corner_locus, quotient_map, restrict,
                      variety_of, zariski_roundtrip)
 from laytrop.parsing import parse_polynomial
-from laytrop.polynomials import _scan
+from laytrop.polynomials import _points, _scan
 
-from oracles import SATURATING, random_poly, reference_roundtrip
+from oracles import (SATURATING, brute_grid, random_poly, reference_layered_add,
+                     reference_layered_mul, reference_roundtrip)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 NATURAL = LayeredSemiring(COUNTING, NATURALS)
@@ -206,6 +207,48 @@ def test_roundtrip_on_a_billion_point_row():
         "pass": True}
 
 
+def test_roundtrip_on_a_billion_point_row_whose_variety_is_half_of_it():
+    # x1 + 0 and x1 agree exactly where x1 > 0: 5 * 10**8 points of the
+    # 10**9 + 1, which the round trip compares as kept ranges, not as points.
+    f, g = (parse_polynomial(text, NAT) for text in ("x1 + 0", "x1"))
+    grid = GridSpec.uniform(-5, 5, Fraction(1, 10 ** 8), 1)
+    start = time.perf_counter()
+    report = zariski_roundtrip([(f, f), (f, g)], grid)
+    assert report.variety_size == 5 * 10 ** 8 and report.passed
+    assert time.perf_counter() - start < 1
+
+
+def test_stable_and_antitone_laws_compare_the_snapshots(monkeypatch):
+    # Both laws hold on every real scan, so only doctored snapshots can show
+    # that the round trip compares its snapshots instead of assuming the laws.
+    f, g = (parse_polynomial(text, NAT) for text in ("x1 + 0", "x1"))
+    pairs, grid, scan = [(f, f), (f, g)], GridSpec.uniform(-2, 2, 1, 1), congruence._scan
+    assert zariski_roundtrip(pairs, grid).passed
+
+    def doctor(change):
+        monkeypatch.setattr(congruence, "_scan",
+                            lambda tasks, grid, cuts: change(*scan(tasks, grid, cuts=cuts)))
+        return zariski_roundtrip(pairs, grid)
+
+    report = doctor(lambda smaller, variety, probed: [smaller, variety, []])
+    assert not report.stable and report.antitone_generators
+    # the variety is x1 > 0; cut the last point off the smaller variety
+    report = doctor(lambda smaller, variety, probed: [
+        [(p, lo, hi - 1, layer) for p, lo, hi, layer in smaller], variety, probed])
+    assert report.stable and not report.antitone_generators
+
+
+def test_congruence_refuses_a_bad_point_whatever_the_order():
+    # x1 + 0 and x1 differ at (1|-1), so a judge that stopped there never saw
+    # (5|0), whose layer the supertropical flavor refuses.
+    sup = LayeredSemiring(SUPERTROPICAL, RATIONALS)
+    f, g = (parse_polynomial(text, sup) for text in ("x1 + 0", "x1"))
+    good, bad = (LayeredScalar(1, Fraction(-1)),), (LayeredScalar(5, Fraction(0)),)
+    for order in ((good, bad), (bad, good)):
+        with pytest.raises(DomainError, match="layer 5 is not in the supertropical flavor"):
+            congruent_on(f, g, FinitePointSet.of(order))
+
+
 def test_adding_generators_never_grows_the_variety():
     rng = random.Random(35)
     grid = GridSpec.uniform(-3, 3, 1, 2)
@@ -267,9 +310,9 @@ VIEWS = [NAT, LayeredSemiring(SUPERTROPICAL, RATIONALS), LayeredSemiring(TRIVIAL
 VIEWS += [sr.dual() for sr in VIEWS]
 
 
-def _roundtrip_case(rng):
-    """(pairs, grid): 1-3 pairs over one view, some of them (f, f + m), now and
-    then an incompatible one, on a small grid that may be refused."""
+def _random_view(rng):
+    """(sr, laurent, nvars, value, poly): a view, a mode and an arity drawn from
+    rng, with draws of a value of the view and of a polynomial of some terms."""
     sr = rng.choice(VIEWS)
     laurent = sr.values is RATIONALS and rng.random() < 0.3
     nvars = rng.randint(1, 2)
@@ -285,6 +328,13 @@ def _roundtrip_case(rng):
             tuple(rng.randint(-2 if laurent else 0, 2) for _ in range(arity)):
                 sr.scalar(value(), rng.choice(layers)) for _ in range(terms)}, laurent)
 
+    return sr, laurent, nvars, value, poly
+
+
+def _roundtrip_case(rng):
+    """(pairs, grid): 1-3 pairs over one view, some of them (f, f + m), now and
+    then an incompatible one, on a small grid that may be refused."""
+    sr, laurent, nvars, value, poly = _random_view(rng)
     pairs = []
     for _ in range(rng.randint(1, 3)):
         f = poly(rng.randint(1, 4))
@@ -301,6 +351,18 @@ def _roundtrip_case(rng):
         axes.append((lower, lower + step * rng.randint(0, (12, 5)[nvars - 1]), step))
     grid_layers = tuple(rng.choice([1, 1, 2, INF]) for _ in range(nvars))
     return pairs, GridSpec(tuple(axes), grid_layers)
+
+
+def _brute_variety(pairs, grid, layering):
+    """Grid points where every pair evaluates equally; with ``layering``, each
+    with the least layer of f(a) + g(a) over the pairs."""
+    sorts = pairs[0][0].semiring.sorts
+    out = []
+    for a in brute_grid(grid):
+        values = [(f.evaluate(a), g.evaluate(a)) for f, g in pairs]
+        if all(x == y for x, y in values):
+            out.append((a, min(sorts.add(x.layer, y.layer) for x, y in values)) if layering else a)
+    return tuple(out)
 
 
 def _outcome(roundtrip, pairs, grid, seed):
@@ -328,10 +390,78 @@ def test_roundtrip_matches_three_separate_variety_scans():
         for cuts in ((max(1, len(pairs) - 1), len(pairs), len(tasks)),
                      tuple(sorted(rng.choices(range(1, len(tasks) + 1), k=3)))):
             layering = rng.random() < 0.5
-            assert _scan(tasks, grid, layering, cuts=cuts) == [
-                _scan(tasks[:n], grid, layering) for n in cuts], (pairs, grid, cuts)
+            snapshots = _scan(tasks, grid, cuts=cuts)
+            assert snapshots == [_scan(tasks[:n], grid) for n in cuts], (pairs, grid, cuts)
+            for n, ranges in zip(cuts, snapshots):
+                # canonical: sorted, nonempty, and no two ranges of a row touch with one layer
+                assert all(lo < hi for _, lo, hi, _ in ranges)
+                assert all((a[0], a[2]) <= (b[0], b[1]) and (a[0], a[2], a[3]) != (b[0], b[1], b[3])
+                           for a, b in zip(ranges, ranges[1:])), ranges
+                if n == len(pairs):
+                    assert _points(ranges, grid, layering) == _brute_variety(pairs, grid, layering)
     assert {view for view, *_ in seen} == set(VIEWS)
     assert any(laurent for _, laurent, _, _ in seen)
     assert {layer for *_, layer, _ in seen} == {1, 2, INF}
     assert {count for *_, count in seen} == {1, 2, 3}
     assert sizes == {True, False} and refused >= 20
+
+
+def _judged(judge, *args):
+    try:
+        return judge(*args)
+    except DomainError as error:
+        return f"DomainError: {error}"
+
+
+def _per_point_congruent_on(f, g, x):
+    """``all(f.evaluate(a) == g.evaluate(a) for a in x)`` with every point
+    checked first, by evaluating the constant 0 there (which checks arity and
+    coordinates and no more): ``all`` alone stops at the first point where f
+    and g differ, so whether a later bad point is refused would depend on order."""
+    unit = LayeredPolynomial.constant(f.semiring, f.nvars, f.semiring.one())
+    for a in x:
+        unit.evaluate(a)
+    return all(f.evaluate(a) == g.evaluate(a) for a in x)
+
+
+def test_one_pass_congruence_matches_per_point_evaluation():
+    rng = random.Random(1616)
+    seen, verdicts = set(), []
+    for _ in range(400):
+        sr, laurent, nvars, value, poly = _random_view(rng)
+        f = poly(rng.randint(1, 4))
+        g = rng.choice([f, f.add(poly(1)), poly(rng.randint(1, 4))])
+        arity = nvars + (rng.random() < 0.05)
+        layers = [rng.choice([1, 1, 2, INF]) for _ in range(arity)]
+        x = FinitePointSet.of(tuple(LayeredScalar(layer, value() + Fraction(rng.random() < 0.05, 2))
+                                    for layer in layers) for _ in range(rng.randint(1, 4)))
+        expected = _judged(_per_point_congruent_on, f, g, x)
+        assert _judged(congruent_on, f, g, x) == expected, (f, g, x)
+        verdicts.append(expected)
+        if not isinstance(expected, str):
+            seen.add((sr, laurent, max(layers)))
+    assert {view for view, _, _ in seen} == set(VIEWS)
+    assert any(laurent for _, laurent, _ in seen)
+    assert {layer for *_, layer in seen} == {1, 2, INF}
+    assert {True, False} <= set(verdicts)
+    refusals = " ".join(v for v in verdicts if isinstance(v, str))
+    for kind in ("is not in the", "has arity", "is not an integer", "is not invertible"):
+        assert kind in refusals
+
+
+def test_unchecked_add_and_mul_match_the_checked_references():
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(300):
+        sr, laurent, nvars, value, poly = _random_view(rng)
+        f, g = poly(rng.randint(1, 4)), poly(rng.randint(1, 4))
+        merged = LayeredPolynomial(sr, nvars, [*f.coeffs.items(), *g.coeffs.items()], laurent)
+        for got, expected in ((f.add(g), reference_layered_add(f, g)), (f.add(g), merged),
+                              (f.mul(g), reference_layered_mul(f, g))):
+            assert got == expected and list(got.coeffs) == list(expected.coeffs), (f, g)
+        seen.add((sr, laurent))
+    assert {view for view, _ in seen} == set(VIEWS) and any(laurent for _, laurent in seen)
+    other = LayeredPolynomial.constant(NAT.dual(), 1, NAT.one())
+    for op in (LayeredPolynomial.add, LayeredPolynomial.mul):
+        with pytest.raises(DomainError, match="polynomials live over different semiring views"):
+            op(tangible(1, {(1,): 0}), other)

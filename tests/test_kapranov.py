@@ -153,7 +153,9 @@ def test_verifier_refuses_root_lists_that_do_not_factor_f():
     # Each claimed root annihilates f and the valuation multisets agree, yet
     # a repeated root stands in for a missing root of equal valuation.
     f, _ = split_product((1, 0), (2, 0))
-    with pytest.raises(DomainError):
+    # (L - 1)^2 = L^2 - 2L + 1 first differs from f = L^2 - 3L + 2 at degree 0
+    with pytest.raises(DomainError, match=r"not all the roots of L\^2 \+ \(-3\)\*L \+ 2, with "
+                       r"multiplicity: at degree 0, f has 2 but lead\(f\) \* prod\(L - r\) has 1$"):
         kapranov_verify(f, [series(1, 0), series(1, 0)])
     f, roots = split_product((1, -1), (3, -1), (5, 2))
     with pytest.raises(DomainError):

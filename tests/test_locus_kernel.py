@@ -19,7 +19,7 @@ from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL
                      corner_locus, essential_monomials, functionally_equal,
                      layering_map_set, principal_open, univariate_corner_roots,
                      variety_of)
-from laytrop.polynomials import _difference, _scan
+from laytrop.polynomials import _difference, _points, _scan
 
 from oracles import (SATURATING, brute_grid, brute_judge, fm_essential,
                      pointwise_functionally_equal, reference_grid_points)
@@ -457,9 +457,9 @@ def test_a_row_stops_at_the_first_task_that_keeps_nothing():
     f = _tangible(NAT, 2, {(1, 0): 0, (0, 1): 0, (0, 0): 0})
     grid = GridSpec.uniform(-2, 2, Fraction(1, 2), 2)
     nothing, everything = ([f], lambda *args: False), ([f], lambda *args: True)
-    assert _scan([nothing, ([f], refuse)], grid) == ()
-    assert _scan([everything, nothing, ([f], refuse)], grid, cuts=(1, 2, 3)) == [
-        tuple(brute_grid(grid)), (), ()]
+    assert _scan([nothing, ([f], refuse)], grid) == []
+    full, *empty = _scan([everything, nothing, ([f], refuse)], grid, cuts=(1, 2, 3))
+    assert _points(full, grid) == tuple(brute_grid(grid)) and empty == [[], []]
     # The first polynomial has no corner root on the grid: its root is at 0.
     g = _tangible(NAT, 1, {(1,): 0, (0,): 0})
     h = _tangible(NAT, 1, {(2,): 0, (1,): 2, (0,): 4})
