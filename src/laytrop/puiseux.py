@@ -8,16 +8,17 @@ of 0 marks a corner ghost produced by leading-term cancellation.
 
 Series terms and polynomial coefficients share one canonical form: keys
 strictly increasing, no zero values.  Two places merge like keys and sort:
-``_collect`` for sums, series products and validated input (``from_terms``
-and ``from_coeffs`` validate before it), and ``_product`` for every
-polynomial product, which accumulates over scaled integers and builds the
-canonical form once at the end.
+``_collect`` for sums and validated input (``from_terms`` and
+``from_coeffs`` validate before it), and ``_product`` for every product, of
+series (as degree-0 polynomials) or of polynomials, which accumulates over
+scaled integers and builds the canonical form once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Tuple, Union
@@ -45,29 +46,33 @@ def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
     Every exponent is multiplied by ``scale``, the lcm of all exponent
     denominators, and each factor's coefficients by ``q``, the lcm of that
     factor's coefficient denominators.  Products accumulate in one int dict
-    keyed by (degree, scaled exponent); each sum k, v becomes
-    (Fraction(k, scale), Fraction(v, den)) once, at the end, where ``den``
-    is the product of every ``q``.
+    keyed by k * width + d, for scaled exponent k and degree d below
+    ``width``, so ``divmod`` decodes a key even for negative k.  Each sum
+    becomes (Fraction(k, scale), Fraction(v, den)) once, at the end, where
+    ``den`` is the product of every ``q``, building each exponent once.
     """
     factors = [[(d, e, c) for d, series in f for e, c in series.terms] for f in factors]
     scale = lcm(*(e.denominator for f in factors for _, e, _ in f))
-    acc, den = {(0, 0): 1}, 1
+    width = 1 + sum(max((d for d, _, _ in f), default=0) for f in factors)
+    acc, den = {0: 1}, 1
     for f in factors:
         q = lcm(*(c.denominator for _, _, c in f))
         den *= q
-        scaled = [(d, e.numerator * (scale // e.denominator), c.numerator * (q // c.denominator))
-                  for d, e, c in f]
+        scaled = [(e.numerator * (scale // e.denominator) * width + d,
+                   c.numerator * (q // c.denominator)) for d, e, c in f]
         nxt: dict = {}
-        for (d1, k1), v1 in acc.items():
-            for d2, k2, v2 in scaled:
-                key = (d1 + d2, k1 + k2)
+        for k1, v1 in acc.items():
+            for k2, v2 in scaled:
+                key = k1 + k2
                 nxt[key] = nxt.get(key, 0) + v1 * v2
         acc = nxt
     coeffs: dict = {}
-    for (d, k), v in sorted(acc.items()):
+    exponent = cache(lambda k: Fraction(k, scale))
+    for key, v in sorted(acc.items()):
         if v:
-            coeffs.setdefault(d, []).append((Fraction(k, scale), Fraction(v, den)))
-    return tuple((d, PuiseuxSeries(tuple(terms))) for d, terms in coeffs.items())
+            k, d = divmod(key, width)
+            coeffs.setdefault(d, []).append((exponent(k), Fraction(v, den)))
+    return tuple((d, PuiseuxSeries(tuple(terms))) for d, terms in sorted(coeffs.items()))
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,7 @@ class PuiseuxSeries:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return PuiseuxSeries(_collect(((e1 + e2, c1 * c2) for e1, c1 in self.terms
-                                       for e2, c2 in other.terms), 0))
+        return dict(_product((((0, self),), ((0, other),)))).get(0, PuiseuxSeries(()))
 
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if not isinstance(m, int) or m < 0:

@@ -7,6 +7,8 @@ leading coefficient as the sort, which is what detects corner ghosts.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Mapping
 
 from .core import LayeredScalar, LayeredSemiring
@@ -45,14 +47,23 @@ def explode_poly(f: PuiseuxPolynomial) -> Dict[int, ExplodedScalar]:
 
 
 def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -> ExplodedScalar:
-    """Evaluate an exploded polynomial; a sort-0 result marks a corner ghost."""
+    """Evaluate an exploded polynomial; a sort-0 result marks a corner ghost.
+
+    In closed form, as exploded addition keeps the larger value and adds
+    sorts on ties: the value is max_d (v_d + d*x), over one int scale, and
+    the sort is the sum of c_d * s^d over the degrees tied at that max.
+    """
     if not coeffs:
         raise DomainError("an empty exploded polynomial cannot be evaluated")
-    total = None
     for d in sorted(coeffs):
-        term = coeffs[d] * point ** d
-        total = term if total is None else total + term
-    return total
+        if not isinstance(d, int) or d < 0:
+            point ** d  # raises ExplodedScalar.__pow__'s refusal
+    scale = lcm(point.value.denominator, *(c.value.denominator for c in coeffs.values()))
+    step = point.value.numerator * (scale // point.value.denominator)
+    scaled = {d: c.value.numerator * (scale // c.value.denominator) + d * step for d, c in coeffs.items()}
+    top = max(scaled.values())
+    return ExplodedScalar(sum(coeffs[d].sort * point.sort ** d for d, n in scaled.items() if n == top),
+                          Fraction(top, scale))
 
 
 def apply_value_map(obj, fn: Callable, semiring: LayeredSemiring = None):

@@ -9,8 +9,9 @@ evaluates point by point, never touching the hull or the lattice scan.  The Puis
 references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector, the
 integer product kernel or Horner's rule; the initial-form identity checks
-claimed roots on leading coefficients alone.  The layered-polynomial
-references merge like exponents in their own dict loops, and the Newton-polygon reference finds hull vertices
+claimed roots on leading coefficients alone.  The exploded reference folds
+its terms by exploded addition, never taking the closed form.  The
+layered-polynomial references merge like exponents in their own dict loops, and the Newton-polygon reference finds hull vertices
 by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
 touching the closed-form check or the lattice index arithmetic.  The
@@ -290,6 +291,19 @@ def reference_poly_call(f, x):
         for _ in range(d):
             power = reference_series_mul(power, x)
         total = reference_series_add(total, reference_series_mul(c, power))
+    return total
+
+
+def reference_exploded_eval(coeffs, point):
+    """An exploded polynomial at a point, term by term: c_d * point ** d for
+    each degree in ascending order, folded left to right by exploded
+    addition, never taking the closed-form max over scaled values."""
+    if not coeffs:
+        raise DomainError("an empty exploded polynomial cannot be evaluated")
+    total = None
+    for d in sorted(coeffs):
+        term = coeffs[d] * point ** d
+        total = term if total is None else total + term
     return total
 
 

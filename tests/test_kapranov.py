@@ -268,6 +268,28 @@ def test_exploded_residual_detects_all_leads():
     assert not out.is_corner_ghost
 
 
+def test_exploded_check_fails_when_a_corner_sort_moves(monkeypatch):
+    # Degree 0 is a hull vertex, so moving its sort moves the exploded sum
+    # at that corner root off sort 0; the plain checks never read the sorts.
+    from laytrop import ExplodedScalar, kapranov
+    explode_poly = kapranov.explode_poly
+
+    def shifted(f):
+        out = explode_poly(f)
+        out[0] = ExplodedScalar(out[0].sort + 1, out[0].value)
+        return out
+
+    rng = random.Random(31)
+    products = [split_product((1, -1), (2, 0))]
+    products += [random_split_product(rng, rng.randint(1, 6)) for _ in range(20)]
+    honest = [kapranov_verify(f, roots) for f, roots in products]
+    monkeypatch.setattr(kapranov, "explode_poly", shifted)
+    for (f, roots), before in zip(products, honest):
+        after = kapranov_verify(f, roots)
+        assert before.passed and after.exploded_ok is False and after.passed is False
+        assert (after.forward_ok, after.reverse_ok) == (before.forward_ok, before.reverse_ok)
+
+
 def test_random_trial_summary():
     summary = verify_random_products(degree=5, trials=40, seed=123)
     assert summary.passed and summary.trials == 40

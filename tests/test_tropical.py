@@ -10,7 +10,7 @@ from laytrop import (DomainError, ExplodedScalar, LayeredSemiring,
                      explode_poly, explode_scalar, exploded_eval, trop_poly,
                      trop_scalar)
 
-from oracles import random_series
+from oracles import random_series, reference_exploded_eval
 
 SR = LayeredSemiring()
 
@@ -110,6 +110,60 @@ def test_exploded_eval():
     assert out.is_corner_ghost
     with pytest.raises(DomainError):
         exploded_eval({}, ExplodedScalar.one())
+
+
+def _random_exploded(rng, point):
+    """A random degree -> exploded scalar map whose top terms at ``point`` often
+    tie, half of those ties with sorts that cancel.  Values and sorts are ints
+    or fractions of mixed denominators."""
+    number = lambda: rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 6))])
+    degrees = rng.sample(range(9), rng.randint(1, 6))
+    coeffs = {d: ExplodedScalar(number() or 1, number()) for d in degrees}
+    if len(degrees) >= 2 and rng.random() < 0.6:
+        # Lift the first two degrees to one value above every other term.
+        (d1, d2), x = degrees[:2], point.value
+        top = max(c.value + d * x for d, c in coeffs.items()) + rng.randint(0, 2)
+        sort = coeffs[d1].sort
+        if point.sort != 0 and rng.random() < 0.5:
+            other = -sort * point.sort ** d1 / point.sort ** d2
+        else:
+            other = coeffs[d2].sort
+        coeffs[d1] = ExplodedScalar(sort, top - d1 * x)
+        coeffs[d2] = ExplodedScalar(other, top - d2 * x)
+    return coeffs
+
+
+def test_exploded_eval_matches_the_term_by_term_reference():
+    rng = random.Random(17)
+    cancelled = ties = 0
+    for i in range(400):
+        sort = 0 if i % 10 == 0 else rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 3)])
+        point = ExplodedScalar(sort, rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 5))]))
+        coeffs = _random_exploded(rng, point)
+        if i % 10 == 0:
+            coeffs.setdefault(0, ExplodedScalar(rng.randint(1, 5), rng.randint(-3, 3)))
+        out = exploded_eval(coeffs, point)
+        assert out == reference_exploded_eval(coeffs, point), (coeffs, point)
+        cancelled += out.is_corner_ghost and point.sort != 0
+        ties += sum(c.value + d * point.value == out.value for d, c in coeffs.items()) >= 2
+    assert cancelled >= 30 and ties >= 100
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},
+    {-1: ExplodedScalar.one()},
+    {0: ExplodedScalar.one(), 2: ExplodedScalar.of(3, 1), -2: ExplodedScalar.of(1, 0)},
+    {Fraction(1, 2): ExplodedScalar.one(), 1: ExplodedScalar.of(2, 1)},
+    {1.5: ExplodedScalar.one(), -3: ExplodedScalar.one(), 0: ExplodedScalar.one()},
+    {Fraction(-1, 2): ExplodedScalar.one(), -1: ExplodedScalar.one()},
+])
+def test_exploded_eval_refuses_like_the_reference(coeffs):
+    point = ExplodedScalar.of(2, Fraction(1, 3))
+    with pytest.raises(DomainError) as expected:
+        reference_exploded_eval(coeffs, point)
+    with pytest.raises(DomainError) as got:
+        exploded_eval(coeffs, point)
+    assert str(got.value) == str(expected.value)
 
 
 def test_value_maps_apply_componentwise():
