@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -55,14 +57,19 @@ def _parse_grid(spec: str, nvars: int, layer) -> poly.GridSpec:
     return poly.GridSpec(tuple(axes), (layer,) * nvars)
 
 
-def _emit(records, fmt: str, header, row) -> None:
-    """Print the records as JSON, or as CSV: ``header``, then ``row(record)`` each."""
+def _emit(records, fmt: str, header) -> None:
+    """Stream records given in the format's form: CSV rows under ``header``, or
+    JSON texts as one JSON list, written 4096 records at a time."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(map(row, records))
+        writer.writerows(records)
     else:
-        print(json.dumps(records))
+        records = iter(records)
+        sys.stdout.write("[" + ", ".join(itertools.islice(records, 4096)))
+        for chunk in iter(lambda: ", ".join(itertools.islice(records, 4096)), ""):
+            sys.stdout.write(", " + chunk)
+        sys.stdout.write("]\n")
 
 
 def _parse_set(texts, sr, laurent=False):
@@ -74,11 +81,26 @@ def _parse_set(texts, sr, laurent=False):
             for f, t in zip(polynomials, texts)], nvars
 
 
-def _locus_records(located):
-    """JSON records of (point, layering) pairs."""
-    return [{"point": [str(c.value) for c in a],
-             "layers": [format_layer(c.layer) for c in a],
-             "layering": format_layer(layer)} for a, layer in located]
+def _locus_records(ranges, grid: poly.GridSpec, fmt: str):
+    """The points of kept ranges as JSON texts or CSV rows.  Per point only the
+    last coordinate's text is made, as ``str(Fraction(n, d))`` without the Fraction."""
+    lower, _, step = grid.axes[-1]
+    d = math.lcm(lower.denominator, step.denominator)
+    a, b = int(lower * d), int(step * d)
+    sep = '", "' if fmt == "json" else " "
+    layers, row = sep.join(map(format_layer, grid.layers)), None
+    for prefix, lo, hi, layer in ranges:
+        if prefix != row:
+            row, head = prefix, "".join(str(x0 + k * dx) + sep
+                                        for (x0, _, dx), k in zip(grid.axes, prefix))
+        layering = format_layer(layer)
+        texts = (str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
+                 for n in range(a + lo * b, a + hi * b, b))
+        if fmt == "json":
+            yield from (f'{{"point": ["{head}{x}"], "layers": ["{layers}"], '
+                        f'"layering": "{layering}"}}' for x in texts)
+        else:
+            yield from ((head + x, layers, layering) for x in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +138,17 @@ def _cmd_explode(args) -> int:
 def _cmd_roots(args) -> int:
     sr = semiring(args.L)
     f = parse_polynomial(args.expr, sr)
-    records = [{"root": str(x), "mult": m} for x, m in poly.univariate_corner_roots(f)]
-    _emit(records, args.format, ("root", "mult"), lambda r: (r["root"], r["mult"]))
+    rows = [(str(x), m) for x, m in poly.univariate_corner_roots(f)]
+    _emit(rows if args.format == "csv" else [json.dumps({"root": x, "mult": m}) for x, m in rows],
+          args.format, ("root", "mult"))
     return 0
 
 
 def _cmd_locus(args) -> int:
     polynomials, nvars = _parse_set(args.exprs, semiring(args.L), args.laurent)
     grid = _parse_grid(args.grid, nvars, _parse_layer_flag(args.grid_layer))
-    locus_fn = poly.combined_locus if args.combined else poly.corner_locus
-    records = _locus_records(locus_fn(polynomials, grid, layering=True))
-    _emit(records, args.format, ("point", "layers", "layering"),
-          lambda r: (" ".join(r["point"]), " ".join(r["layers"]), r["layering"]))
+    ranges = poly._locus_ranges(polynomials, grid, args.combined)
+    _emit(_locus_records(ranges, grid, args.format), args.format, ("point", "layers", "layering"))
     return 0
 
 

@@ -440,20 +440,25 @@ def _agree(split: int, sorts, layers: Sequence[Layer], tied: Sequence[int]) -> b
             and _layer_sum(sorts, layers, tied[:k]) == _layer_sum(sorts, layers, tied[k:]))
 
 
+def _locus_ranges(polynomials: Sequence[LayeredPolynomial], grid: GridSpec,
+                  combined: bool) -> List[Tuple]:
+    """``_scan`` of the corner locus, or with ``combined`` of the combined locus."""
+    judge = (lambda *args: any(_verdict(*args))) if combined else (lambda *args: _verdict(*args)[0])
+    return _scan([([f], judge) for f in polynomials], grid)
+
+
 def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
                  layering: bool = False) -> Tuple:
     """Grid points that are corner roots of every polynomial in the set; with
     ``layering``, (point, ``layering_map_set`` at the point) pairs."""
-    tasks = [([f], lambda *args: _verdict(*args)[0]) for f in polynomials]
-    return _points(_scan(tasks, grid), grid, layering)
+    return _points(_locus_ranges(polynomials, grid, False), grid, layering)
 
 
 def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
                    layering: bool = False) -> Tuple:
     """Grid points that are corner or cluster roots of every polynomial in the
     set; with ``layering``, (point, ``layering_map_set`` at the point) pairs."""
-    tasks = [([f], lambda *args: any(_verdict(*args))) for f in polynomials]
-    return _points(_scan(tasks, grid), grid, layering)
+    return _points(_locus_ranges(polynomials, grid, True), grid, layering)
 
 
 def layering_map_set(polynomials: Sequence[LayeredPolynomial], point: Point) -> Layer:

@@ -16,19 +16,25 @@ by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
 touching the closed-form check or the lattice index arithmetic.  The
 round-trip reference scans each of its three varieties on its own through
-``variety_of``, never sharing one walk between them.
+``variety_of``, never sharing one walk between them.  The locus-output
+reference renders the points of the public loci as dicts through ``json``
+or ``csv``, never touching the CLI's integer coordinate texts or its streaming.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 from laytrop import (INF, DomainError, LayeredPolynomial, LayeredScalar,
-                     LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries)
+                     LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries,
+                     combined_locus, corner_locus)
 from laytrop.congruence import (FinitePointSet, ZariskiReport, _probe_family, congruent_on,
                                 variety_of)
-from laytrop.core import SortFlavor
+from laytrop.core import SortFlavor, format_layer
 
 
 def brute_corner_roots(monomials):
@@ -475,3 +481,23 @@ def reference_roundtrip(pairs, grid, seed=0):
             union_law = False
     return ZariskiReport(len(variety), len(probes), False, stable, antitone_generators,
                          antitone_points, union_law)
+
+
+def reference_locus_output(polynomials, grid, combined, fmt):
+    """What ``laytrop locus`` prints for a parsed set and grid: one dict per
+    (point, layering) pair of ``corner_locus`` or ``combined_locus``, each
+    coordinate as ``str`` of its ``Fraction``, the list printed at once by
+    ``json.dumps``, or written by ``csv`` under its header."""
+    locus = combined_locus if combined else corner_locus
+    records = [{"point": [str(c.value) for c in a],
+                "layers": [format_layer(c.layer) for c in a],
+                "layering": format_layer(layer)}
+               for a, layer in locus(polynomials, grid, layering=True)]
+    if fmt == "json":
+        return json.dumps(records) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(("point", "layers", "layering"))
+    writer.writerows((" ".join(r["point"]), " ".join(r["layers"]), r["layering"])
+                     for r in records)
+    return out.getvalue()

@@ -1,5 +1,6 @@
 """Congruences over finite point sets, varieties, and the Zariski round trip."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -187,7 +188,7 @@ def test_roundtrip_samples_ranks_of_the_listed_grid(monkeypatch):
     congruence._probe_family(gens, rng)
     expected = tuple(rng.sample(grid.points(NAT), 6))
     judged = []
-    monkeypatch.setattr(congruence, "congruent_on", lambda f, g, x: judged.append(x.points))
+    monkeypatch.setattr(congruence, "_congruent", lambda f, g, x: judged.append(x.points))
     zariski_roundtrip(gens, grid, seed=5)
     assert judged[1] == expected  # small, then small and rest together
 
@@ -291,7 +292,7 @@ def test_union_law_judges_the_rest_of_the_sample(monkeypatch):
     grid = GridSpec.uniform(-2, 2, 1, 2)
     assert zariski_roundtrip(gens, grid, seed=4).passed
     # a judge that reads only a set's first point breaks I(X ∪ Y) = I(X) ∧ I(Y)
-    monkeypatch.setattr(congruence, "congruent_on",
+    monkeypatch.setattr(congruence, "_congruent",
                         lambda f, g, x: f.evaluate(x.points[0]) == g.evaluate(x.points[0]))
     assert not zariski_roundtrip(gens, grid, seed=4).union_law
 
@@ -447,6 +448,31 @@ def test_one_pass_congruence_matches_per_point_evaluation():
     refusals = " ".join(v for v in verdicts if isinstance(v, str))
     for kind in ("is not in the", "has arity", "is not an integer", "is not invertible"):
         assert kind in refusals
+
+
+def test_round_trip_comparison_matches_the_checked_congruence():
+    # The round trip judges its rank-decoded sample unchecked: on every point
+    # set it can draw, that must agree with the public, checking congruent_on
+    # and with evaluation point by point (congruent_on shares the comparison).
+    rng = random.Random(1919)
+    compared = set()
+    for i in range(120):
+        pairs, grid = _roundtrip_case(rng)
+        try:
+            zariski_roundtrip(pairs, grid, seed=i)
+        except DomainError:
+            continue
+        total = math.prod(grid.counts)
+        sample = [grid.point(rank) for rank in rng.sample(range(total), min(6, total))]
+        # every prefix and suffix, so a verdict can turn on any one point
+        sets = [FinitePointSet.of(part) for cut in range(len(sample))
+                for part in (sample[:cut + 1], sample[cut:])]
+        for f, g in congruence._probe_family(pairs, random.Random(i)):
+            for x in sets:
+                verdict = _per_point_congruent_on(f, g, x)
+                assert congruence._congruent(f, g, x) == congruent_on(f, g, x) == verdict, (f, g, x)
+                compared.add(verdict)
+    assert compared == {True, False}
 
 
 def test_unchecked_add_and_mul_match_the_checked_references():

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredSemiring, ParseError,
                      PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
                      parse_puiseux_polynomial, parse_scalar)
-from laytrop import cli, kapranov
+from laytrop import cli, kapranov, semiring
 from laytrop.cli import main
 
-from oracles import random_poly, random_series, reference_poly_add, reference_series
+from oracles import (random_poly, random_series, reference_locus_output, reference_poly_add,
+                     reference_series)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 
@@ -293,6 +294,87 @@ def test_cli_combined_locus(capsys):
                            "--grid-layer", "2", "--combined")
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+def _random_locus_invocation(rng):
+    """(argv, expected stdout or None for a refusal, facts): a ``locus`` call
+    on 1-3 polynomials over 1-3 variables, on a grid whose bounds and steps
+    have unrelated denominators, with the expected output rendered by
+    ``reference_locus_output`` from the same parsed input."""
+    flavor = rng.choice(["trivial", "super", "nat"])
+    layers = {"trivial": ["1"], "super": ["1", "inf"], "nat": ["1", "1", "2", "inf"]}[flavor]
+    arity, laurent = rng.randint(1, 3), rng.random() < 0.2
+
+    def monomial():
+        value = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+        factors = [f"x{i + 1}^{e}" for i in range(arity)
+                   if (e := rng.randint(-1 if laurent else 0, 2))]
+        return "*".join([f"({rng.choice(layers)}|{value})", *factors])
+
+    exprs = [" + ".join(monomial() for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.choice([1, 1, 2, 3]))]
+    grid_layer = rng.choice(["1", "1", "2", "inf"])
+    combined, fmt = rng.random() < 0.4, rng.choice(["json", "csv"])
+    polynomials, nvars = cli._parse_set(exprs, semiring(flavor), laurent)
+    axes = []
+    for _ in range(1 if rng.random() < 0.3 else nvars):
+        lower = Fraction(rng.randint(-9, 4), rng.choice([1, 2, 3, 4, 7]))
+        step = Fraction(rng.randint(1, 3), rng.choice([1, 2, 5, 6]))
+        count = rng.randint(0, (40, 10, 5)[nvars - 1])
+        upper = lower + step * (count + rng.choice([0, 0, Fraction(1, 2)]))
+        axes.append(f"{lower}:{upper}:{step}")
+    argv = ["locus", *exprs, f"--grid={','.join(axes)}", "--grid-layer", grid_layer,
+            "--L", flavor, "--format", fmt] + ["--combined"] * combined + ["--laurent"] * laurent
+    grid = cli._parse_grid(",".join(axes), nvars, cli._parse_layer_flag(grid_layer))
+    try:
+        expected = reference_locus_output(polynomials, grid, combined, fmt)
+    except DomainError:
+        expected = None
+    return argv, expected, (flavor, nvars, grid_layer, combined, len(exprs) > 1, fmt)
+
+
+def test_locus_output_matches_the_reference_rendering(capsys):
+    rng = random.Random(1818)
+    seen, kept, refused = set(), [], 0
+    for _ in range(300):
+        argv, expected, facts = _random_locus_invocation(rng)
+        code, out, err = run_cli(capsys, *argv)
+        if expected is None:
+            refused += 1
+            assert (code, out) == (1, "") and err.startswith("error: "), argv
+            continue
+        assert (code, out) == (0, expected), argv
+        seen.add(facts)
+        kept.append(len(out.splitlines()) - 1 if facts[-1] == "csv" else len(json.loads(out)))
+    for i, values in enumerate([{"trivial", "super", "nat"}, {1, 2, 3}, {"1", "2", "inf"},
+                                {True, False}, {True, False}, {"json", "csv"}]):
+        assert {fact[i] for fact in seen} == values
+    assert kept.count(0) >= 20 and sum(k > 5 for k in kept) >= 50 and refused >= 10
+
+
+def test_cli_locus_streams_a_long_row(capsys):
+    # 10**4 + 1 kept points: more than two of the JSON writer's 4096-record chunks.
+    f, = cli._parse_set(["(inf|0)*x1"], semiring("nat"))[0]
+    grid = cli._parse_grid("-5:5:1/1000", 1, 1)
+    for fmt in ("csv", "json"):
+        expected = reference_locus_output([f], grid, False, fmt)
+        code, out, _ = run_cli(capsys, "locus", "(inf|0)*x1", "--grid=-5:5:1/1000", "--format", fmt)
+        assert (code, out) == (0, expected)
+    assert len(json.loads(expected)) == 10 ** 4 + 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid=0:1:0"], "grid step 0 must be positive"),
+    (["--grid=1:0:1"], "grid bounds 1 > 0"),
+    (["--grid=0:1:1", "--grid-layer", "0"], "layer 0 is not a positive integer or inf"),
+    (["--grid=0:1:1", "--grid-layer", "-2"], "layer -2 is not a positive integer or inf"),
+    (["--grid=0:1:1", "--L", "trivial", "--grid-layer", "2"],
+     "layer 2 is not in the trivial flavor {1}"),
+])
+def test_cli_locus_refusals_print_nothing(capsys, argv, message):
+    for fmt in ("json", "csv"):
+        assert run_cli(capsys, "locus", "x1 + 0", *argv, "--format", fmt) == (
+            1, "", f"error: {message}\n")
 
 
 def test_cli_essential(capsys):
