@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import LayeredSemiring
 from .errors import DomainError
 from .polynomials import _upper_hull, univariate_corner_roots
-from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
+from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _decode, _matches, _root_sums
 from .tropical import explode_poly, exploded_eval, trop_poly
 
 
@@ -138,8 +138,9 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     if any(r.is_zero for r in known_roots):
         raise DomainError(f"the claimed roots [{', '.join(map(str, known_roots))}] of {f} "
                           "include 0, which has no valuation")
-    product = PuiseuxPolynomial.from_roots(known_roots, f.coeffs[-1][1])
-    if f != product:
+    sums = _root_sums(known_roots, f.coeffs[-1][1])
+    if not _matches(f, *sums):
+        product = PuiseuxPolynomial(_decode(*sums))
         d = min(d for d in {*f.support(), *product.support()}
                 if f.coefficient(d) != product.coefficient(d))
         raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity: at "

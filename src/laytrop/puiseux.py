@@ -10,8 +10,8 @@ Series terms and polynomial coefficients share one canonical form: keys
 strictly increasing, no zero values.  Two places merge like keys and sort:
 ``_collect`` for sums and validated input (``from_terms`` and
 ``from_coeffs`` validate before it), and ``_product`` for every product, of
-series (as degree-0 polynomials) or of polynomials, which accumulates over
-scaled integers and builds the canonical form once at the end.
+series (as degree-0 polynomials) or of polynomials: one accumulator of int
+sums, which ``_decode`` makes canonical and ``_matches`` compares as ints.
 """
 
 from __future__ import annotations
@@ -39,18 +39,16 @@ def _collect(pairs: Iterable[tuple], zero) -> tuple:
     return tuple(sorted(((k, v) for k, v in acc.items() if v != zero), key=itemgetter(0)))
 
 
-def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
-    """The canonical coefficients of the product of polynomials, each given as
-    (degree, series) pairs, computed over ints.
+def _accumulate(factors: Iterable[Iterable[tuple]]) -> tuple:
+    """The product of polynomials, each given as (degree, series) pairs, as int
+    sums ``(acc, scale, width, den)``.
 
     Every exponent is multiplied by ``scale``, the lcm of all exponent
     denominators, and each factor's coefficients by ``q``, the lcm of that
     factor's coefficient denominators.  Products accumulate in one int dict
-    keyed by k * width + d, for scaled exponent k and degree d below
-    ``width``, so ``divmod`` decodes a key even for negative k.  Each sum
-    becomes (Fraction(k, scale), Fraction(v, den)) once, at the end, where
-    ``den`` is the product of every ``q``, building each exponent once.
-    """
+    ``acc`` keyed by k * width + d, for scaled exponent k and degree d below
+    ``width``, so ``divmod`` decodes a key even for negative k; each sum is
+    a coefficient times ``den``, the product of every ``q``."""
     factors = [[(d, e, c) for d, series in f for e, c in series.terms] for f in factors]
     scale = lcm(*(e.denominator for f in factors for _, e, _ in f))
     width = 1 + sum(max((d for d, _, _ in f), default=0) for f in factors)
@@ -66,6 +64,11 @@ def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
                 key = k1 + k2
                 nxt[key] = nxt.get(key, 0) + v1 * v2
         acc = nxt
+    return acc, scale, width, den
+
+
+def _decode(acc: dict, scale: int, width: int, den: int) -> tuple:
+    """The canonical coefficients of int sums, each distinct exponent built once."""
     coeffs: dict = {}
     exponent = cache(lambda k: Fraction(k, scale))
     for key, v in sorted(acc.items()):
@@ -73,6 +76,23 @@ def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
             k, d = divmod(key, width)
             coeffs.setdefault(d, []).append((exponent(k), Fraction(v, den)))
     return tuple((d, PuiseuxSeries(tuple(terms))) for d, terms in sorted(coeffs.items()))
+
+
+def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
+    """One accumulator of int sums, two consumers: ``_decode`` here, ``_matches`` as ints."""
+    return _decode(*_accumulate(factors))
+
+
+def _matches(f: "PuiseuxPolynomial", acc: dict, scale: int, width: int, den: int) -> bool:
+    """Whether f has the int sums as ints: each term takes its own sum, none is left over."""
+    left = dict(acc)
+    for d, series in f.coeffs:
+        for e, c in series.terms:
+            ed, cd = e.denominator, c.denominator
+            if d >= width or scale % ed or den % cd or (
+                    left.pop(e.numerator * (scale // ed) * width + d, 0) != c.numerator * (den // cd)):
+                return False
+    return not any(left.values())
 
 
 @dataclass(frozen=True)
@@ -147,12 +167,6 @@ class PuiseuxSeries:
             raise DomainError(f"series exponent {m!r} must be a non-negative integer")
         return power(self, m, mul, PuiseuxSeries.one())
 
-    def scale(self, coefficient) -> "PuiseuxSeries":
-        c = Fraction(coefficient)
-        if c == 0:
-            return PuiseuxSeries(())
-        return PuiseuxSeries(tuple((e, c * k) for e, k in self.terms))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -210,8 +224,7 @@ class PuiseuxPolynomial:
     def from_roots(cls, roots: Iterable[PuiseuxSeries],
                    lead: PuiseuxSeries = PuiseuxSeries.one()) -> "PuiseuxPolynomial":
         """lead * prod(variable - r) over the given roots; monic by default."""
-        one = PuiseuxSeries.one()
-        return cls(_product([((0, lead),), *(((1, one), (0, -r)) for r in roots)]))
+        return cls(_decode(*_root_sums(roots, lead)))
 
     @property
     def is_zero(self) -> bool:
@@ -264,6 +277,12 @@ class PuiseuxPolynomial:
             for e, c in series.terms:
                 pieces.append(_format_poly_term(c, e, d))
         return " + ".join(pieces)
+
+
+def _root_sums(roots: Iterable[PuiseuxSeries], lead: PuiseuxSeries) -> tuple:
+    """The int sums of lead * prod(variable - r), lead taken as the first factor."""
+    one = PuiseuxSeries.one()
+    return _accumulate([((0, lead),), *(((1, one), (0, -r)) for r in roots)])
 
 
 def _format_poly_term(coefficient: Fraction, exponent: Fraction, degree: int) -> str:

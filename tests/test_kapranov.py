@@ -165,6 +165,36 @@ def test_verifier_refuses_root_lists_that_do_not_factor_f():
     assert kapranov_verify(f, roots).passed
 
 
+def test_refusal_prints_0_for_a_degree_absent_from_f():
+    # Every term of f = L^2 + 2 is a term of L^2 - 3L + 2; they first differ
+    # at degree 1, where f has no coefficient.
+    f = PuiseuxPolynomial.from_coeffs({2: series(1, 0), 0: series(2, 0)})
+    with pytest.raises(DomainError, match=r"not all the roots of L\^2 \+ 2, with multiplicity: at "
+                       r"degree 1, f has 0 but lead\(f\) \* prod\(L - r\) has \(-3\)$"):
+        kapranov_verify(f, [series(1, 0), series(2, 0)])
+
+
+def test_refusal_text_names_the_lowest_differing_degree():
+    # The refusal is decoded from the identity's int sums; the expected text
+    # is built from the reference product instead.
+    rng = random.Random(79)
+    for _ in range(100):
+        roots = [_random_root(rng) for _ in range(rng.randint(1, 4))]
+        f = PuiseuxPolynomial.from_roots(roots)
+        # A term below the top degree, absent from f or cancelling part of it.
+        term = series(rng.choice((-1, 1)), Fraction(rng.randint(-2, 4), 2))
+        g = f + PuiseuxPolynomial.from_coeffs({rng.randrange(f.degree()): term})
+        product = reference_from_roots(roots, g.coeffs[-1][1])
+        low = min(d for d in {*g.support(), *product.support()}
+                  if g.coefficient(d) != product.coefficient(d))
+        expected = (f"the claimed roots are not all the roots of {g}, with multiplicity: at degree "
+                    f"{low}, f has {g.coefficient(low)} but lead(f) * prod(L - r) has "
+                    f"{product.coefficient(low)}")
+        with pytest.raises(DomainError) as refusal:
+            kapranov_verify(g, roots)
+        assert str(refusal.value) == expected
+
+
 def test_verifier_refuses_a_zero_root_by_name():
     # f = L^2 - L factors as L * (L - 1): the identity holds, but the root 0
     # has no valuation, so the claim is refused naming both.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from laytrop import DomainError, ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
+from laytrop.puiseux import _matches, _root_sums
 
 from oracles import (random_series, reference_from_roots, reference_poly_add,
                      reference_poly_call, reference_poly_mul, reference_series,
@@ -275,6 +276,89 @@ def test_from_roots_matches_repeated_reference_products():
         assert_canonical_polynomial(f)
         assert f.is_zero or f.degree() == len(roots)
     assert min(seen.values()) >= 20, seen
+
+
+def polynomial_of(terms):
+    """The canonical polynomial of (degree, exponent, coefficient) triples."""
+    by_degree = {}
+    for d, e, c in terms:
+        by_degree.setdefault(d, []).append((e, c))
+    return PuiseuxPolynomial.from_coeffs({d: PuiseuxSeries.from_terms(ts) for d, ts in by_degree.items()})
+
+
+def near_misses(rng, f, width):
+    """(kind, g) pairs where g differs from the nonzero f in one place."""
+    terms = [(d, e, c) for d, series in f.coeffs for e, c in series.terms]
+    i = rng.randrange(len(terms))
+    d, e, c = terms[i]
+    others = terms[:i] + terms[i + 1:]
+    return [
+        ("coefficient", polynomial_of([*others, (d, e, c * rng.choice((2, -1, Fraction(1, 3))))])),
+        # The caller checks that 11 does not divide scale, nor 101 den.
+        ("exponent off scale", polynomial_of([*others, (d, e + Fraction(1, 11), c)])),
+        ("coefficient off den", polynomial_of([*others, (d, e, c + Fraction(1, 101))])),
+        ("degree at width", polynomial_of([*terms, (width, e, c)])),
+        ("dropped term", polynomial_of(others)),
+        ("extra term", polynomial_of([*terms, (rng.randrange(width), Fraction(rng.randint(-6, 6), 2),
+                                               Fraction(rng.choice((-3, 3)), 5))])),
+    ]
+
+
+def test_int_identity_agrees_with_fraction_equality():
+    # The kapranov_verify identity compares f with the int sums of
+    # lead * prod(L - r); == on the reference product is the oracle.
+    rng = random.Random(19)
+    refused = {}
+    for _ in range(120):
+        roots = [kernel_series(rng, LARGE) for _ in range(rng.randint(0, 5))]
+        if roots and rng.random() < 0.3:
+            r = rng.choice(roots)
+            roots += [-r]  # cancels the middle coefficient of (L - r)(L + r)
+        lead = rng.choice([PuiseuxSeries.one(), kernel_series(rng, LARGE, 1),
+                           kernel_series(rng, LARGE)])
+        if lead.is_zero:
+            continue
+        f = reference_from_roots(roots, lead)
+        sums = _root_sums(roots, lead)
+        _, scale, width, den = sums
+        assert _matches(f, *sums), (roots, lead)
+        assert scale % 11 and den % 101
+        for kind, g in near_misses(rng, f, width):
+            assert g != f and not _matches(g, *sums), (kind, g, roots, lead)
+            refused[kind] = refused.get(kind, 0) + 1
+    assert min(refused.values()) >= 50, refused
+
+
+def test_int_identity_refuses_each_near_miss():
+    # Each refused f here fools the comparison with one of its checks left out.
+    one, two, t = (PuiseuxSeries.constant(1), PuiseuxSeries.constant(2),
+                   PuiseuxSeries.term(1, 1))
+    cases = [
+        # Every term of L^2 + 2 matches L^2 - 3L + 2; only the count of
+        # nonzero sums refuses it.
+        ([(2, 0, 1), (0, 0, 2)], [one, two], one, False),
+        # t^(1/2) has a denominator not dividing scale 1: scaled by floor
+        # division it would take the key of t^0.
+        ([(2, 0, 1), (1, 0, -3), (0, Fraction(1, 2), 2)], [one, two], one, False),
+        # 1/2 has a denominator not dividing den 1: scaled by floor division
+        # it would match the cancelled middle sum of (L - 1)(L + 1).
+        ([(2, 0, 1), (1, 0, Fraction(1, 2)), (0, 0, -1)], [one, -one], one, False),
+        # Degree 1 is width 1 here: k * width + d would alias t * L^0.
+        ([(1, 0, 1), (0, 0, 1)], [], one + t, False),
+        # The cancelled middle sum of (L - 2t)(L + 2t) is no coefficient.
+        ([(2, 0, 1), (1, 1, 1), (0, 2, -4)], [two * t, -(two * t)], one, False),
+        ([(2, 0, 1), (0, 2, -4)], [two * t, -(two * t)], one, True),
+        # A non-unit lead scales every coefficient.
+        ([(1, -2, 3), (0, -2, -3)], [one], PuiseuxSeries.term(3, -1), False),
+        ([(1, -1, 3), (0, -1, -3)], [one], PuiseuxSeries.term(3, -1), True),
+        # An empty root list leaves the lead alone.
+        ([(0, 0, 1)], [], two, False),
+        ([(0, 0, 2)], [], two, True),
+    ]
+    for terms, roots, lead, equal in cases:
+        f = polynomial_of(terms)
+        assert (f == reference_from_roots(roots, lead)) == equal, terms
+        assert _matches(f, *_root_sums(roots, lead)) == equal, terms
 
 
 def test_products_with_unrelated_denominators_match_reference():
