@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import LayeredSemiring
+from .core import LayeredScalar, LayeredSemiring
 from .errors import DomainError
 from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _common, _merged, _points, _scan
 
@@ -120,10 +121,15 @@ class CoordinateFunction:
 
 
 def quotient_map(f: LayeredPolynomial, x: FinitePointSet) -> CoordinateFunction:
-    """The semiring homomorphism sending a polynomial to its evaluation vector."""
+    """The semiring homomorphism sending a polynomial to its evaluation vector.
+    Every point is checked before any is evaluated, as in ``congruent_on``."""
     if not len(x):
         raise DomainError("coordinate functions need a non-empty point set")
-    return CoordinateFunction(tuple(f.evaluate(a) for a in x), f)
+    points = [f._check_point(a) for a in x]
+    scale = math.lcm(*(c.value.denominator for c in f.coeffs.values()),
+                     *(c.value.denominator for a in points for c in a))
+    return CoordinateFunction(tuple(LayeredScalar(layer, Fraction(value, scale))
+                                    for _, value, layer in (f._scaled(a, scale) for a in points)), f)
 
 
 def coordinate_semiring(x: FinitePointSet,

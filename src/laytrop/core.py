@@ -42,7 +42,8 @@ def power(x, m: int, mul, one):
 
 
 class SortFlavor:
-    """Arithmetic of one layer semiring.  Layers are totally ordered numerically."""
+    """Arithmetic of one layer semiring.  Layers are totally ordered numerically:
+    ints and inf, never bools or other numbers such as 1.0."""
 
     name = "?"
 
@@ -80,7 +81,7 @@ class TrivialSorts(SortFlavor):
     name = "trivial"
 
     def check(self, k):
-        if k != 1:
+        if k != 1 or type(k) is not int:
             raise DomainError(f"layer {format_layer(k)} is not in the trivial flavor {{1}}")
         return 1
 
@@ -100,7 +101,7 @@ class SupertropicalSorts(SortFlavor):
     name = "super"
 
     def check(self, k):
-        if k != 1 and k != INF:
+        if not (k == INF or (k == 1 and type(k) is int)):
             raise DomainError(f"layer {format_layer(k)} is not in the supertropical flavor {{1, inf}}")
         return k
 
@@ -125,7 +126,7 @@ class CountingSorts(SortFlavor):
     name = "nat"
 
     def check(self, k):
-        if k == INF or (isinstance(k, int) and k >= 1):
+        if k == INF or (type(k) is int and k >= 1):
             return k
         raise DomainError(f"layer {k!r} is not a positive integer or inf")
 

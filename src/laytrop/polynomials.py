@@ -6,7 +6,8 @@ ties.  Corner roots are points where the evaluated scalar is ghost over
 every monomial's sort; cluster roots are points where a single dominant
 monomial already evaluates to a ghost.  Exact univariate corner roots come
 from the breakpoints of the upper envelope of the coefficient data; essential
-monomials come from one exact rational LP per monomial, in every dimension.
+monomials are certified at witness points or decided by one exact rational LP
+over the monomials not yet found dominated, in every dimension.
 These exact solvers read coefficients through one lift, ``_lift``.
 Grid scans walk each row from breakpoint to breakpoint of the same kind of
 envelope, so a row of m monomials costs O(m * events), not O(m * points).
@@ -532,21 +533,33 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
 
     By Farkas' lemma, monomial e with value c_e wins strictly at some real
     point iff no convex combination of the other monomials o, with
-    sum(l_o * o) = e, reaches sum(l_o * c_o) >= c_e.  One exact LP per
-    monomial decides this in every dimension.  A descending view runs it on
-    negated values.
+    sum(l_o * o) = e, reaches sum(l_o * c_o) >= c_e: iff the lifted (e, c_e)
+    is a vertex of the upper hull.  Certify: at the origin and at far * (k*q -
+    the k exponents' sum) per monomial q, far > 2 max|c|, the monomials tied at
+    the top lift to a hull face, whose lexicographically first and last points
+    are vertices.  Prune: an LP that finds a monomial dominated drops it from
+    later LPs' columns, as the hull is that of its vertices.  One exact LP
+    then decides each uncertified monomial.  A descending view negates values.
     """
     _, _, lifted = _lift(f.coeffs.items(), f.semiring)
+    k, far = len(lifted), 1 + 2 * max(abs(p[-1]) for p in lifted)
+    total = [sum(column) for column in zip(*lifted)][:-1]
+    certified = set()
+    for x in [[0] * f.nvars] + [[far * (k * a - t) for a, t in zip(q, total)] for q in lifted]:
+        values = [p[-1] + sum(map(operator.mul, p, x)) for p in lifted]
+        top = max(values)
+        certified.update((values.index(top), k - 1 - values[::-1].index(top)))
     # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_o - c_e) - slack = 0.
     slack = [0] * f.nvars + [0, -1]
     rhs = [0] * f.nvars + [1, 0]
-    kept = []
-    for e, p in zip(f.coeffs, lifted):
-        columns = [[a - b for a, b in zip(q[:-1], p)] + [1, q[-1] - p[-1]]
-                   for q in lifted if q is not p]
-        if _feasible(columns + [slack], rhs) is None:
-            kept.append(e)
-    return tuple(kept)
+    pool = dict.fromkeys(lifted)
+    for i, p in enumerate(lifted):
+        if i not in certified:
+            columns = [[a - b for a, b in zip(q[:-1], p)] + [1, q[-1] - p[-1]]
+                       for q in pool if q is not p]
+            if _feasible(columns + [slack], rhs) is not None:
+                del pool[p]
+    return tuple(e for e, p in zip(f.coeffs, lifted) if p in pool)
 
 
 def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[List[Fraction]]:

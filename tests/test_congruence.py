@@ -450,6 +450,47 @@ def test_one_pass_congruence_matches_per_point_evaluation():
         assert kind in refusals
 
 
+def _per_point_quotient_map(f, x):
+    """The evaluation vector by ``f.evaluate`` point by point, with every point
+    checked first, as in ``_per_point_congruent_on``."""
+    unit = LayeredPolynomial.constant(f.semiring, f.nvars, f.semiring.one())
+    for a in x:
+        unit.evaluate(a)
+    return tuple(f.evaluate(a) for a in x)
+
+
+def test_one_scale_quotient_map_matches_per_point_evaluation():
+    rng = random.Random(2020)
+    seen, refusals, reordered = set(), [], 0
+    for _ in range(400):
+        sr, laurent, nvars, value, poly = _random_view(rng)
+        f = poly(rng.randint(1, 4))
+        arity = nvars + (rng.random() < 0.05)
+        x = FinitePointSet.of(
+            tuple(LayeredScalar(rng.choice([1, 1, 2, INF]), value() + Fraction(rng.random() < 0.05, 2))
+                  for _ in range(arity)) for _ in range(rng.randint(1, 4)))
+        expected = _judged(_per_point_quotient_map, f, x)
+        got = _judged(lambda f, x: quotient_map(f, x).vector, f, x)
+        assert got == expected and repr(got) == repr(expected), (f, x)
+        if isinstance(expected, str):
+            refusals.append(expected)
+            # Point by point with no check first, an earlier point can only
+            # differ by failing in evaluation, when a negative power meets a
+            # non-unit layer; the refusal names the first point the check fails.
+            plain = _judged(lambda f, x: tuple(f.evaluate(a) for a in x), f, x)
+            if plain != expected:
+                assert "is not invertible" in plain, (f, x)
+                reordered += 1
+        else:
+            seen.add((sr, laurent))
+    assert {view for view, _ in seen} == set(VIEWS) and any(laurent for _, laurent in seen)
+    for kind in ("is not in the", "has arity", "is not an integer", "is not invertible"):
+        assert kind in " ".join(refusals)
+    assert 0 < reordered < len(refusals) // 4
+    with pytest.raises(DomainError, match="coordinate functions need a non-empty point set"):
+        quotient_map(tangible(1, {(1,): 0}), FinitePointSet.of([]))
+
+
 def test_round_trip_comparison_matches_the_checked_congruence():
     # The round trip judges its rank-decoded sample unchecked: on every point
     # set it can draw, that must agree with the public, checking congruent_on

@@ -241,3 +241,24 @@ def test_semiring_factory_names():
     assert semiring("super").sorts is SUPERTROPICAL
     with pytest.raises(DomainError):
         semiring("octonion")
+
+
+def test_every_flavor_refuses_bool_and_non_int_layers():
+    # True == 1 and 1.0 == 1, so an equality test alone let them through; the
+    # supertropical flavor then stored them and printed the layer as "True".
+    texts = {"trivial": "is not in the trivial flavor", "super": "is not in the supertropical flavor",
+             "nat": "is not a positive integer or inf"}
+    for name, text in texts.items():
+        sr = semiring(name)
+        for layer in (True, False, 1.0, Fraction(1), float("nan"), "1", None):
+            for build in (lambda: sr.scalar(0, layer), lambda: sr.e(layer),
+                          lambda: sr.check(LayeredScalar(layer, Fraction(0)))):
+                with pytest.raises(DomainError, match=text):
+                    build()
+        kept = sr.scalar(0, 1)
+        assert kept.layer == 1 and type(kept.layer) is int and str(kept) == "0"
+        if name != "trivial":
+            assert sr.scalar(0, INF).layer == INF
+    assert semiring("nat").scalar(Fraction(1, 2), 7) == LayeredScalar(7, Fraction(1, 2))
+    with pytest.raises(DomainError, match="is not in the trivial flavor"):
+        semiring("trivial").scalar(0, INF)
