@@ -37,6 +37,13 @@ def power(x, m: int, mul, one):
     return one if result is None else result
 
 
+def exact(v, what: str = "value"):
+    """``v`` if it is an exact rational, an int (not a bool) or a Fraction, else DomainError."""
+    if type(v) is not int and not isinstance(v, Fraction):
+        raise DomainError(f"{what} {v!r} is not an int or a Fraction")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Sort (layer) flavors
 
@@ -154,12 +161,13 @@ SORT_FLAVORS = {"trivial": TRIVIAL, "super": SUPERTROPICAL, "nat": COUNTING}
 
 
 class ValueFlavor:
-    """Domain of scalar values (exponents in log-notation)."""
+    """Domain of scalar values (exponents in log-notation): exact rationals only,
+    never floats, bools or strings."""
 
     name = "?"
 
-    def check(self, v: Fraction) -> Fraction:
-        raise NotImplementedError
+    #: ``check(v)`` returns ``v`` if it belongs to this flavor, else raises DomainError.
+    check = staticmethod(exact)
 
     def completion(self) -> "ValueFlavor":
         """The group completion, hosting results of division by units."""
@@ -172,15 +180,12 @@ class ValueFlavor:
 class RationalValues(ValueFlavor):
     name = "rational"
 
-    def check(self, v):
-        return v
-
 
 class IntegerValues(ValueFlavor):
     name = "integer"
 
     def check(self, v):
-        if v.denominator != 1:
+        if super().check(v).denominator != 1:
             raise DomainError(f"value {v} is not an integer")
         return v
 
@@ -252,7 +257,7 @@ class LayeredSemiring:
     # -- construction ------------------------------------------------------
 
     def scalar(self, value, layer: Layer = 1) -> LayeredScalar:
-        return LayeredScalar(self.sorts.check(layer), self.values.check(Fraction(value)))
+        return LayeredScalar(self.sorts.check(layer), Fraction(self.values.check(value)))
 
     def check(self, x: LayeredScalar) -> LayeredScalar:
         if not isinstance(x, LayeredScalar):

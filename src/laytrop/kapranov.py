@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import LayeredSemiring
 from .errors import DomainError
 from .polynomials import _upper_hull, univariate_corner_roots
-from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _decode, _matches, _root_sums
+from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
 from .tropical import explode_poly, exploded_eval, trop_poly
 
 
@@ -44,7 +44,7 @@ def newton_polygon(f: PuiseuxPolynomial) -> NewtonPolygon:
     the mirrored upper hull of (d, val), shared with ``univariate_corner_roots``."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no Newton polygon")
-    mirrored = sorted((d, c.val()) for d, c in f.coeffs)
+    mirrored = [(d, -e) for d, e, _ in f.lowest_terms]
     hull = _upper_hull(mirrored)
     segments = tuple(
         NewtonSegment(Fraction(v1 - v2, x2 - x1), x2 - x1)
@@ -138,9 +138,9 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     if any(r.is_zero for r in known_roots):
         raise DomainError(f"the claimed roots [{', '.join(map(str, known_roots))}] of {f} "
                           "include 0, which has no valuation")
-    sums = _root_sums(known_roots, f.coeffs[-1][1])
+    sums = _root_sums(known_roots, f.coefficient(f.degree()))
     if not _matches(f, *sums):
-        product = PuiseuxPolynomial(_decode(*sums))
+        product = _product(sums)
         d = min(d for d in {*f.support(), *product.support()}
                 if f.coefficient(d) != product.coefficient(d))
         raise DomainError(f"the claimed roots are not all the roots of {f}, with multiplicity: at "

@@ -9,21 +9,24 @@ of 0 marks a corner ghost produced by leading-term cancellation.
 Series terms and polynomial coefficients share one canonical form: keys
 strictly increasing, no zero values.  Two places merge like keys and sort:
 ``_collect`` for sums and validated input (``from_terms`` and
-``from_coeffs`` validate before it), and ``_product`` for every product, of
-series (as degree-0 polynomials) or of polynomials: one accumulator of int
-sums, which ``_decode`` makes canonical and ``_matches`` compares as ints.
+``from_coeffs`` validate before it), and ``_accumulate`` for every product,
+of series (as degree-0 polynomials) or of polynomials: one accumulator of
+int sums.  A product keeps its sums and decodes only what is read: all of
+``coeffs`` on first read (``_decode``), one degree, or the lowest term per
+degree; ``_matches`` compares sums as ints.  Constructors take exact
+rationals only: int (not bool) and Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Tuple, Union
 
-from .core import power
+from .core import exact, power
 from .errors import DomainError
 
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -78,13 +81,19 @@ def _decode(acc: dict, scale: int, width: int, den: int) -> tuple:
     return tuple((d, PuiseuxSeries(tuple(terms))) for d, terms in sorted(coeffs.items()))
 
 
-def _product(factors: Iterable[Iterable[tuple]]) -> tuple:
-    """One accumulator of int sums, two consumers: ``_decode`` here, ``_matches`` as ints."""
-    return _decode(*_accumulate(factors))
+def _product(sums: tuple) -> "PuiseuxPolynomial":
+    """The polynomial of int sums from ``_accumulate``; it keeps them, and builds
+    ``coeffs`` with ``_decode`` on first read."""
+    f = object.__new__(PuiseuxPolynomial)
+    f.__dict__["_sums"] = sums
+    return f
 
 
 def _matches(f: "PuiseuxPolynomial", acc: dict, scale: int, width: int, den: int) -> bool:
-    """Whether f has the int sums as ints: each term takes its own sum, none is left over."""
+    """Whether f has the int sums as ints: as a dict with zero sums dropped if f keeps
+    sums on the same scales, else each term takes its own sum and none is left over."""
+    if f._sums is not None and f._sums[1:] == (scale, width, den):
+        return {k: v for k, v in f._sums[0].items() if v} == {k: v for k, v in acc.items() if v}
     left = dict(acc)
     for d, series in f.coeffs:
         for e, c in series.terms:
@@ -105,7 +114,8 @@ class PuiseuxSeries:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple[Fraction, Fraction]]) -> "PuiseuxSeries":
-        return cls(_collect(((Fraction(e), Fraction(c)) for e, c in pairs), 0))
+        return cls(_collect(((Fraction(exact(e, "exponent")), Fraction(exact(c, "coefficient")))
+                             for e, c in pairs), 0))
 
     @classmethod
     def zero(cls) -> "PuiseuxSeries":
@@ -117,10 +127,8 @@ class PuiseuxSeries:
 
     @classmethod
     def term(cls, coefficient, exponent) -> "PuiseuxSeries":
-        c = Fraction(coefficient)
-        if c == 0:
-            return cls(())
-        return cls(((Fraction(exponent), c),))
+        c, e = Fraction(exact(coefficient, "coefficient")), Fraction(exact(exponent, "exponent"))
+        return cls(((e, c),) if c else ())
 
     @classmethod
     def constant(cls, coefficient) -> "PuiseuxSeries":
@@ -160,7 +168,7 @@ class PuiseuxSeries:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return dict(_product((((0, self),), ((0, other),)))).get(0, PuiseuxSeries(()))
+        return _product(_accumulate((((0, self),), ((0, other),)))).coefficient(0)
 
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if not isinstance(m, int) or m < 0:
@@ -193,10 +201,18 @@ class PuiseuxPolynomial:
 
     Stored as (degree, coefficient) pairs with strictly increasing degrees
     and nonzero coefficients; the empty tuple is the zero polynomial.
-    Ordinary ring arithmetic (with subtraction) applies.
+    Ordinary ring arithmetic (with subtraction) applies.  A product built by
+    ``_product`` has no ``coeffs`` until the first read of them.
     """
 
     coeffs: Tuple[Tuple[int, PuiseuxSeries], ...]
+    _sums = None  # (acc, scale, width, den) of a product, see ``_product``
+
+    def __getattr__(self, name):
+        if name != "coeffs" or self._sums is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = self.__dict__["coeffs"] = _decode(*self._sums)
+        return coeffs
 
     @classmethod
     def from_coeffs(cls, coeffs: Union[Mapping[int, PuiseuxSeries],
@@ -224,21 +240,37 @@ class PuiseuxPolynomial:
     def from_roots(cls, roots: Iterable[PuiseuxSeries],
                    lead: PuiseuxSeries = PuiseuxSeries.one()) -> "PuiseuxPolynomial":
         """lead * prod(variable - r) over the given roots; monic by default."""
-        return cls(_decode(*_root_sums(roots, lead)))
+        return _product(_root_sums(roots, lead))
+
+    @cached_property
+    def lowest_terms(self) -> Tuple[Tuple[int, Fraction, Fraction], ...]:
+        """(degree, exponent, coefficient) of each coefficient's lowest term, degrees
+        ascending: all that val and leading read.  A product not yet decoded takes the
+        lowest key with a nonzero sum per degree."""
+        if "coeffs" in vars(self):
+            return tuple((d, *c.terms[0]) for d, c in self.coeffs)
+        acc, scale, width, den = self._sums
+        low = {key % width: key for key in sorted(acc, reverse=True) if acc[key]}
+        return tuple((d, Fraction(key // width, scale), Fraction(acc[key], den))
+                     for d, key in sorted(low.items()))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.lowest_terms
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if self.is_zero:
             raise DomainError("the zero polynomial has no degree")
-        return self.coeffs[-1][0]
+        return self.lowest_terms[-1][0]
 
     def support(self) -> Tuple[int, ...]:
-        return tuple(d for d, _ in self.coeffs)
+        return tuple(d for d, _, _ in self.lowest_terms)
 
     def coefficient(self, degree: int) -> PuiseuxSeries:
+        if "coeffs" not in vars(self):  # a product: decode this degree alone
+            acc, scale, width, den = self._sums
+            keys = sorted(k for k, v in acc.items() if v and k % width == degree)
+            return PuiseuxSeries(tuple((Fraction(k // width, scale), Fraction(acc[k], den)) for k in keys))
         for d, c in self.coeffs:
             if d == degree:
                 return c
@@ -254,7 +286,7 @@ class PuiseuxPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxPolynomial") -> "PuiseuxPolynomial":
-        return PuiseuxPolynomial(_product((self.coeffs, other.coeffs)))
+        return _product(_accumulate((self.coeffs, other.coeffs)))
 
     def __pow__(self, m: int) -> "PuiseuxPolynomial":
         if not isinstance(m, int) or m < 0:
@@ -315,7 +347,7 @@ class ExplodedScalar:
 
     @classmethod
     def of(cls, sort, value) -> "ExplodedScalar":
-        return cls(Fraction(sort), Fraction(value))
+        return cls(Fraction(exact(sort, "sort")), Fraction(exact(value, "value")))
 
     @classmethod
     def one(cls) -> "ExplodedScalar":

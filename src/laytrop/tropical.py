@@ -29,7 +29,7 @@ def trop_poly(semiring: LayeredSemiring, f: PuiseuxPolynomial) -> LayeredPolynom
     if f.is_zero:
         raise DomainError("the zero polynomial has no tropicalization")
     return LayeredPolynomial(
-        semiring, 1, {(d,): trop_scalar(semiring, c) for d, c in f.coeffs})
+        semiring, 1, {(d,): semiring.scalar(-e) for d, e, _ in f.lowest_terms})
 
 
 def explode_scalar(p: PuiseuxSeries) -> ExplodedScalar:
@@ -43,7 +43,7 @@ def explode_poly(f: PuiseuxPolynomial) -> Dict[int, ExplodedScalar]:
     """Coefficient-wise exploded tropicalization as a degree -> scalar map."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no exploded image")
-    return {d: explode_scalar(c) for d, c in f.coeffs}
+    return {d: ExplodedScalar(c, -e) for d, e, c in f.lowest_terms}
 
 
 def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -> ExplodedScalar:
@@ -57,7 +57,7 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
         raise DomainError("an empty exploded polynomial cannot be evaluated")
     for d in sorted(coeffs):
         if not isinstance(d, int) or d < 0:
-            point ** d  # raises ExplodedScalar.__pow__'s refusal
+            raise DomainError(f"exploded exponent {d!r} must be a non-negative integer")
     scale = lcm(point.value.denominator, *(c.value.denominator for c in coeffs.values()))
     step = point.value.numerator * (scale // point.value.denominator)
     scaled = {d: c.value.numerator * (scale // c.value.denominator) + d * step for d, c in coeffs.items()}

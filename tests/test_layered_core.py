@@ -1,14 +1,15 @@
 """Layered scalar arithmetic, order relations, and the dual view."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS,
-                     SUPERTROPICAL, TRIVIAL, DomainError, LayeredPolynomial,
-                     LayeredScalar, LayeredSemiring, semiring)
+                     SUPERTROPICAL, TRIVIAL, DomainError, ExplodedScalar, LayeredPolynomial,
+                     LayeredScalar, LayeredSemiring, PuiseuxSeries, semiring)
 
 from oracles import SATURATING, random_scalar
 
@@ -262,3 +263,48 @@ def test_every_flavor_refuses_bool_and_non_int_layers():
     assert semiring("nat").scalar(Fraction(1, 2), 7) == LayeredScalar(7, Fraction(1, 2))
     with pytest.raises(DomainError, match="is not in the trivial flavor"):
         semiring("trivial").scalar(0, INF)
+
+
+def _value_builders():
+    """(name, what, build): each way a value enters the arithmetic, and the word
+    its refusal uses for it."""
+    out = []
+    for flavor in ("rational", "integer", "natural"):
+        sr = semiring("nat", flavor)
+        f = LayeredPolynomial(sr, 1, {(1,): sr.scalar(1)})
+        out += [
+            (f"{flavor} check", "value", lambda v, sr=sr: sr.check(LayeredScalar(1, v))),
+            (f"{flavor} scalar", "value", lambda v, sr=sr: sr.scalar(v)),
+            (f"{flavor} add", "value", lambda v, sr=sr: sr.add(LayeredScalar(1, v), LayeredScalar(1, 0))),
+            (f"{flavor} polynomial", "value",
+             lambda v, sr=sr: LayeredPolynomial(sr, 1, {(1,): LayeredScalar(1, v)})),
+            (f"{flavor} evaluate", "value", lambda v, f=f: f.evaluate((LayeredScalar(1, v),))),
+        ]
+    return out + [
+        ("series term coefficient", "coefficient", lambda v: PuiseuxSeries.term(v, 1)),
+        ("series term exponent", "exponent", lambda v: PuiseuxSeries.term(1, v)),
+        ("series constant", "coefficient", lambda v: PuiseuxSeries.constant(v)),
+        ("series from_terms coefficient", "coefficient", lambda v: PuiseuxSeries.from_terms([(1, v)])),
+        ("series from_terms exponent", "exponent", lambda v: PuiseuxSeries.from_terms([(v, 1)])),
+        ("exploded sort", "sort", lambda v: ExplodedScalar.of(v, 1)),
+        ("exploded value", "value", lambda v: ExplodedScalar.of(1, v)),
+    ]
+
+
+@pytest.mark.parametrize("name, what, build", _value_builders(), ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("v", [0.5, 2.0, True, "1/2", Decimal("0.5"), 2, Fraction(1, 2)],
+                         ids=["float", "integral float", "bool", "str", "Decimal", "int", "Fraction"])
+def test_values_are_exact_rationals_only(name, what, build, v):
+    # Only int (not bool) and Fraction enter the arithmetic; before, a float
+    # value passed the rational check and came out of add as a float, and the
+    # Puiseux constructors turned 0.5 and "1/2" into Fraction(1, 2).
+    if type(v) not in (int, Fraction):
+        with pytest.raises(DomainError) as refused:
+            build(v)
+        assert str(refused.value) == f"{what} {v!r} is not an int or a Fraction"
+    elif v == Fraction(1, 2) and name.startswith(("integer", "natural")):
+        with pytest.raises(DomainError) as refused:
+            build(v)
+        assert str(refused.value) == "value 1/2 is not an integer"
+    else:
+        build(v)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from laytrop import DomainError, ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
-from laytrop.puiseux import _matches, _root_sums
+from laytrop import (DomainError, ExplodedScalar, LayeredSemiring, PuiseuxPolynomial,
+                     PuiseuxSeries, explode_poly, newton_polygon, root_valuations, trop_poly)
+from laytrop.puiseux import _matches, _product, _root_sums
 
 from oracles import (random_series, reference_from_roots, reference_poly_add,
                      reference_poly_call, reference_poly_mul, reference_series,
@@ -278,6 +279,91 @@ def test_from_roots_matches_repeated_reference_products():
     assert min(seen.values()) >= 20, seen
 
 
+def cancelling_roots(rng):
+    """Roots whose product's sums cancel: zero, repeated and opposite roots, and
+    pairs whose sum loses its lowest term.  With only zero roots beside them,
+    opposite roots cancel a whole degree."""
+    zeros_only = rng.random() < 0.3
+    roots = [kernel_series(rng, LARGE, 2) if rng.random() < 0.85 and not zeros_only
+             else PuiseuxSeries.zero() for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 2)):
+        r = kernel_series(rng, LARGE, 2)
+        if r.is_zero:
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            roots += [r, r]
+        elif kind == 1:
+            roots += [r, -r]
+        else:
+            # -(r + s) has no term at r's lowest exponent: a zero sum below nonzero ones.
+            e, c = r.terms[0]
+            roots += [r, PuiseuxSeries.from_terms([(e, -c), (e + Fraction(1, 2), 1)])]
+    rng.shuffle(roots)
+    return roots
+
+
+def outcome(read, f):
+    try:
+        return read(f)
+    except DomainError as error:
+        return DomainError, str(error)
+
+
+SR = LayeredSemiring()
+PRODUCT_READS = {
+    "coeffs": lambda f: f.coeffs,
+    "str": str,
+    "repr": repr,
+    "is_zero": lambda f: f.is_zero,
+    "degree": lambda f: f.degree(),
+    "support": lambda f: f.support(),
+    "coefficient": lambda f: [f.coefficient(d) for d in range(-1, 12)],
+    "lowest_terms": lambda f: f.lowest_terms,
+    "trop_poly": lambda f: (trop_poly(SR, f), str(trop_poly(SR, f))),
+    "explode_poly": lambda f: list(explode_poly(f).items()),
+    "newton_polygon": newton_polygon,
+    "root_valuations": root_valuations,
+}
+
+
+def test_product_reads_match_the_reference():
+    # A product keeps its int sums and decodes only what is read; every public
+    # read must see what it sees on the product built term by term.
+    rng = random.Random(21)
+    seen = {"zero root": 0, "lowest sum cancelled": 0, "degree cancelled": 0, "zero": 0}
+    for _ in range(200):
+        roots = cancelling_roots(rng)
+        lead = rng.choice([PuiseuxSeries.one(), kernel_series(rng, LARGE)] * 4 + [PuiseuxSeries.zero()])
+        expected = reference_from_roots(roots, lead)
+        coeffs = expected.coeffs  # the structural reads, straight from the reference's terms
+        structure = {
+            "is_zero": not coeffs,
+            "degree": coeffs[-1][0] if coeffs else (DomainError, "the zero polynomial has no degree"),
+            "support": tuple(d for d, _ in coeffs),
+            "coefficient": [dict(coeffs).get(d, PuiseuxSeries.zero()) for d in range(-1, 12)],
+            "lowest_terms": tuple((d, *c.terms[0]) for d, c in coeffs),
+        }
+        for name, read in PRODUCT_READS.items():
+            f = PuiseuxPolynomial.from_roots(roots, lead)
+            want = structure[name] if name in structure else outcome(read, expected)
+            assert outcome(read, f) == want, (name, roots, lead)
+            if name not in ("coeffs", "str", "repr"):
+                assert "coeffs" not in vars(f), name  # read off the sums alone
+        f = PuiseuxPolynomial.from_roots(roots, lead)
+        assert f == expected and expected == f and hash(f) == hash(expected)
+        assert_canonical_polynomial(f)
+        acc, _, width, _ = f._sums
+        degrees = {}
+        for key in sorted(acc):
+            degrees.setdefault(key % width, []).append(acc[key])
+        seen["zero root"] += any(r.is_zero for r in roots)
+        seen["lowest sum cancelled"] += any(not v[0] and any(v) for v in degrees.values())
+        seen["degree cancelled"] += any(not any(v) for v in degrees.values())
+        seen["zero"] += expected.is_zero
+    assert min(seen.values()) >= 10, seen
+
+
 def polynomial_of(terms):
     """The canonical polynomial of (degree, exponent, coefficient) triples."""
     by_degree = {}
@@ -304,11 +390,25 @@ def near_misses(rng, f, width):
     ]
 
 
+def on_scales(g, scale, width, den):
+    """g as a product keeping int sums on the given scales, or, where one of its
+    terms has no sum there, as a product on its own scales."""
+    acc = {}
+    for d, series in g.coeffs:
+        for e, c in series.terms:
+            if d >= width or scale % e.denominator or den % c.denominator:
+                return g * PuiseuxPolynomial.constant(PuiseuxSeries.one())
+            acc[e.numerator * (scale // e.denominator) * width + d] = c.numerator * (den // c.denominator)
+    return _product((acc, scale, width, den))
+
+
 def test_int_identity_agrees_with_fraction_equality():
     # The kapranov_verify identity compares f with the int sums of
-    # lead * prod(L - r); == on the reference product is the oracle.
+    # lead * prod(L - r); == on the reference product is the oracle.  f built
+    # term by term takes the term-by-term path; a product keeping sums on the
+    # identity's scales is compared as a dict, and one on other scales is not.
     rng = random.Random(19)
-    refused = {}
+    refused, paths = {}, {"dict": 0, "terms": 0}
     for _ in range(120):
         roots = [kernel_series(rng, LARGE) for _ in range(rng.randint(0, 5))]
         if roots and rng.random() < 0.3:
@@ -320,13 +420,21 @@ def test_int_identity_agrees_with_fraction_equality():
             continue
         f = reference_from_roots(roots, lead)
         sums = _root_sums(roots, lead)
-        _, scale, width, den = sums
-        assert _matches(f, *sums), (roots, lead)
+        acc, scale, width, den = sums
+        product = PuiseuxPolynomial.from_roots(roots, lead)
+        assert product._sums[1:] == (scale, width, den)
+        # Zero sums are no terms, and sums on another den are read term by term.
+        padded = _product(({**acc, rng.choice([-1, 1]) * (max(map(abs, acc)) + 1): 0}, scale, width, den))
+        rescaled = _product(({k: 3 * v for k, v in acc.items()}, scale, width, 3 * den))
+        for g in (f, product, padded, rescaled):
+            assert _matches(g, *sums), (roots, lead)
         assert scale % 11 and den % 101
         for kind, g in near_misses(rng, f, width):
-            assert g != f and not _matches(g, *sums), (kind, g, roots, lead)
+            kept = on_scales(g, scale, width, den)
+            assert g != f and not _matches(g, *sums) and not _matches(kept, *sums), (kind, g, roots, lead)
             refused[kind] = refused.get(kind, 0) + 1
-    assert min(refused.values()) >= 50, refused
+            paths["dict" if kept._sums[1:] == (scale, width, den) else "terms"] += 1
+    assert min(refused.values()) >= 50 and min(paths.values()) >= 50, (refused, paths)
 
 
 def test_int_identity_refuses_each_near_miss():
