@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import LayeredScalar, LayeredSemiring
+from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
 from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _common, _merged, _points, _scan
 
 
-@dataclass(frozen=True)
-class FinitePointSet:
+class FinitePointSet(Record, frozen=True):
     """Deduplicated points of a common arity; may be empty (an empty variety)."""
 
     points: Tuple[Point, ...]
@@ -92,8 +90,7 @@ def _pair_tasks(pairs: Sequence[Pair]) -> List:
 # Coordinate semirings
 
 
-@dataclass(frozen=True)
-class CoordinateFunction:
+class CoordinateFunction(Record, frozen=True):
     """A polynomial seen through its evaluation vector on a fixed point set.
 
     Equality and hashing use the vector alone; the witness records one
@@ -159,8 +156,9 @@ def restrict(cf: CoordinateFunction, y: FinitePointSet, x: FinitePointSet) -> Co
 # Zariski round trip
 
 
-@dataclass
-class ZariskiReport:
+class ZariskiReport(Record):
+    """Outcome of ``zariski_roundtrip``: the variety size, the probe count and each law."""
+
     variety_size: int
     probe_pairs: int
     diagonal: bool
@@ -175,7 +173,7 @@ class ZariskiReport:
                 and self.antitone_points and self.union_law)
 
     def to_json(self) -> Dict:
-        return {**asdict(self), "pass": self.passed}
+        return {**vars(self), "pass": self.passed}
 
 
 def _random_poly(rng: random.Random, template: LayeredPolynomial) -> LayeredPolynomial:

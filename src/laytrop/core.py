@@ -9,7 +9,6 @@ componentwise.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -211,11 +210,88 @@ VALUE_FLAVORS = {"rational": RATIONALS, "integer": INTEGERS, "natural": NATURALS
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Fresh:
+    """A record field default made anew for each instance, by ``make()``."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Record:
+    """Base of plain records with a dataclass's methods, compiled at a class's first use.
+
+    The fields (``__match_args__``) are the names annotated in the class body, in
+    order; a class attribute is a field's default.  Methods the body does not
+    define: ``__init__`` by position or keyword, then ``__post_init__()`` if there
+    is one; ``__eq__`` of the field tuples of two instances of one class;
+    ``__repr__`` as ``Name(field=value, ...)``.  ``frozen=True`` hashes the field
+    tuple and refuses assignment and deletion; other records are unhashable.  A
+    subclass that annotates nothing keeps its base's fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__annotations__:
+            cls.__match_args__ = tuple(cls.__annotations__)
+            if frozen:
+                cls.__setattr__ = cls.__delattr__ = _frozen
+            elif "__hash__" not in vars(cls):
+                cls.__hash__ = None
+
+    # Stand-ins for a class's own __init__, __eq__ and __hash__ until its first use compiles them.
+    def __init__(self, *args, **kwargs):
+        _compiled(type(self)).__init__(self, *args, **kwargs)
+
+    def __eq__(self, other):
+        return _compiled(type(self)).__eq__(self, other)
+
+    def __hash__(self):
+        return _compiled(type(self)).__hash__(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def _compiled(cls: type) -> type:
+    """``cls`` with the record methods its body does not define, compiled for its fields."""
+    names = cls.__match_args__
+    ns = {"_set": object.__setattr__,
+          **{"_d_" + n: getattr(cls, n) for n in names if hasattr(cls, n)}}
+    params = ", ".join(f"{n}=_d_{n}" if "_d_" + n in ns else n for n in names)
+    stored = [f"{n}.make() if {n} is _d_{n} else {n}" if isinstance(ns.get("_d_" + n), Fresh) else n
+              for n in names]
+    fields = "".join(f"self.{n}," for n in names)
+    code = {
+        "__init__": f"def __init__(self, {params}):" + "".join(
+            f"\n _set(self, {n!r}, {v})" for n, v in zip(names, stored))
+            + ("\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""),
+        "__eq__": f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n  return "
+                  f"({fields}) == ({fields.replace('self.', 'other.')})\n return NotImplemented",
+        "__hash__": f"def __hash__(self):\n return hash(({fields}))",
+    }
+    code = {name: text for name, text in code.items() if name not in vars(cls)}
+    exec("\n".join(code.values()), ns)
+    for name in code:
+        setattr(cls, name, ns[name])
+    return cls
+
+
+def _frozen(record, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a frozen record."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Scalars and the semiring view
 
 
-@dataclass(frozen=True)
-class LayeredScalar:
+class LayeredScalar(Record, frozen=True):
     """An immutable (layer, value) pair.  All operations live on LayeredSemiring."""
 
     layer: Layer

@@ -14,25 +14,24 @@ known roots, plus the exploded refinement through leading coefficients.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import LayeredSemiring
+from .core import Fresh, LayeredSemiring, Record
 from .errors import DomainError
 from .polynomials import _upper_hull, univariate_corner_roots
 from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
 from .tropical import explode_poly, exploded_eval, trop_poly
 
 
-@dataclass(frozen=True)
-class NewtonSegment:
+class NewtonSegment(Record, frozen=True):
+    """One lower-hull segment: its slope and its horizontal length."""
+
     slope: Fraction
     length: int
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record, frozen=True):
     """Lower convex hull data of (degree, lowest exponent) support points."""
 
     support: Tuple[Tuple[int, Fraction], ...]
@@ -78,17 +77,17 @@ def bourbaki_extension(alpha: PuiseuxSeries, i: int, beta: PuiseuxSeries, j: int
 # Verification harness
 
 
-@dataclass
-class KapranovReport:
+class KapranovReport(Record):
     """Outcome of one correspondence check for a polynomial with known roots.
 
-    Keeps the polynomial itself and formats it only when read, through
-    ``polynomial`` or ``to_json``; the CLI reports failed trials only.
+    Keeps the polynomial, the known roots and their valuations, and formats
+    them only when read, through ``polynomial``, ``roots``, ``root_vals`` or
+    ``to_json``; the CLI reports failed trials only.
     """
 
     f: PuiseuxPolynomial
-    roots: List[str]
-    root_vals: List[str]
+    known_roots: Tuple[PuiseuxSeries, ...]
+    known_vals: List[Fraction]
     corner_roots: List[Tuple[str, int]]
     forward_ok: bool
     reverse_ok: bool
@@ -97,6 +96,14 @@ class KapranovReport:
     @property
     def polynomial(self) -> str:
         return str(self.f)
+
+    @property
+    def roots(self) -> List[str]:
+        return [str(r) for r in self.known_roots]
+
+    @property
+    def root_vals(self) -> List[str]:
+        return [str(v) for v in self.known_vals]
 
     @property
     def passed(self) -> bool:
@@ -165,8 +172,8 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
 
     return KapranovReport(
         f=f,
-        roots=[str(r) for r in known_roots],
-        root_vals=[str(v) for v in known_vals],
+        known_roots=tuple(known_roots),
+        known_vals=known_vals,
         corner_roots=[(str(x), m) for x, m in corner],
         forward_ok=forward_ok,
         reverse_ok=reverse_ok,
@@ -184,12 +191,11 @@ def random_split_product(rng: random.Random, degree: int) -> Tuple[PuiseuxPolyno
     return PuiseuxPolynomial.from_roots(roots), roots
 
 
-@dataclass
-class TrialSummary:
+class TrialSummary(Record):
     """Aggregate of repeated randomized correspondence checks."""
 
     trials: int
-    failures: List[Dict] = field(default_factory=list)
+    failures: List[Dict] = Fresh(list)
 
     @property
     def passed(self) -> bool:

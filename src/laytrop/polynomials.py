@@ -19,11 +19,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Layer, LayeredScalar, LayeredSemiring, TRIVIAL, power
+from .core import Layer, LayeredScalar, LayeredSemiring, Record, TRIVIAL, exact, power
 from .errors import DomainError
 
 Exponents = Tuple[int, ...]
@@ -249,11 +248,11 @@ def _format_monomial(scalar: LayeredScalar, exponents: Exponents) -> str:
 # Grids
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record, frozen=True):
     """A finite rational sampling box: per-axis (lower, upper, step) triples.
 
     Axis i samples ``lower + k * step`` for ``k < counts[i]``, with its layer (default 1).
+    Bounds and steps are exact rationals, int (not bool) or Fraction.
     """
 
     axes: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
@@ -261,6 +260,8 @@ class GridSpec:
 
     def __post_init__(self):
         for lower, upper, step in self.axes:
+            for v, what in zip((lower, upper, step), ("lower bound", "upper bound", "step")):
+                exact(v, "grid " + what)
             if step <= 0:
                 raise DomainError(f"grid step {step} must be positive")
             if lower > upper:
@@ -270,7 +271,7 @@ class GridSpec:
 
     @classmethod
     def uniform(cls, lower, upper, step, nvars: int, layer: Layer = 1) -> "GridSpec":
-        axis = (Fraction(lower), Fraction(upper), Fraction(step))
+        axis = tuple(Fraction(v) if type(v) is int else v for v in (lower, upper, step))
         return cls((axis,) * nvars, (layer,) * nvars)
 
     @property

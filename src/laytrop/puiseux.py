@@ -19,14 +19,13 @@ rationals only: int (not bool) and Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Tuple, Union
 
-from .core import exact, power
+from .core import Record, exact, power
 from .errors import DomainError
 
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -104,8 +103,7 @@ def _matches(f: "PuiseuxPolynomial", acc: dict, scale: int, width: int, den: int
     return not any(left.values())
 
 
-@dataclass(frozen=True)
-class PuiseuxSeries:
+class PuiseuxSeries(Record, frozen=True):
     """Immutable (exponent, coefficient) terms in canonical form."""
 
     terms: Tuple[Term, ...]
@@ -195,8 +193,7 @@ def _format_term(coefficient: Fraction, exponent: Fraction) -> str:
 # Univariate polynomials with series coefficients
 
 
-@dataclass(frozen=True)
-class PuiseuxPolynomial:
+class PuiseuxPolynomial(Record, frozen=True):
     """A polynomial in one variable over the series field, in canonical form.
 
     Stored as (degree, coefficient) pairs with strictly increasing degrees
@@ -334,8 +331,7 @@ def _format_poly_term(coefficient: Fraction, exponent: Fraction, degree: int) ->
 # Exploded scalars
 
 
-@dataclass(frozen=True)
-class ExplodedScalar:
+class ExplodedScalar(Record, frozen=True):
     """A (sort, value) pair keeping the residue-field shadow of a valuation.
 
     Addition keeps the larger value; on ties the sorts add classically in

@@ -19,9 +19,12 @@ round-trip reference scans each of its three varieties on its own through
 ``variety_of``, never sharing one walk between them.  The locus-output
 reference renders the points of the public loci as dicts through ``json``
 or ``csv``, never touching the CLI's integer coordinate texts or its streaming.
+The record references are ``dataclasses`` built from field lists written out
+here, never touching the package's record base or reading its classes.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -501,3 +504,33 @@ def reference_locus_output(polynomials, grid, combined, fmt):
     writer.writerows((" ".join(r["point"]), " ".join(r["layers"]), r["layering"])
                      for r in records)
     return out.getvalue()
+
+
+def _reference_record(name, fields, frozen=True, **methods):
+    return dataclasses.make_dataclass(name, fields, frozen=frozen, namespace=methods)
+
+
+#: name -> a dataclass with the fields, defaults, frozenness and own methods of
+#: the package's record class of that name.
+REFERENCE_RECORDS = {cls.__name__: cls for cls in [
+    _reference_record("LayeredScalar", ["layer", "value"]),
+    _reference_record("GridSpec", ["axes", ("layers", object, dataclasses.field(default=None))]),
+    _reference_record("PuiseuxSeries", ["terms"]),
+    _reference_record("PuiseuxPolynomial", ["coeffs"]),
+    _reference_record("ExplodedScalar", ["sort", "value"]),
+    _reference_record("NewtonSegment", ["slope", "length"]),
+    _reference_record("NewtonPolygon", ["support", "segments"]),
+    _reference_record("FinitePointSet", ["points"]),
+    _reference_record("CoordinateFunction", ["vector", "witness"],
+                      __eq__=lambda self, other: (isinstance(other, type(self))
+                                                  and self.vector == other.vector),
+                      __hash__=lambda self: hash(self.vector)),
+    _reference_record("ZariskiReport", ["variety_size", "probe_pairs", "diagonal", "stable",
+                                        "antitone_generators", "antitone_points", "union_law"],
+                      frozen=False),
+    _reference_record("KapranovReport", ["f", "known_roots", "known_vals", "corner_roots",
+                                         "forward_ok", "reverse_ok", "exploded_ok"], frozen=False),
+    _reference_record("TrialSummary",
+                      ["trials", ("failures", object, dataclasses.field(default_factory=list))],
+                      frozen=False),
+]}

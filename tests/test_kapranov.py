@@ -1,5 +1,6 @@
 """Newton polygons, root valuations, and the correspondence verifier."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -127,6 +128,13 @@ def test_verifier_on_distinct_valuations():
     report = kapranov_verify(f, roots)
     assert report.passed
     assert report.corner_roots == [("0", 1), ("1", 1)]
+    # Roots and valuations are formatted when read, in the text they always had.
+    assert report.roots == ["t^(-1)", "2"] and report.root_vals == ["0", "1"]
+    assert json.dumps(report.to_json()) == (
+        '{"poly": "L^2 + (-1)*t^(-1)*L + (-2)*L + 2*t^(-1)", "roots": ["t^(-1)", "2"], '
+        '"valuations": ["0", "1"], "corner_roots": [{"root": "0", "mult": 1}, '
+        '{"root": "1", "mult": 1}], "forward": true, "reverse": true, "exploded": true, '
+        '"pass": true}')
 
 
 def test_verifier_on_equal_valuations():

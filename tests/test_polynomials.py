@@ -1,6 +1,7 @@
 """Layered polynomial functions: evaluation, roots, loci, and essentiality."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -544,6 +545,32 @@ def test_grid_validation():
         GridSpec(((Fraction(2), Fraction(1), Fraction(1)),))
     grid = GridSpec.uniform(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), 1)
     assert [a[0].value for a in grid.points(NAT)] == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
+
+
+_GRID_BUILDERS = [
+    ("lower bound", lambda v: GridSpec(((v, 3, 1),))),
+    ("upper bound", lambda v: GridSpec(((0, v, 1),), (1,))),
+    ("step", lambda v: GridSpec(((0, 3, Fraction(1, 2)), (0, 3, v)))),
+    ("lower bound", lambda v: GridSpec.uniform(v, 3, 1, 2)),
+    ("upper bound", lambda v: GridSpec.uniform(0, v, 1, 1, layer=2)),
+    ("step", lambda v: GridSpec.uniform(0, 3, v, 3)),
+]
+
+
+@pytest.mark.parametrize("what, build", _GRID_BUILDERS,
+                         ids=[f"{i}-{w}" for i, (w, _) in enumerate(_GRID_BUILDERS)])
+@pytest.mark.parametrize("v", [0.5, 2.0, True, "1/2", Decimal("0.5"), 2, Fraction(1, 2)],
+                         ids=["float", "integral float", "bool", "str", "Decimal", "int", "Fraction"])
+def test_grid_bounds_are_exact_rationals_only(what, build, v):
+    # A grid is refused when it is built, naming the bound; before, a float
+    # bound was accepted and refused only once a scan reached its axis, and
+    # ``uniform`` turned 0.5 and "1/2" into Fraction(1, 2).
+    if type(v) not in (int, Fraction):
+        with pytest.raises(DomainError) as refused:
+            build(v)
+        assert str(refused.value) == f"grid {what} {v!r} is not an int or a Fraction"
+    else:
+        build(v)
 
 
 def test_monomial_value_matches_the_coordinatewise_reference():

@@ -1,0 +1,156 @@
+"""The record classes against dataclass references, and a cold CLI import."""
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from laytrop import INF, DomainError, LayeredSemiring, PuiseuxSeries
+from laytrop.congruence import CoordinateFunction, FinitePointSet, ZariskiReport
+from laytrop.core import LayeredScalar
+from laytrop.kapranov import KapranovReport, NewtonPolygon, NewtonSegment, TrialSummary
+from laytrop.polynomials import GridSpec
+from laytrop.puiseux import ExplodedScalar, PuiseuxPolynomial
+
+from oracles import REFERENCE_RECORDS, random_series, random_value
+
+RECORDS = [LayeredScalar, GridSpec, PuiseuxSeries, PuiseuxPolynomial, ExplodedScalar,
+           NewtonSegment, NewtonPolygon, FinitePointSet, CoordinateFunction, ZariskiReport,
+           KapranovReport, TrialSummary]
+
+
+def _atom(rng):
+    """A hashable field value from a small pool, so that draws often coincide."""
+    return rng.choice([0, 1, -2, INF, None, "t", Fraction(1, 2), random_value(rng, 2, 2),
+                       (1, Fraction(1, 2)), ((0, 1), (2,))])
+
+
+def _draw(rng, cls):
+    """Field values for one instance of ``cls``, valid where its constructor checks."""
+    names = [f.name for f in dataclasses.fields(REFERENCE_RECORDS[cls.__name__])]
+    if cls is GridSpec:
+        axes = tuple((lo, lo + rng.randint(0, 2), rng.choice([1, Fraction(1, 2)]))
+                     for lo in (rng.randint(-1, 1) for _ in range(rng.randint(1, 2))))
+        return [axes, rng.choice([None, (1,) * len(axes), (2,) * len(axes)])]
+    if cls in (KapranovReport, TrialSummary, ZariskiReport):
+        return [rng.choice([[_atom(rng)], [], _atom(rng)]) for _ in names]
+    return [_atom(rng) for _ in names]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_match_their_dataclass_references(cls):
+    # Equality, hashing, repr, construction and frozenness of each record class
+    # are those of a dataclass with the same fields.
+    ref = REFERENCE_RECORDS[cls.__name__]
+    names = [f.name for f in dataclasses.fields(ref)]
+    assert cls.__match_args__ == ref.__match_args__ == tuple(names)
+    frozen = ref.__dataclass_params__.frozen
+    rng = random.Random(sum(map(ord, cls.__name__)))
+    equal = unequal = 0
+    for _ in range(300):
+        values, fresh = _draw(rng, cls), _draw(rng, cls)
+        # Mostly the same values, so that equal records and records differing in
+        # one field are both common; a grid's layers must match its axes.
+        others = (rng.choice([values, fresh]) if cls is GridSpec else
+                  [v if rng.random() < 0.8 else w for v, w in zip(values, fresh)])
+        mine, theirs = cls(*values), ref(*values)
+        assert cls(**dict(zip(names, values))) == mine
+        assert repr(mine) == repr(theirs)
+        mine2, theirs2 = cls(*others), ref(*others)
+        assert (mine == mine2) is (theirs == theirs2)
+        assert (mine != mine2) is (theirs != theirs2)
+        assert mine == cls(*values) and not mine != cls(*values)
+        equal += theirs == theirs2
+        unequal += theirs != theirs2
+        assert mine.__eq__(object()) is theirs.__eq__(object())
+        if ref.__hash__ is None:
+            assert cls.__hash__ is None
+            with pytest.raises(TypeError):
+                hash(mine)
+        else:
+            assert hash(mine) == hash(theirs)
+        for name in (names[0], "extra"):
+            if frozen:
+                with pytest.raises(AttributeError):
+                    setattr(mine, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(mine, name)
+            else:
+                setattr(mine, name, 1)
+                setattr(theirs, name, 1)
+                assert mine == mine and repr(mine) == repr(theirs)
+    assert equal > 10 and unequal > 10
+
+
+def test_record_defaults():
+    axes = ((Fraction(0), Fraction(1), Fraction(1)),)
+    assert GridSpec(axes).layers is None and GridSpec(axes) == GridSpec(axes, None)
+    assert GridSpec(axes=axes) == GridSpec(axes, layers=None) != GridSpec(axes, (1,))
+    first, second = TrialSummary(3), TrialSummary(trials=3)
+    assert first.failures == second.failures == [] and first.failures is not second.failures
+    first.failures.append({"pass": False})
+    assert second.failures == [] and TrialSummary(4).failures == []
+    assert repr(first) == repr(REFERENCE_RECORDS["TrialSummary"](3, [{"pass": False}]))
+    with pytest.raises(TypeError):
+        GridSpec()
+    with pytest.raises(TypeError):
+        LayeredScalar(1, 2, 3)
+    with pytest.raises(TypeError):
+        LayeredScalar(1, layer=1)
+
+
+def test_cached_reads_leave_records_as_they_were():
+    rng = random.Random(5)
+    axes = ((Fraction(-1), Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(2), Fraction(1)))
+    grid = GridSpec(axes, (1, 2))
+    before = (repr(grid), hash(grid))
+    assert grid.counts == (5, 3)
+    assert grid.origin == (LayeredScalar(1, Fraction(-1)), LayeredScalar(2, Fraction(0)))
+    assert (repr(grid), hash(grid)) == before and grid == GridSpec(grid.axes, grid.layers)
+    sr = LayeredSemiring()
+    points = [tuple(sr.scalar(rng.randint(-2, 2)) for _ in range(2)) for _ in range(6)]
+    x = FinitePointSet.of(points)
+    assert all(p in x for p in points) and (sr.scalar(9), sr.scalar(9)) not in x
+    assert repr(x) == repr(REFERENCE_RECORDS["FinitePointSet"](x.points))
+    for _ in range(20):
+        roots = [random_series(rng, max_terms=2) for _ in range(rng.randint(1, 4))]
+        product = PuiseuxPolynomial.from_roots(roots)  # coeffs decoded on first read
+        low = product.lowest_terms
+        built = PuiseuxPolynomial(product.coeffs)
+        assert built == product and hash(built) == hash(product) and built.lowest_terms == low
+        assert repr(product) == repr(REFERENCE_RECORDS["PuiseuxPolynomial"](built.coeffs))
+        assert PuiseuxPolynomial.from_roots(roots) == built  # == decodes a fresh product
+    with pytest.raises(AttributeError):
+        PuiseuxPolynomial.from_roots(roots).missing
+    with pytest.raises(DomainError):
+        GridSpec(((Fraction(1), Fraction(0), Fraction(1)),))
+
+
+def test_exploded_and_newton_records_keep_their_arithmetic():
+    a, b = ExplodedScalar.of(2, 1), ExplodedScalar.of(-2, 1)
+    assert a + b == ExplodedScalar(Fraction(0), Fraction(1)) and (a + b).is_corner_ghost
+    assert {NewtonSegment(Fraction(1), 2), NewtonSegment(Fraction(1), 2)} == {NewtonSegment(1, 2)}
+    polygon = NewtonPolygon(((0, Fraction(0)),), ())
+    assert polygon == NewtonPolygon(support=((0, 0),), segments=())
+    report = ZariskiReport(4, 2, False, True, True, True, False)
+    assert report.to_json() == {"variety_size": 4, "probe_pairs": 2, "diagonal": False,
+                                "stable": True, "antitone_generators": True,
+                                "antitone_points": True, "union_law": False, "pass": False}
+    assert list(report.to_json()) == [*ZariskiReport.__match_args__, "pass"]
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # ``dataclasses`` pulls in inspect, ast, dis and tokenize, which took longer
+    # to import than the package itself; a CLI run starts without them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, laytrop.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
