@@ -8,7 +8,6 @@ on success, 1 on domain errors in the input data, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -61,6 +60,7 @@ def _emit(records, fmt: str, header) -> None:
     """Stream records given in the format's form: CSV rows under ``header``, or
     JSON texts as one JSON list, written 4096 records at a time."""
     if fmt == "csv":
+        import csv  # only CSV output needs it, so a JSON run does not load it
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(records)

@@ -9,8 +9,8 @@ from the breakpoints of the upper envelope of the coefficient data; essential
 monomials are certified at witness points or decided by one exact rational LP
 over the monomials not yet found dominated, in every dimension.
 These exact solvers read coefficients through one lift, ``_lift``.
-Grid scans walk each row from breakpoint to breakpoint of the same kind of
-envelope, so a row of m monomials costs O(m * events), not O(m * points).
+Grid scans build that envelope once per row, over the monomials' slope
+classes, and walk its segments: a row of m monomials costs O(m), not O(m * points).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Layer, LayeredScalar, LayeredSemiring, Record, TRIVIAL, exact, power
+from .core import INF, Layer, LayeredScalar, LayeredSemiring, Record, TRIVIAL, exact, power
 from .errors import DomainError
 
 Exponents = Tuple[int, ...]
@@ -252,7 +252,8 @@ class GridSpec(Record, frozen=True):
     """A finite rational sampling box: per-axis (lower, upper, step) triples.
 
     Axis i samples ``lower + k * step`` for ``k < counts[i]``, with its layer (default 1).
-    Bounds and steps are exact rationals, int (not bool) or Fraction.
+    Bounds and steps are exact rationals, int (not bool) or Fraction; layers are
+    int (not bool) or inf, and ``check`` refuses those a view does not allow.
     """
 
     axes: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
@@ -268,6 +269,9 @@ class GridSpec(Record, frozen=True):
                 raise DomainError(f"grid bounds {lower} > {upper}")
         if self.layers is not None and len(self.layers) != len(self.axes):
             raise DomainError("per-axis layers must match the number of axes")
+        for layer in self.layers or ():
+            if type(layer) is not int and layer != INF:
+                raise DomainError(f"grid layer {layer!r} is not an int or inf")
 
     @classmethod
     def uniform(cls, lower, upper, step, nvars: int, layer: Layer = 1) -> "GridSpec":
@@ -391,12 +395,12 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
     axis, each with the layer sum of the set tied on it.
 
     Scaled by a common denominator and negated in a descending view, monomial
-    i is the line ``start_i + k * slope_i`` in the lattice index k; the tied
-    set changes only at breakpoints of the lines' upper envelope.  An event k
-    judges its tied set, whose steepest lines (identical, so all of them) form
-    the lane: it alone ties until a steeper line reaches it, found by one
-    ceiling division per line, and the indices in between inherit its verdict.
-    The lead slope grows at each event, so a row costs O(m * events).
+    i is the line ``start_i + k * slope_i`` in the lattice index k.  Per row,
+    each slope class (fixed per task) gives one line: its top start, with the
+    members reaching it (identical lines) as its lane.  A monotone stack keeps
+    the upper envelope, lines meeting it only at a vertex included; a segment
+    takes one ceiling division, and at a lattice vertex the lanes of all lines
+    meeting there tie, in index order.  A row of m monomials costs O(m).
     """
     profiles = [f._profile(grid.origin) for f in group]
     sr = group[0].semiring
@@ -408,28 +412,44 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
         base += [sign * v * (scale // origin_scale) for v in values]
         layers += f_layers
         deltas += [list(map(operator.mul, exponents, steps)) for exponents in f.coeffs]
-    slopes = [d[-1] for d in deltas]
+    *columns, slopes = zip(*deltas)
+    classes = [(d, tuple(members)) for d, members in itertools.groupby(
+        sorted(range(len(slopes)), key=slopes.__getitem__), slopes.__getitem__)]
     n = grid.counts[-1]
-    verdict = functools.cache(functools.partial(judge, sr.sorts, layers))
-    total = functools.cache(functools.partial(_layer_sum, sr.sorts, layers))
+    kept_layer = functools.cache(lambda ties: _layer_sum(sr.sorts, layers, ties)
+                                 if judge(sr.sorts, layers, ties) else None)
 
     def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int, Layer]]:
-        starts = [b + sum(map(operator.mul, prefix, d)) for b, d in zip(base, deltas)]
-        kept, k = [], 0
+        starts = base
+        for p, column in zip(prefix, columns):
+            starts = [s + p * c for s, c in zip(starts, column)] if p else starts
+        hull = []
+        for d, members in classes:
+            if len(members) == 1:
+                s, lane = starts[members[0]], members
+            else:
+                s = max(map(starts.__getitem__, members))
+                lane = tuple(i for i in members if starts[i] == s)
+            while len(hull) > 1 and (hull[-1][1] - s) * (hull[-1][0] - hull[-2][0]) \
+                    < (hull[-2][1] - hull[-1][1]) * (d - hull[-1][0]):
+                hull.pop()
+            hull.append((d, s, lane))
+        pieces, k, j, last = [], 0, 0, len(hull) - 1
         while k < n:
-            values = [s + k * d for s, d in zip(starts, slopes)]
-            top = max(values)
-            tied = tuple(i for i, v in enumerate(values) if v == top)
-            lead = max(slopes[i] for i in tied)
-            lane = tuple(i for i in tied if slopes[i] == lead)
-            # k + ceil(gap / (d - lead)) for each steeper line, gap below the lane
-            stop = min([n, *(k - (v - top) // (d - lead) for v, d in zip(values, slopes) if d > lead)])
-            assert stop > k, "every steeper line lies strictly below the lane"
-            for lo, hi, ties in ((k, k + 1, tied), (k + 1, stop, lane)):
-                if lo < hi and verdict(ties):
-                    kept.append((lo, hi, total(ties)))
-            k = stop
-        return kept
+            d, s, ties = hull[j]
+            # k < ceil(crossing with the next line) keeps this line alone on top
+            stop = min(n, -((hull[j + 1][1] - s) // (hull[j + 1][0] - d))) if j < last else n
+            if k < stop:
+                pieces.append((k, stop, ties))
+                k = stop
+            j += 1
+            if k < n and j <= last and hull[j][1] + hull[j][0] * k == s + d * k:
+                # lines j - 1, j, ... meet at the lattice vertex k
+                while j < last and hull[j + 1][1] + hull[j + 1][0] * k == s + d * k:
+                    ties, j = ties + hull[j][2], j + 1
+                pieces.append((k, k + 1, tuple(sorted(ties + hull[j][2]))))
+                k += 1
+        return [(lo, hi, layer) for lo, hi, ties in pieces if (layer := kept_layer(ties)) is not None]
 
     return row
 

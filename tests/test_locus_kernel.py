@@ -554,3 +554,122 @@ def test_closed_form_grid_check_matches_the_per_coordinate_reference():
                      "uneven" if (upper - lower) % step else "even")
     assert seen == set(views) | {"one point", "uneven", "even"}
     assert errors == {"layer", "value", "value negative"}
+
+
+# ---------------------------------------------------------------------------
+# The per-row upper hull of slope classes, against the brute-force oracle
+
+
+HULL_VIEWS = [NAT, NAT.dual(), SUP, SUP.dual(), TRIV, TRIV.dual(), SAT]
+
+
+def _ghost(sr):
+    return 1 if sr.sorts is TRIVIAL else INF if sr.sorts is SUPERTROPICAL else 2
+
+
+def _layered(sr, nvars, mapping, laurent=False):
+    """A polynomial from {exponents: (value, ghost?)}; a ghost takes the view's ghost layer."""
+    return LayeredPolynomial(sr, nvars, {e: sr.scalar(Fraction(v), _ghost(sr) if g else 1)
+                                         for e, (v, g) in mapping.items()}, laurent)
+
+
+def assert_hull_matches_oracle(polynomials, grid):
+    assert_matches_oracle(polynomials, grid)
+    assert_scan_layering_matches_evaluation(polynomials, grid)
+
+
+@pytest.mark.parametrize("sr", HULL_VIEWS, ids=str)
+def test_three_and_four_lines_concurrent_on_and_off_the_lattice(sr):
+    # Value -e * x0 puts every monomial x^e through (x0, 0), so the middle
+    # lines meet the envelope only at that vertex: x0 = 1 is a lattice point
+    # of the row (-2 + k/3), x0 = 1/2 lies between two.  A ghost middle line
+    # changes the vertex's layer sum, and g shares the vertex with f.
+    grid = GridSpec.uniform(-2, 2, Fraction(1, 3), 1)
+    for x0 in (Fraction(1), Fraction(1, 2)):
+        for support in ((0, 2, 5), (0, 1, 2, 3)):
+            f = _layered(sr, 1, {(e,): (-e * x0, i == 1) for i, e in enumerate(support)})
+            g = _layered(sr, 1, {(1,): (-x0, True), (4,): (-4 * x0, False), (6,): (-6 * x0 - 1, False)})
+            assert_hull_matches_oracle([f, g], grid)
+            assert_hull_matches_oracle([g, f.add(g)], grid)
+        on_lattice = (x0 + 2) * 3 == int((x0 + 2) * 3)
+        assert corner_locus([f], grid) == (((sr.scalar(x0),),) if on_lattice else ())
+
+
+@pytest.mark.parametrize("sr", HULL_VIEWS, ids=str)
+def test_hull_vertices_at_the_first_and_last_index_of_a_row(sr):
+    # Every line of f meets at 0, which is index 0 of [0, 2], index n - 1 of
+    # [-2, 0] and the only index of [0, 0]; on the 2-variable grid the rows
+    # of the x1 * x2 term move the vertex along x2.
+    f = _layered(sr, 1, {(0,): (0, False), (1,): (0, True), (3,): (0, False)})
+    g = _layered(sr, 1, {(0,): (0, True), (2,): (0, False)})
+    for bounds in ((0, 2), (-2, 0), (0, 0)):
+        assert_hull_matches_oracle([f, g], GridSpec.uniform(*bounds, Fraction(1, 2), 1))
+    h = _layered(sr, 2, {(0, 0): (0, False), (1, 1): (0, True), (0, 2): (0, False), (1, 0): (1, False)})
+    for bounds in ((0, 2), (-2, 0)):
+        assert_hull_matches_oracle([h], GridSpec.uniform(*bounds, Fraction(1, 2), 2))
+
+
+@pytest.mark.parametrize("sr", HULL_VIEWS, ids=str)
+def test_envelope_segments_wholly_outside_the_row(sr):
+    # The product of the factors x + r breaks at each r: -6 and -3 lie left of
+    # the row [-1, 2], 5 right of it, and 1/4 and 1/3 bound a segment that
+    # holds no lattice point (step 1/2), so tangible f has no root on the row.
+    f = LayeredPolynomial.constant(sr, 1, sr.one())
+    for r in (-6, -3, Fraction(1, 4), Fraction(1, 3), 5):
+        f = f.mul(_layered(sr, 1, {(1,): (0, False), (0,): (r, False)}))
+    g = _layered(sr, 1, {(7,): (-40, False), (0,): (9, True)})
+    grid = GridSpec.uniform(-1, 2, Fraction(1, 2), 1)
+    assert_hull_matches_oracle([f], grid)
+    assert_hull_matches_oracle([f, g], grid)
+    assert corner_locus([f], grid) == ()
+
+
+@pytest.mark.parametrize("sr", HULL_VIEWS, ids=str)
+def test_slope_classes_with_lines_tied_at_the_top(sr):
+    # Along x2 the monomials x1^a * x2 (a = 0, 1, 2) form one slope class,
+    # their starts c_a + a * x1 tie at x1 = 1: all three for c = (0, -1, -2),
+    # two with the third below for c = (0, -1, -3).  Ghost members change the
+    # lane's layer sum; rows x1 = 1 hold the ties.
+    for cs in ((0, -1, -2), (0, -1, -3)):
+        f = _layered(sr, 2, {(0, 1): (cs[0], False), (1, 1): (cs[1], True), (2, 1): (cs[2], False),
+                             (0, 0): (Fraction(1, 2), False), (0, 3): (-2, True)})
+        g = _layered(sr, 2, {(1, 1): (cs[1], False), (0, 1): (cs[0], True), (1, 0): (0, False)})
+        grid = GridSpec(((Fraction(-1), Fraction(2), Fraction(1, 2)),
+                         (Fraction(-3), Fraction(3), Fraction(1, 3))))
+        assert_hull_matches_oracle([f, g], grid)
+        assert_hull_matches_oracle([f], grid)
+
+
+def test_forty_and_more_monomials():
+    # Small values against exponents up to 47 crowd the breakpoints near 0,
+    # where many lines meet at and between lattice points.
+    rng = random.Random(4040)
+    for sr in HULL_VIEWS:
+        exponents = rng.sample(range(48), 44)
+        f = _layered(sr, 1, {(e,): (Fraction(rng.randint(-4, 4), rng.choice([1, 2])),
+                                    rng.random() < 0.2) for e in exponents})
+        assert len(f.coeffs) >= 40
+        assert_hull_matches_oracle([f], GridSpec.uniform(-1, 1, Fraction(1, 24), 1))
+        support = rng.sample(list(itertools.product(range(7), repeat=2)), 42)
+        h = _layered(sr, 2, {e: (rng.randint(-3, 3), rng.random() < 0.2) for e in support})
+        assert_hull_matches_oracle([h], GridSpec.uniform(-2, 2, Fraction(1, 2), 2))
+
+
+def test_hull_on_laurent_and_three_variable_grids_in_every_view():
+    rng = random.Random(77)
+    seen = set()
+    for i in range(42):
+        sr = SEMIRINGS[i % len(SEMIRINGS)]
+        laurent = sr.values is not INTEGERS and i % 3 != 0
+        low = -2 if laurent else 0
+        polynomials = [LayeredPolynomial(sr, 3, {tuple(rng.randint(low, 3) for _ in range(3)):
+                                                 sr.scalar(_random_value(rng, sr), _random_layer(rng, sr))
+                                                 for _ in range(rng.randint(3, 9))}, laurent)
+                       for _ in range(rng.choice([1, 2]))]
+        step = Fraction(1) if sr.values is INTEGERS else rng.choice(STEPS)
+        axes = tuple((lower, lower + step * count, step)
+                     for lower, count in zip((Fraction(-1), Fraction(0), _random_value(rng, sr)), (2, 3, 9)))
+        layers = (1, 1, 1) if laurent or sr.sorts is TRIVIAL else (1, 1, _ghost(sr))
+        assert_hull_matches_oracle(polynomials, GridSpec(axes, layers))
+        seen.add((sr, laurent))
+    assert {s for s, _ in seen} == set(SEMIRINGS) and {l for _, l in seen} == {False, True}

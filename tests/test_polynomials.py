@@ -557,6 +557,23 @@ _GRID_BUILDERS = [
 ]
 
 
+@pytest.mark.parametrize("layer", [1.0, True, Fraction(1), "1", Decimal(1), 2, INF],
+                         ids=["float", "bool", "Fraction", "str", "Decimal", "int", "inf"])
+def test_grid_layers_are_ints_or_inf_only(layer):
+    # A grid is refused when it is built, naming the layer; before, 1.0 and
+    # True were accepted and refused only once a scan checked the grid.
+    # Whether a view allows an int layer stays with ``GridSpec.check``.
+    axes = ((0, 1, 1), (0, 2, Fraction(1, 2)))
+    builds = (lambda: GridSpec(axes, (1, layer)), lambda: GridSpec.uniform(0, 1, 1, 2, layer=layer))
+    for build in builds:
+        if type(layer) is int or layer == INF:
+            assert build().layers[-1] == layer
+        else:
+            with pytest.raises(DomainError) as refused:
+                build()
+            assert str(refused.value) == f"grid layer {layer!r} is not an int or inf"
+
+
 @pytest.mark.parametrize("what, build", _GRID_BUILDERS,
                          ids=[f"{i}-{w}" for i, (w, _) in enumerate(_GRID_BUILDERS)])
 @pytest.mark.parametrize("v", [0.5, 2.0, True, "1/2", Decimal("0.5"), 2, Fraction(1, 2)],

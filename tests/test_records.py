@@ -154,3 +154,13 @@ def test_cli_import_loads_no_introspection_modules():
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_cli_import_leaves_csv_for_csv_output():
+    # Only ``--format csv`` writes through ``csv``, so a fresh CLI import (and
+    # with it every run in the default JSON format) does not load it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, laytrop.cli; print('csv' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
