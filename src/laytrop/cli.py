@@ -8,6 +8,7 @@ on success, 1 on domain errors in the input data, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -261,10 +262,12 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser with only ``command``'s subparser when that names one
     exactly, else with all of them.  Usage text lists every command either
-    way, so both builds print the same help and errors."""
+    way, so both builds print the same help and errors.  Each build is kept
+    for the process: parsing leaves a parser as it was."""
     parser = argparse.ArgumentParser(
         prog="laytrop",
         description="Exact layered tropical algebra: evaluation, loci, "
@@ -286,7 +289,8 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    # Only command names key a build, so at most ten are ever kept.
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
     except UsageError as err:

@@ -5,8 +5,8 @@ Scalar literals: ``v`` is tangible with value v; ``(l|v)`` carries layer l;
 ``p/q`` or integers.  Polynomials and Puiseux text share one sum-of-products
 grammar, ``factor ('*' factor)* ('+' factor ('*' factor)*)*``, so a dangling
 ``*`` or ``+`` is refused.  A layered factor is a scalar literal or a
-variable power ``xi^e``; a Puiseux factor is a rational, a ``t^(e)`` power,
-or (in polynomial mode) a power of the variable ``L``.
+variable power ``xi^e`` or ``xi^(e)`` with a signed int ``e``; a Puiseux factor
+is a rational, a ``t^(e)`` power, or (in polynomial mode) a power of ``L``.
 """
 
 from __future__ import annotations
@@ -158,7 +158,12 @@ def _layered_factor(s: _Stream, semiring: LayeredSemiring, laurent: bool):
         index = s.number(variable[1], offset) - 1 if variable else -1
         if index < 0:
             raise s.error(f"unknown variable {word!r}", offset)
-        exponent = _parse_signed_int(s) if s.accept("^") else 1
+        exponent = 1
+        if s.accept("^"):
+            bracketed = s.accept("(")
+            exponent = _parse_signed_int(s)
+            if bracketed:
+                s.expect(")")
         if exponent < 0 and not laurent:
             raise s.error("negative exponents need Laurent mode", offset)
         return index, exponent

@@ -68,6 +68,27 @@ def test_laurent_exponents_need_the_flag():
         parse_polynomial("x1^-2", NAT)
 
 
+def test_bracketed_exponents_read_like_bare_ones():
+    for text, laurent in (("x1^(-1) + x2^(3) + 0", True), ("x1^(2) + x1^(0)", False)):
+        bare = text.replace("(", "").replace(")", "")
+        assert parse_polynomial(text, NAT, laurent=laurent) == parse_polynomial(bare, NAT,
+                                                                                laurent=laurent)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1^(-1) + 0", NAT)
+    assert str(err.value) == "negative exponents need Laurent mode (line 1, column 1)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^()", "expected int, found ')' (line 1, column 5)"),
+    ("x1^(-)", "expected int, found ')' (line 1, column 6)"),
+    ("x1^(1/2)", "expected ), found '/' (line 1, column 6)"),
+])
+def test_malformed_bracketed_exponents_are_refused(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, NAT, laurent=True)
+    assert str(err.value) == message
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x1 + @", NAT)
@@ -517,17 +538,56 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv", [
+BUILD_ARGVS = [
     ["--help"], ["-h"], [], ["bogus"], ["loc"], ["--", "locus"], ["-h", "locus"],
     *([name, "--help"] for name in cli._COMMANDS), *USAGE_ERRORS,
     ["essential", "x1^2 + 0*x1 + 4"], ["locus", "x1 + x2 + 0", "--grid=-1:1:1", "--combined"],
-], ids=repr)
+]
+
+
+@pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
 def test_single_subparser_build_matches_the_full_build(argv, monkeypatch):
     single = outcome(argv)
     full_build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda command: full_build(None))
     assert outcome(argv) == single
     assert single[2] in (0, 2) and single[0] + single[1]
+
+
+@pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
+def test_repeated_calls_match(argv):
+    # The first call builds its parser; the last reuses it after a usage
+    # error and a help text have gone through the same kept parser.
+    cli._build_parser.cache_clear()
+    first = outcome(argv)
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else "eval"
+    assert outcome(USAGE_ERRORS[list(cli._COMMANDS).index(command)])[2] == 2
+    assert outcome([command, "--help"])[2] == 0
+    assert outcome(argv) == first
+
+
+def test_help_wraps_at_the_width_when_it_prints(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = outcome(["locus", "--help"])
+    monkeypatch.setenv("COLUMNS", "120")
+    wide = outcome(["locus", "--help"])
+    assert narrow[2] == wide[2] == 0
+    assert len(narrow[0].splitlines()) > len(wide[0].splitlines())
+
+
+def test_the_parser_memo_stays_bounded():
+    for name in cli._COMMANDS:
+        outcome([name, "--help"])
+    for k in range(1000):
+        assert outcome([f"unknown{k}", "x1"])[2] == 2
+    assert cli._build_parser.cache_info().currsize <= 10
+
+
+def test_bracketed_exponents_on_the_command_line():
+    assert outcome(["eval", "--laurent", "x1^(-1) + 0", "--point", "1"]) == \
+        outcome(["eval", "--laurent", "x1^-1 + 0", "--point", "1"])
+    assert outcome(["eval", "x1^(-1) + 0", "--point", "1"]) == \
+        ("", "error: negative exponents need Laurent mode (line 1, column 1)\n", 1)
 
 
 def test_the_single_subparser_build_holds_one_command():
