@@ -262,23 +262,16 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when that names one
-    exactly, else with all of them.  Usage text lists every command either
-    way, so both builds print the same help and errors.  Each build is kept
-    for the process: parsing leaves a parser as it was."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="laytrop",
         description="Exact layered tropical algebra: evaluation, loci, "
                     "valuations, and the univariate root correspondence.")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # An explicit metavar would rename the missing-command error, which only
-    # the full build can raise.
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None))
-    for name in names:
-        help_text, handler, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -287,10 +280,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Only command names key a build, so at most ten are ever kept.
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
     try:
         return args.handler(args)
     except UsageError as err:

@@ -213,13 +213,6 @@ VALUE_FLAVORS = {"rational": RATIONALS, "integer": INTEGERS, "natural": NATURALS
 # Records
 
 
-class Fresh:
-    """A record field default made anew for each instance, by ``make()``."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 class Record:
     """Base of plain records with a dataclass's methods, compiled at a class's first use.
 
@@ -264,12 +257,10 @@ def _compiled(cls: type) -> type:
     ns = {"_set": object.__setattr__,
           **{"_d_" + n: getattr(cls, n) for n in names if hasattr(cls, n)}}
     params = ", ".join(f"{n}=_d_{n}" if "_d_" + n in ns else n for n in names)
-    stored = [f"{n}.make() if {n} is _d_{n} else {n}" if isinstance(ns.get("_d_" + n), Fresh) else n
-              for n in names]
     fields = "".join(f"self.{n}," for n in names)
     code = {
         "__init__": f"def __init__(self, {params}):" + "".join(
-            f"\n _set(self, {n!r}, {v})" for n, v in zip(names, stored))
+            f"\n _set(self, {n!r}, {n})" for n in names)
             + ("\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""),
         "__eq__": f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n  return "
                   f"({fields}) == ({fields.replace('self.', 'other.')})\n return NotImplemented",

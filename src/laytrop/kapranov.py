@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Fresh, LayeredSemiring, Record
+from .core import LayeredSemiring, Record
 from .errors import DomainError
 from .polynomials import _upper_hull, univariate_corner_roots
 from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
@@ -195,7 +195,7 @@ class TrialSummary(Record):
     """Aggregate of repeated randomized correspondence checks."""
 
     trials: int
-    failures: List[Dict] = Fresh(list)
+    failures: List[Dict]
 
     @property
     def passed(self) -> bool:
@@ -213,7 +213,7 @@ def verify_random_products(degree: int, trials: int, seed: int,
     if trials < 1:
         raise DomainError("trials must be at least 1")
     rng = random.Random(seed)
-    summary = TrialSummary(trials=trials)
+    summary = TrialSummary(trials, [])
     for _ in range(trials):
         f, roots = random_split_product(rng, rng.randint(1, degree))
         report = kapranov_verify(f, roots, semiring)

@@ -41,13 +41,13 @@ class LayeredPolynomial:
 
     def __init__(self, semiring: LayeredSemiring, nvars: int,
                  coeffs, laurent: bool = False):
-        if not isinstance(nvars, int) or nvars < 1:
+        if type(nvars) is not int or nvars < 1:
             raise DomainError(f"variable count {nvars!r} must be a positive integer")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         checked = []
         for exponents, scalar in items:
             exponents = tuple(exponents)
-            if len(exponents) != nvars or not all(isinstance(e, int) for e in exponents):
+            if len(exponents) != nvars or not all(type(e) is int for e in exponents):
                 raise DomainError(f"exponent vector {exponents!r} does not have {nvars} integer entries")
             if not laurent and any(e < 0 for e in exponents):
                 raise DomainError(f"negative exponent in {exponents!r} outside Laurent mode")

@@ -11,10 +11,10 @@ strictly increasing, no zero values.  Two places merge like keys and sort:
 ``_collect`` for sums and validated input (``from_terms`` and
 ``from_coeffs`` validate before it), and ``_accumulate`` for every product,
 of series (as degree-0 polynomials) or of polynomials: one accumulator of
-int sums.  A product keeps its sums and decodes only what is read: all of
-``coeffs`` on first read (``_decode``), one degree, or the lowest term per
-degree; ``_matches`` compares sums as ints.  Constructors take exact
-rationals only: int (not bool) and Fraction.
+int sums.  A polynomial reads one degree, or the lowest term per degree, off
+such sums: a product keeps its own and decodes ``coeffs`` on first read
+(``_decode``), any other builds them from ``coeffs``.  Constructors take
+exact rationals only: int (not bool) and Fraction.
 """
 
 from __future__ import annotations
@@ -89,18 +89,11 @@ def _product(sums: tuple) -> "PuiseuxPolynomial":
 
 
 def _matches(f: "PuiseuxPolynomial", acc: dict, scale: int, width: int, den: int) -> bool:
-    """Whether f has the int sums as ints: as a dict with zero sums dropped if f keeps
-    sums on the same scales, else each term takes its own sum and none is left over."""
-    if f._sums is not None and f._sums[1:] == (scale, width, den):
+    """Whether f has the int sums: compared as ints, zero sums dropped, if f's own
+    sums are on the same scales, else as f's coefficients against the decoded sums."""
+    if f._sums[1:] == (scale, width, den):
         return {k: v for k, v in f._sums[0].items() if v} == {k: v for k, v in acc.items() if v}
-    left = dict(acc)
-    for d, series in f.coeffs:
-        for e, c in series.terms:
-            ed, cd = e.denominator, c.denominator
-            if d >= width or scale % ed or den % cd or (
-                    left.pop(e.numerator * (scale // ed) * width + d, 0) != c.numerator * (den // cd)):
-                return False
-    return not any(left.values())
+    return f.coeffs == _decode(acc, scale, width, den)
 
 
 class PuiseuxSeries(Record, frozen=True):
@@ -199,17 +192,21 @@ class PuiseuxPolynomial(Record, frozen=True):
     Stored as (degree, coefficient) pairs with strictly increasing degrees
     and nonzero coefficients; the empty tuple is the zero polynomial.
     Ordinary ring arithmetic (with subtraction) applies.  A product built by
-    ``_product`` has no ``coeffs`` until the first read of them.
+    ``_product`` keeps its int sums ``_sums`` and has no ``coeffs`` until the
+    first read of them; any other polynomial builds ``_sums`` on first read.
     """
 
     coeffs: Tuple[Tuple[int, PuiseuxSeries], ...]
-    _sums = None  # (acc, scale, width, den) of a product, see ``_product``
 
     def __getattr__(self, name):
-        if name != "coeffs" or self._sums is None:
+        if name == "_sums":
+            value = _accumulate((self.coeffs,))
+        elif name == "coeffs" and "_sums" in self.__dict__:
+            value = _decode(*self._sums)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        coeffs = self.__dict__["coeffs"] = _decode(*self._sums)
-        return coeffs
+        self.__dict__[name] = value
+        return value
 
     @classmethod
     def from_coeffs(cls, coeffs: Union[Mapping[int, PuiseuxSeries],
@@ -217,7 +214,7 @@ class PuiseuxPolynomial(Record, frozen=True):
         """From a degree -> series map, or (degree, series) pairs whose like degrees add."""
         items = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
         for degree, _ in items:
-            if not isinstance(degree, int) or degree < 0:
+            if type(degree) is not int or degree < 0:
                 raise DomainError(f"degree {degree!r} must be a non-negative integer")
         return cls(_collect(items, PuiseuxSeries.zero()))
 
@@ -242,10 +239,8 @@ class PuiseuxPolynomial(Record, frozen=True):
     @cached_property
     def lowest_terms(self) -> Tuple[Tuple[int, Fraction, Fraction], ...]:
         """(degree, exponent, coefficient) of each coefficient's lowest term, degrees
-        ascending: all that val and leading read.  A product not yet decoded takes the
-        lowest key with a nonzero sum per degree."""
-        if "coeffs" in vars(self):
-            return tuple((d, *c.terms[0]) for d, c in self.coeffs)
+        ascending: all that val and leading read, from the lowest key with a nonzero
+        sum per degree."""
         acc, scale, width, den = self._sums
         low = {key % width: key for key in sorted(acc, reverse=True) if acc[key]}
         return tuple((d, Fraction(key // width, scale), Fraction(acc[key], den))
@@ -264,14 +259,9 @@ class PuiseuxPolynomial(Record, frozen=True):
         return tuple(d for d, _, _ in self.lowest_terms)
 
     def coefficient(self, degree: int) -> PuiseuxSeries:
-        if "coeffs" not in vars(self):  # a product: decode this degree alone
-            acc, scale, width, den = self._sums
-            keys = sorted(k for k, v in acc.items() if v and k % width == degree)
-            return PuiseuxSeries(tuple((Fraction(k // width, scale), Fraction(acc[k], den)) for k in keys))
-        for d, c in self.coeffs:
-            if d == degree:
-                return c
-        return PuiseuxSeries.zero()
+        acc, scale, width, den = self._sums
+        keys = sorted(k for k, v in acc.items() if v and k % width == degree)
+        return PuiseuxSeries(tuple((Fraction(k // width, scale), Fraction(acc[k], den)) for k in keys))
 
     def __add__(self, other: "PuiseuxPolynomial") -> "PuiseuxPolynomial":
         return PuiseuxPolynomial(_collect(self.coeffs + other.coeffs, PuiseuxSeries.zero()))

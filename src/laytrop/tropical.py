@@ -56,7 +56,7 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
     if not coeffs:
         raise DomainError("an empty exploded polynomial cannot be evaluated")
     for d in sorted(coeffs):
-        if not isinstance(d, int) or d < 0:
+        if type(d) is not int or d < 0:
             raise DomainError(f"exploded exponent {d!r} must be a non-negative integer")
     scale = lcm(point.value.denominator, *(c.value.denominator for c in coeffs.values()))
     step = point.value.numerator * (scale // point.value.denominator)

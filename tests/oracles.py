@@ -530,7 +530,5 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in [
                       frozen=False),
     _reference_record("KapranovReport", ["f", "known_roots", "known_vals", "corner_roots",
                                          "forward_ok", "reverse_ok", "exploded_ok"], frozen=False),
-    _reference_record("TrialSummary",
-                      ["trials", ("failures", object, dataclasses.field(default_factory=list))],
-                      frozen=False),
+    _reference_record("TrialSummary", ["trials", "failures"], frozen=False),
 ]}

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS,
                      SUPERTROPICAL, TRIVIAL, DomainError, ExplodedScalar, LayeredPolynomial,
-                     LayeredScalar, LayeredSemiring, PuiseuxSeries, semiring)
+                     LayeredScalar, LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries, semiring)
+from laytrop.tropical import exploded_eval
 
 from oracles import SATURATING, random_scalar
 
@@ -308,3 +309,21 @@ def test_values_are_exact_rationals_only(name, what, build, v):
         assert str(refused.value) == "value 1/2 is not an integer"
     else:
         build(v)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda sr, one: LayeredPolynomial(sr, 1, {(True,): one}),
+     "exponent vector (True,) does not have 1 integer entries"),
+    (lambda sr, one: LayeredPolynomial(sr, True, {(0,): one}),
+     "variable count True must be a positive integer"),
+    (lambda sr, one: PuiseuxPolynomial.from_coeffs({True: PuiseuxSeries.one()}),
+     "degree True must be a non-negative integer"),
+    (lambda sr, one: exploded_eval({True: ExplodedScalar.one()}, ExplodedScalar.one()),
+     "exploded exponent True must be a non-negative integer"),
+], ids=["exponent", "variable count", "series degree", "exploded degree"])
+def test_stored_ints_are_ints_only(build, message):
+    # A bool is an int to isinstance; an exponent, degree or count refuses it
+    # as a value or a layer does.
+    with pytest.raises(DomainError) as refused:
+        build(NAT, NAT.scalar(0))
+    assert str(refused.value) == message

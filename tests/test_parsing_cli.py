@@ -546,15 +546,6 @@ BUILD_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
-def test_single_subparser_build_matches_the_full_build(argv, monkeypatch):
-    single = outcome(argv)
-    full_build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command: full_build(None))
-    assert outcome(argv) == single
-    assert single[2] in (0, 2) and single[0] + single[1]
-
-
-@pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
 def test_repeated_calls_match(argv):
     # The first call builds its parser; the last reuses it after a usage
     # error and a help text have gone through the same kept parser.
@@ -575,14 +566,6 @@ def test_help_wraps_at_the_width_when_it_prints(monkeypatch):
     assert len(narrow[0].splitlines()) > len(wide[0].splitlines())
 
 
-def test_the_parser_memo_stays_bounded():
-    for name in cli._COMMANDS:
-        outcome([name, "--help"])
-    for k in range(1000):
-        assert outcome([f"unknown{k}", "x1"])[2] == 2
-    assert cli._build_parser.cache_info().currsize <= 10
-
-
 def test_bracketed_exponents_on_the_command_line():
     assert outcome(["eval", "--laurent", "x1^(-1) + 0", "--point", "1"]) == \
         outcome(["eval", "--laurent", "x1^-1 + 0", "--point", "1"])
@@ -590,14 +573,10 @@ def test_bracketed_exponents_on_the_command_line():
         ("", "error: negative exponents need Laurent mode (line 1, column 1)\n", 1)
 
 
-def test_the_single_subparser_build_holds_one_command():
+def test_the_command_set_and_the_missing_command_error():
     assert set(cli._COMMANDS) == {"eval", "trop", "explode", "roots", "locus", "layering",
                                   "essential", "congruence", "kapranov"}
     assert [argv[0] for argv in USAGE_ERRORS] == list(cli._COMMANDS)
-    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()) as err:
-        cli._build_parser("locus").parse_args(["essential", "x1"])
-    assert "invalid choice: 'essential'" in err.getvalue()
-    # The full build names the missing positional as before.
     _, err, code = outcome([])
     assert code == 2 and err.endswith("error: the following arguments are required: command\n")
 

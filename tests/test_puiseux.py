@@ -329,7 +329,9 @@ PRODUCT_READS = {
 
 def test_product_reads_match_the_reference():
     # A product keeps its int sums and decodes only what is read; every public
-    # read must see what it sees on the product built term by term.
+    # read must see what it sees on the product built term by term.  That
+    # decoded reference builds its own sums on first read, and its structural
+    # reads must give what its terms give.
     rng = random.Random(21)
     seen = {"zero root": 0, "lowest sum cancelled": 0, "degree cancelled": 0, "zero": 0}
     for _ in range(200):
@@ -348,6 +350,7 @@ def test_product_reads_match_the_reference():
             f = PuiseuxPolynomial.from_roots(roots, lead)
             want = structure[name] if name in structure else outcome(read, expected)
             assert outcome(read, f) == want, (name, roots, lead)
+            assert outcome(read, PuiseuxPolynomial(coeffs)) == want, (name, roots, lead)
             if name not in ("coeffs", "str", "repr"):
                 assert "coeffs" not in vars(f), name  # read off the sums alone
         f = PuiseuxPolynomial.from_roots(roots, lead)
@@ -405,10 +408,11 @@ def on_scales(g, scale, width, den):
 def test_int_identity_agrees_with_fraction_equality():
     # The kapranov_verify identity compares f with the int sums of
     # lead * prod(L - r); == on the reference product is the oracle.  f built
-    # term by term takes the term-by-term path; a product keeping sums on the
-    # identity's scales is compared as a dict, and one on other scales is not.
+    # term by term, and a product on other scales, are compared as decoded
+    # coefficients; a product keeping sums on the identity's scales is
+    # compared as a dict.
     rng = random.Random(19)
-    refused, paths = {}, {"dict": 0, "terms": 0}
+    refused, paths = {}, {"dict": 0, "decoded": 0}
     for _ in range(120):
         roots = [kernel_series(rng, LARGE) for _ in range(rng.randint(0, 5))]
         if roots and rng.random() < 0.3:
@@ -423,7 +427,7 @@ def test_int_identity_agrees_with_fraction_equality():
         acc, scale, width, den = sums
         product = PuiseuxPolynomial.from_roots(roots, lead)
         assert product._sums[1:] == (scale, width, den)
-        # Zero sums are no terms, and sums on another den are read term by term.
+        # Zero sums are no terms, and sums on another den are compared decoded.
         padded = _product(({**acc, rng.choice([-1, 1]) * (max(map(abs, acc)) + 1): 0}, scale, width, den))
         rescaled = _product(({k: 3 * v for k, v in acc.items()}, scale, width, 3 * den))
         for g in (f, product, padded, rescaled):
@@ -433,12 +437,13 @@ def test_int_identity_agrees_with_fraction_equality():
             kept = on_scales(g, scale, width, den)
             assert g != f and not _matches(g, *sums) and not _matches(kept, *sums), (kind, g, roots, lead)
             refused[kind] = refused.get(kind, 0) + 1
-            paths["dict" if kept._sums[1:] == (scale, width, den) else "terms"] += 1
+            paths["dict" if kept._sums[1:] == (scale, width, den) else "decoded"] += 1
     assert min(refused.values()) >= 50 and min(paths.values()) >= 50, (refused, paths)
 
 
 def test_int_identity_refuses_each_near_miss():
-    # Each refused f here fools the comparison with one of its checks left out.
+    # Each refused f here would pass an int comparison of its terms, scaled onto
+    # the identity's scales, that left out one check; decoded equality needs none.
     one, two, t = (PuiseuxSeries.constant(1), PuiseuxSeries.constant(2),
                    PuiseuxSeries.term(1, 1))
     cases = [
