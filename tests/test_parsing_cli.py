@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,6 +547,19 @@ BUILD_ARGVS = [
     *([name, "--help"] for name in cli._COMMANDS), *USAGE_ERRORS,
     ["essential", "x1^2 + 0*x1 + 4"], ["locus", "x1 + x2 + 0", "--grid=-1:1:1", "--combined"],
 ]
+
+
+@pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
+def test_a_fresh_process_matches_the_in_process_call(argv, monkeypatch):
+    # A one-shot ``python -m laytrop.cli`` builds the parser in a new process;
+    # it must print what the kept parser prints in this one.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-m", "laytrop.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    kept = outcome(argv)
+    assert (run.stdout, run.stderr, run.returncode) == kept
+    assert kept[2] in (0, 2) and kept[0] + kept[1]
 
 
 @pytest.mark.parametrize("argv", BUILD_ARGVS, ids=repr)
