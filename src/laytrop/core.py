@@ -376,7 +376,7 @@ class LayeredSemiring:
 
     def pow(self, x: LayeredScalar, m: int) -> LayeredScalar:
         self.check(x)
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise DomainError(f"exponent {m!r} is not an integer")
         return LayeredScalar(self.sorts.pow(x.layer, m), x.value * m)
 

@@ -9,6 +9,11 @@ the tropicalized polynomial, and the lower hull is the mirrored upper hull
 of (degree, val) shared with ``univariate_corner_roots``).  The verifier
 checks this correspondence in both directions on polynomials built from
 known roots, plus the exploded refinement through leading coefficients.
+Once f passes the identity check, each trial runs on one int scale, that
+of the identity's sums: every root valuation is read once, as an int on
+it; forward evaluates the tropicalization there, and the exploded check
+lifts the values of ``explode_poly(f)`` onto it once and finds each corner
+root's tied degrees on ints.  Newton hulls ints on f's own exponent scale.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import LayeredSemiring, Record
+from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
 from .polynomials import _upper_hull, univariate_corner_roots
-from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
-from .tropical import explode_poly, exploded_eval, trop_poly
+from .puiseux import PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
+# Trials take exploded_eval's closed form directly; the name stays importable
+# here as kapranov.exploded_eval, which perfbench/tracing.py wraps.
+from .tropical import _lifted, _ties, _tied_sort, explode_poly, exploded_eval, trop_poly
 
 
 class NewtonSegment(Record, frozen=True):
@@ -40,15 +47,16 @@ class NewtonPolygon(Record, frozen=True):
 
 def newton_polygon(f: PuiseuxPolynomial) -> NewtonPolygon:
     """The lower hull of the coefficient support, segments ordered by slope:
-    the mirrored upper hull of (d, val), shared with ``univariate_corner_roots``."""
+    the mirrored upper hull of (d, val), shared with ``univariate_corner_roots``,
+    over ints on the exponent scale of f's own sums."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no Newton polygon")
-    mirrored = [(d, -e) for d, e, _ in f.lowest_terms]
-    hull = _upper_hull(mirrored)
+    scale = f._sums[1]
+    hull = _upper_hull([(d, -e.numerator * (scale // e.denominator)) for d, e, _ in f.lowest_terms])
     segments = tuple(
-        NewtonSegment(Fraction(v1 - v2, x2 - x1), x2 - x1)
+        NewtonSegment(Fraction(v1 - v2, (x2 - x1) * scale), x2 - x1)
         for (x1, v1), (x2, v2) in zip(hull, hull[1:]))
-    return NewtonPolygon(tuple((d, -v) for d, v in mirrored), segments)
+    return NewtonPolygon(tuple((d, e) for d, e, _ in f.lowest_terms), segments)
 
 
 def root_valuations(f: PuiseuxPolynomial) -> Tuple[Fraction, ...]:
@@ -154,21 +162,35 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
                           f"degree {d}, f has {f.coefficient(d)} but lead(f) * prod(L - r) has "
                           f"{product.coefficient(d)}")
 
+    # One int scale for the whole trial: every exponent of the roots, and so of
+    # f, is a multiple of 1/scale.
+    scale, lifted = _lifted(explode_poly(f), sums[1])
+    vals = [r.val() for r in known_roots]
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    known_vals = [vals[i] for i in sorted(range(len(vals)), key=ints.__getitem__)]
+
     tropicalized = trop_poly(sr, f)
     corner = univariate_corner_roots(tropicalized)
     corner_multiset = sorted(x for x, m in corner for _ in range(m))
-    known_vals = sorted(r.val() for r in known_roots)
     newton_vals = list(root_valuations(f))
 
-    forward_ok = all(
-        tropicalized.is_corner_root((sr.scalar(r.val()),)) for r in known_roots)
+    forward_ok = all(tropicalized.is_corner_root((LayeredScalar(1, sr.values.check(v)),), scale)
+                     for v in vals)
     reverse_ok = corner_multiset == newton_vals == known_vals
 
-    exploded = explode_poly(f)
-    exploded_ok = all(
-        any(exploded_eval(exploded, ExplodedScalar(r.leading(), x0)).is_corner_ghost
-            for r in known_roots if r.val() == x0)
-        for x0, _ in corner)
+    leads: Dict[int, List[Fraction]] = {}
+    for r, k in zip(known_roots, ints):
+        leads.setdefault(k, []).append(r.leading())
+
+    def ghost_at(x0: Fraction) -> bool:
+        """Whether the exploded sum at (lead, x0) has sort 0 for some known root of valuation x0."""
+        k, off_scale = divmod(x0.numerator * scale, x0.denominator)
+        if off_scale or k not in leads:
+            return False
+        tied = _ties(lifted, k)[1]
+        return any(_tied_sort(tied, s) == 0 for s in leads[k])
+
+    exploded_ok = all(ghost_at(x0) for x0, _ in corner)
 
     return KapranovReport(
         f=f,

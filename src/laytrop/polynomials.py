@@ -133,7 +133,7 @@ class LayeredPolynomial:
                            for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()])
 
     def pow(self, m: int) -> "LayeredPolynomial":
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise DomainError(f"polynomial power {m!r} must be a positive integer")
         return power(self, m, LayeredPolynomial.mul, None)
 
@@ -197,13 +197,14 @@ class LayeredPolynomial:
 
     # -- roots ----------------------------------------------------------------------
 
-    def is_corner_root(self, point: Point) -> bool:
+    def is_corner_root(self, point: Point, scale: Optional[int] = None) -> bool:
         """Whether the evaluation is ghost over every monomial's sort.
 
         Over the trivial flavor every sort is a ghost sort, so the criterion
         there is the classical one: at least two tied dominant monomials.
+        A ``scale`` skips the check of the point, as in ``_profile``.
         """
-        _, _, layers, tied = self._profile(point)
+        _, _, layers, tied = self._profile(point, scale)
         return _verdict(self.semiring.sorts, layers, tied)[0]
 
     def is_cluster_root(self, point: Point) -> bool:

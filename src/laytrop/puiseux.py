@@ -162,7 +162,7 @@ class PuiseuxSeries(Record, frozen=True):
         return _product(_accumulate((((0, self),), ((0, other),)))).coefficient(0)
 
     def __pow__(self, m: int) -> "PuiseuxSeries":
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise DomainError(f"series exponent {m!r} must be a non-negative integer")
         return power(self, m, mul, PuiseuxSeries.one())
 
@@ -276,7 +276,7 @@ class PuiseuxPolynomial(Record, frozen=True):
         return _product(_accumulate((self.coeffs, other.coeffs)))
 
     def __pow__(self, m: int) -> "PuiseuxPolynomial":
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise DomainError(f"polynomial exponent {m!r} must be a non-negative integer")
         return power(self, m, mul, PuiseuxPolynomial.constant(PuiseuxSeries.one()))
 
@@ -354,7 +354,7 @@ class ExplodedScalar(Record, frozen=True):
         return ExplodedScalar(self.sort * other.sort, self.value + other.value)
 
     def __pow__(self, m: int) -> "ExplodedScalar":
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise DomainError(f"exploded exponent {m!r} must be a non-negative integer")
         return ExplodedScalar(self.sort ** m, self.value * m)
 

@@ -7,9 +7,10 @@ leading coefficient as the sort, which is what detects corner ghosts.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring
 from .errors import DomainError
@@ -55,15 +56,35 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
     """
     if not coeffs:
         raise DomainError("an empty exploded polynomial cannot be evaluated")
-    for d in sorted(coeffs):
-        if type(d) is not int or d < 0:
-            raise DomainError(f"exploded exponent {d!r} must be a non-negative integer")
-    scale = lcm(point.value.denominator, *(c.value.denominator for c in coeffs.values()))
-    step = point.value.numerator * (scale // point.value.denominator)
-    scaled = {d: c.value.numerator * (scale // c.value.denominator) + d * step for d, c in coeffs.items()}
-    top = max(scaled.values())
-    return ExplodedScalar(sum(coeffs[d].sort * point.sort ** d for d, n in scaled.items() if n == top),
-                          Fraction(top, scale))
+    bad = [d for d in coeffs if type(d) is not int or d < 0]
+    if bad:
+        with suppress(TypeError):  # keys of mixed types have no order: name the first
+            bad.sort()
+        raise DomainError(f"exploded exponent {bad[0]!r} must be a non-negative integer")
+    scale, lifted = _lifted(coeffs, point.value.denominator)
+    top, tied = _ties(lifted, point.value.numerator * (scale // point.value.denominator))
+    return ExplodedScalar(_tied_sort(tied, point.sort), Fraction(top, scale))
+
+
+def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> Tuple[int, List[Tuple]]:
+    """(scale, lifted): the lcm of ``scale`` and every value denominator, and each
+    degree d as (d, value times that lcm, sort)."""
+    scale = lcm(scale, *(c.value.denominator for c in coeffs.values()))
+    return scale, [(d, c.value.numerator * (scale // c.value.denominator), c.sort)
+                   for d, c in coeffs.items()]
+
+
+def _ties(lifted: Sequence[Tuple], x: int) -> Tuple[int, List[Tuple]]:
+    """(top, tied): the max of v_d + d*x over ``lifted``, x on its scale, and the
+    (d, sort) of each degree tied at it."""
+    values = [v + d * x for d, v, _ in lifted]
+    top = max(values)
+    return top, [(d, c) for (d, _, c), value in zip(lifted, values) if value == top]
+
+
+def _tied_sort(tied: Sequence[Tuple], s):
+    """The sort sum of c_d * s^d over the tied degrees."""
+    return sum(c * s ** d for d, c in tied)
 
 
 def apply_value_map(obj, fn: Callable, semiring: LayeredSemiring = None):

@@ -10,7 +10,9 @@ references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector, the
 integer product kernel or Horner's rule; the initial-form identity checks
 claimed roots on leading coefficients alone.  The exploded reference folds
-its terms by exploded addition, never taking the closed form.  The
+its terms by exploded addition, never taking the closed form.  The Kapranov
+reference judges a verified trial on Fractions, by exhaustive ties, chords
+and exploded addition, never sharing the trial's int scale.  The
 layered-polynomial references merge like exponents in their own dict loops, and the Newton-polygon reference finds hull vertices
 by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
@@ -32,9 +34,9 @@ import math
 import random
 from fractions import Fraction
 
-from laytrop import (INF, DomainError, LayeredPolynomial, LayeredScalar,
+from laytrop import (INF, DomainError, ExplodedScalar, LayeredPolynomial, LayeredScalar,
                      LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries,
-                     combined_locus, corner_locus)
+                     combined_locus, corner_locus, explode_poly, trop_poly)
 from laytrop.congruence import (FinitePointSet, ZariskiReport, _probe_family, congruent_on,
                                 variety_of)
 from laytrop.core import SortFlavor, format_layer
@@ -314,6 +316,34 @@ def reference_exploded_eval(coeffs, point):
         term = coeffs[d] * point ** d
         total = term if total is None else total + term
     return total
+
+
+def reference_kapranov_checks(f, roots, semiring, trop=trop_poly, explode=explode_poly):
+    """The verdicts of ``kapranov_verify`` for f with roots that pass its identity
+    check, on Fractions: (forward, reverse, exploded, corner roots as texts with
+    multiplicities, sorted valuations).  ``trop`` and ``explode`` stand in for
+    the two maps, so a perturbed map can be given to both sides.
+
+    Forward evaluates each root's valuation through the public, checking
+    ``is_corner_root``; corner roots come from exhaustive ties and the Newton
+    valuations from the chord hull of (degree, lowest exponent); each corner
+    root is checked by term-by-term exploded addition at every root of that
+    valuation.  Nothing here takes a common int scale, the monotone-chain
+    hull or the exploded closed form.
+    """
+    tropicalized = trop(semiring, f)
+    corner = brute_corner_roots([(d, c.value) for (d,), c in tropicalized.coeffs.items()])
+    hull = brute_lower_hull([(d, c.terms[0][0]) for d, c in f.coeffs])
+    newton = sorted(v for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+                    for v in [(y2 - y1) / (x2 - x1)] * (x2 - x1))
+    known = sorted(r.val() for r in roots)
+    forward = all(tropicalized.is_corner_root((semiring.scalar(r.val()),)) for r in roots)
+    reverse = sorted(x for x, m in corner for _ in range(m)) == newton == known
+    exploded = explode(f)
+    ghosts = all(any(reference_exploded_eval(exploded, ExplodedScalar(r.leading(), r.val())).is_corner_ghost
+                     for r in roots if r.val() == x0)
+                 for x0, _ in corner)
+    return forward, reverse, ghosts, [(str(x), m) for x, m in corner], known
 
 
 def reference_layered_add(f, g):

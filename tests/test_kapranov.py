@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from laytrop import (DomainError, LayeredSemiring, PuiseuxPolynomial,
-                     PuiseuxSeries, bourbaki_extension, kapranov_verify,
-                     newton_polygon, random_split_product, root_valuations,
-                     trop_poly, univariate_corner_roots,
-                     verify_random_products)
+from laytrop import (DomainError, ExplodedScalar, LayeredScalar, LayeredSemiring,
+                     PuiseuxPolynomial, PuiseuxSeries, bourbaki_extension, kapranov,
+                     kapranov_verify, newton_polygon, random_split_product, root_valuations,
+                     trop_poly, univariate_corner_roots, verify_random_products)
+from laytrop.core import SORT_FLAVORS
+from laytrop.puiseux import _root_sums
 
-from oracles import brute_lower_hull, initial_form_identity, random_value, reference_from_roots
+from oracles import (brute_lower_hull, initial_form_identity, random_value,
+                     reference_from_roots, reference_kapranov_checks)
 
 SR = LayeredSemiring()
 
@@ -326,6 +328,81 @@ def test_exploded_check_fails_when_a_corner_sort_moves(monkeypatch):
         after = kapranov_verify(f, roots)
         assert before.passed and after.exploded_ok is False and after.passed is False
         assert (after.forward_ok, after.reverse_ok) == (before.forward_ok, before.reverse_ok)
+
+
+def _shifted_explode(at, sort=0, value=0):
+    """explode_poly with the sort and value of its degree at relative position
+    ``at`` (in [0, 1), degrees ascending) moved by the given amounts."""
+    explode_poly = kapranov.explode_poly
+
+    def explode(f):
+        out = explode_poly(f)
+        d = sorted(out)[int(at * len(out))]
+        out[d] = ExplodedScalar(out[d].sort + sort, out[d].value + value)
+        return out
+    return explode
+
+
+def _shifted_trop(at, value):
+    """trop_poly with the value of its degree at relative position ``at`` moved by ``value``."""
+    def trop(sr, f):
+        g = trop_poly(sr, f)
+        e = sorted(g.coeffs)[int(at * len(g.coeffs))]
+        return type(g)(sr, 1, {**g.coeffs, e: LayeredScalar(1, g.coeffs[e].value + value)})
+    return trop
+
+
+def test_int_trial_checks_match_the_fraction_reference(monkeypatch):
+    # Each trial's checks run on one int scale; the reference judges the same
+    # trial on Fractions.  Roots have up to three terms, leads are series,
+    # and half the polynomials are built by the reference product, so their
+    # own sums sit on a smaller scale than the identity's when conjugate
+    # roots +-c*t^(a/4) leave only t^(a/2) in f.  A perturbed map goes to
+    # both sides, so false verdicts are compared too; shifts by whole units,
+    # and another product of roots on the same exponents, keep every value
+    # on the trial scale.
+    rng = random.Random(83)
+    seen = {"forward": 0, "reverse": 0, "exploded": 0, "own scale": 0, "lead": 0}
+    for i in range(150):
+        roots = [_random_root(rng) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.4:
+            c, a = rng.choice([-2, 1, 3]), Fraction(rng.choice([-3, -1, 1, 3]), 4)
+            roots += [series(c, a), series(-c, a)]
+        rng.shuffle(roots)
+        lead = rng.choice([PuiseuxSeries.one(), series(rng.choice([-3, 2, Fraction(1, 2)]), rng.randint(-2, 2)),
+                           PuiseuxSeries.from_terms([(1, 2), (Fraction(3, 2), -1)])])
+        seen["lead"] += lead != PuiseuxSeries.one()
+        if i % 2:
+            f = reference_from_roots(roots, lead)
+            seen["own scale"] += f._sums[1] != _root_sums(roots, lead)[1]
+        else:
+            f = PuiseuxPolynomial.from_roots(roots, lead)
+        at, by = rng.random(), rng.choice([-1, 1])
+        # The exploded map of f with one root's lead moved: at that valuation
+        # the other roots still give sort 0, and the moved root does not.
+        j = rng.randrange(len(roots))
+        (e, c), *rest = roots[j].terms
+        moved = PuiseuxSeries(((e, c + rng.choice([n for n in (-2, -1, 1, 2) if c + n])), *rest))
+        other = PuiseuxPolynomial.from_roots(roots[:j] + [moved] + roots[j + 1:], lead)
+        variants = [(None, None), (_shifted_explode(at, sort=by), None),
+                    (_shifted_explode(at, value=by), None), (None, _shifted_trop(at, by)),
+                    (lambda _, explode_poly=kapranov.explode_poly: explode_poly(other), None)]
+        for explode, trop in [variants[0], rng.choice(variants[1:])]:
+            sr = LayeredSemiring(SORT_FLAVORS[rng.choice(["trivial", "super", "nat"])])
+            with monkeypatch.context() as patch:
+                if explode:
+                    patch.setattr(kapranov, "explode_poly", explode)
+                if trop:
+                    patch.setattr(kapranov, "trop_poly", trop)
+                report = kapranov_verify(f, roots, sr)
+            expected = reference_kapranov_checks(f, roots, sr, trop or trop_poly,
+                                                 explode or kapranov.explode_poly)
+            got = (report.forward_ok, report.reverse_ok, report.exploded_ok,
+                   report.corner_roots, report.known_vals)
+            assert got == expected, (f, roots, sr)
+            for name, ok in zip(("forward", "reverse", "exploded"), got):
+                seen[name] += not ok
+    assert min(seen.values()) >= 15, seen
 
 
 def test_random_trial_summary():

@@ -320,10 +320,19 @@ def test_values_are_exact_rationals_only(name, what, build, v):
      "degree True must be a non-negative integer"),
     (lambda sr, one: exploded_eval({True: ExplodedScalar.one()}, ExplodedScalar.one()),
      "exploded exponent True must be a non-negative integer"),
-], ids=["exponent", "variable count", "series degree", "exploded degree"])
+    (lambda sr, one: PuiseuxSeries.term(2, 1) ** True, "series exponent True must be a non-negative integer"),
+    (lambda sr, one: PuiseuxPolynomial.variable() ** True,
+     "polynomial exponent True must be a non-negative integer"),
+    (lambda sr, one: ExplodedScalar.one() ** True, "exploded exponent True must be a non-negative integer"),
+    (lambda sr, one: sr.pow(one, True), "exponent True is not an integer"),
+    (lambda sr, one: LayeredPolynomial(sr, 1, {(1,): one, (0,): one}).pow(True),
+     "polynomial power True must be a positive integer"),
+], ids=["exponent", "variable count", "series degree", "exploded degree", "series power",
+        "series polynomial power", "exploded power", "scalar power", "layered polynomial power"])
 def test_stored_ints_are_ints_only(build, message):
-    # A bool is an int to isinstance; an exponent, degree or count refuses it
-    # as a value or a layer does.
+    # A bool is an int to isinstance; an exponent, degree or count, stored or
+    # given as a power, refuses it as a value or a layer does.
     with pytest.raises(DomainError) as refused:
         build(NAT, NAT.scalar(0))
     assert str(refused.value) == message
+

@@ -166,6 +166,15 @@ def test_exploded_eval_refuses_like_the_reference(coeffs):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("key", ["a", None])
+def test_exploded_eval_refuses_keys_that_do_not_order_with_ints(key):
+    # The keys are checked before they are ordered, so a str or None key next
+    # to an int key is refused, not a TypeError from sorting them.
+    with pytest.raises(DomainError) as refused:
+        exploded_eval({1: ExplodedScalar.one(), key: ExplodedScalar.one()}, ExplodedScalar.one())
+    assert str(refused.value) == f"exploded exponent {key!r} must be a non-negative integer"
+
+
 def test_value_maps_apply_componentwise():
     double = lambda v: 2 * v
     x = SR.scalar(Fraction(3, 2), 2)
