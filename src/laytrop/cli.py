@@ -20,17 +20,21 @@ from . import congruence as cg
 from . import kapranov as kp
 from . import polynomials as poly
 from .core import INF, format_layer, semiring
-from .errors import DomainError, LaytropError, UsageError
-from .parsing import (parse_point, parse_polynomial, parse_puiseux_polynomial,
-                      parse_scalar)
+from .errors import DomainError, LaytropError, ParseError, UsageError
+from .parsing import (_parse_rational, _Stream, parse_point, parse_polynomial,
+                      parse_puiseux_polynomial, parse_scalar)
 from .tropical import explode_poly, trop_poly
 
 
 def _fraction(text: str) -> Fraction:
+    """A grid value: the ``-p/q`` literal of expressions, and nothing else."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        s = _Stream(text)
+        value = _parse_rational(s)
+        s.done()
+    except ParseError:
         raise UsageError(f"not an exact rational: {text!r}")
+    return value
 
 
 def _parse_layer_flag(text: str):

@@ -11,7 +11,8 @@ checks this correspondence in both directions on polynomials built from
 known roots, plus the exploded refinement through leading coefficients.
 Once f passes the identity check, each trial runs on one int scale, that
 of the identity's sums: every root valuation is read once, as an int on
-it; forward evaluates the tropicalization there, and the exploded check
+it; forward evaluates the tropicalization there through the corner-root
+kernel (``_profile`` with that scale, then ``_verdict``), and the exploded check
 lifts the values of ``explode_poly(f)`` onto it once and finds each corner
 root's tied degrees on ints.  Newton hulls ints on f's own exponent scale.
 """
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
-from .polynomials import _upper_hull, univariate_corner_roots
+from .polynomials import _upper_hull, _verdict, univariate_corner_roots
 from .puiseux import PuiseuxPolynomial, PuiseuxSeries, _matches, _product, _root_sums
 # Trials take exploded_eval's closed form directly; the name stays importable
 # here as kapranov.exploded_eval, which perfbench/tracing.py wraps.
@@ -174,8 +175,9 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     corner_multiset = sorted(x for x, m in corner for _ in range(m))
     newton_vals = list(root_valuations(f))
 
-    forward_ok = all(tropicalized.is_corner_root((LayeredScalar(1, sr.values.check(v)),), scale)
-                     for v in vals)
+    # Each valuation is checked here, so the kernel skips the point check.
+    forward_ok = all(_verdict(sr.sorts, *tropicalized._profile(
+        (LayeredScalar(1, sr.values.check(v)),), scale)[2:])[0] for v in vals)
     reverse_ok = corner_multiset == newton_vals == known_vals
 
     leads: Dict[int, List[Fraction]] = {}

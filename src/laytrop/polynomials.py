@@ -197,14 +197,14 @@ class LayeredPolynomial:
 
     # -- roots ----------------------------------------------------------------------
 
-    def is_corner_root(self, point: Point, scale: Optional[int] = None) -> bool:
+    def is_corner_root(self, point: Point) -> bool:
         """Whether the evaluation is ghost over every monomial's sort.
 
         Over the trivial flavor every sort is a ghost sort, so the criterion
         there is the classical one: at least two tied dominant monomials.
-        A ``scale`` skips the check of the point, as in ``_profile``.
+        The point is always checked against the arity and the view.
         """
-        _, _, layers, tied = self._profile(point, scale)
+        _, _, layers, tied = self._profile(point)
         return _verdict(self.semiring.sorts, layers, tied)[0]
 
     def is_cluster_root(self, point: Point) -> bool:

@@ -169,17 +169,7 @@ class PuiseuxSeries(Record, frozen=True):
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(_format_term(c, e) for e, c in self.terms)
-
-
-def _format_term(coefficient: Fraction, exponent: Fraction) -> str:
-    c = str(coefficient) if coefficient >= 0 else f"({coefficient})"
-    if exponent == 0:
-        return c
-    t = "t" if exponent == 1 else f"t^({exponent})"
-    if coefficient == 1:
-        return t
-    return f"{c}*{t}"
+        return " + ".join(_format_poly_term(c, e, 0) for e, c in self.terms)
 
 
 # ---------------------------------------------------------------------------

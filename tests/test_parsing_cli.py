@@ -511,10 +511,23 @@ def test_cli_usage_error_exit_code(capsys):
     (["x1 + 0", "--grid=a:1:1"], "not an exact rational: 'a'"),
     (["x1 + x2", "--grid=0:1:1,0:1:1,0:1:1"], "grid has 3 axes but the data needs 2"),
     (["x1 + 0", "--grid=0:1:1", "--grid-layer", "x"], "not a layer: 'x'"),
-], ids=["axis-value", "axis-count", "grid-layer"])
+    (["x1 + 0", "--grid=0:1:0.5"], "not an exact rational: '0.5'"),
+    (["x1 + 0", "--grid=0:1:1e-3"], "not an exact rational: '1e-3'"),
+    (["x1 + 0", "--grid=+1:2:1"], "not an exact rational: '+1'"),
+    # A short exponent is refused at once, never expanded into a 10^8-digit int.
+    (["x1 + 0", "--grid=0:1:1e-100000000"], "not an exact rational: '1e-100000000'"),
+], ids=["axis-value", "axis-count", "grid-layer", "decimal", "exponent", "plus-sign",
+        "long-exponent"])
 def test_cli_grid_flag_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, "locus", *argv)
     assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_cli_congruence_refuses_a_spec_grid_outside_the_grammar(tmp_path, capsys):
+    path = tmp_path / "congruence.json"
+    path.write_text(json.dumps({"pairs": [["x1", "0"]], "grid": "0:1:1e-3"}))
+    assert run_cli(capsys, "congruence", str(path)) == \
+        (2, "", "usage error: not an exact rational: '1e-3'\n")
 
 
 def test_cli_unknown_flag_rejected(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from laytrop import (COUNTING, INF, NATURALS, RATIONALS, SUPERTROPICAL,
-                     TRIVIAL, DomainError, GridSpec, LayeredPolynomial,
+                     TRIVIAL, DomainError, GridSpec, LayeredPolynomial, LayeredScalar,
                      LayeredSemiring, combined_locus, component, corner_locus,
                      essential_monomials, functionally_equal,
                      layering_map_set, principal_open, univariate_corner_roots)
@@ -186,6 +186,18 @@ def test_dominant_part_of_quadratic():
 def test_corner_root_detection():
     assert QUADRATIC.is_corner_root(pt(NAT, 3))
     assert not QUADRATIC.is_corner_root(pt(NAT, 5))
+
+
+def test_corner_root_checks_every_point():
+    # The public predicate takes no scale, so it never trusts one: x = 1/2 is
+    # judged on its own denominator, and a layer-0 point is refused.
+    f = tangible(NAT, 1, {(1,): 0, (0,): 0})
+    assert f.is_corner_root((LayeredScalar(1, Fraction(0)),))
+    assert not f.is_corner_root((LayeredScalar(1, Fraction(1, 2)),))
+    with pytest.raises(DomainError, match="layer 0"):
+        f.is_corner_root((LayeredScalar(0, Fraction(0)),))
+    with pytest.raises(TypeError):
+        f.is_corner_root((LayeredScalar(1, Fraction(1, 2)),), 1)
 
 
 def test_ghost_coefficient_dominating_alone_is_a_corner_root_over_super():

@@ -115,21 +115,22 @@ def test_exploded_eval():
 def _random_exploded(rng, point):
     """A random degree -> exploded scalar map whose top terms at ``point`` often
     tie, half of those ties with sorts that cancel.  Values and sorts are ints
-    or fractions of mixed denominators."""
+    or fractions of mixed denominators; every scalar is built by ``ExplodedScalar.of``,
+    so sorts and values are exact Fractions."""
     number = lambda: rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 6))])
     degrees = rng.sample(range(9), rng.randint(1, 6))
-    coeffs = {d: ExplodedScalar(number() or 1, number()) for d in degrees}
+    coeffs = {d: ExplodedScalar.of(number() or 1, number()) for d in degrees}
     if len(degrees) >= 2 and rng.random() < 0.6:
         # Lift the first two degrees to one value above every other term.
         (d1, d2), x = degrees[:2], point.value
         top = max(c.value + d * x for d, c in coeffs.items()) + rng.randint(0, 2)
         sort = coeffs[d1].sort
         if point.sort != 0 and rng.random() < 0.5:
-            other = -sort * point.sort ** d1 / point.sort ** d2
+            other = Fraction(-sort * point.sort ** d1, point.sort ** d2)
         else:
             other = coeffs[d2].sort
-        coeffs[d1] = ExplodedScalar(sort, top - d1 * x)
-        coeffs[d2] = ExplodedScalar(other, top - d2 * x)
+        coeffs[d1] = ExplodedScalar.of(sort, top - d1 * x)
+        coeffs[d2] = ExplodedScalar.of(other, top - d2 * x)
     return coeffs
 
 
@@ -138,10 +139,10 @@ def test_exploded_eval_matches_the_term_by_term_reference():
     cancelled = ties = 0
     for i in range(400):
         sort = 0 if i % 10 == 0 else rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 3)])
-        point = ExplodedScalar(sort, rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 5))]))
+        point = ExplodedScalar.of(sort, rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 5))]))
         coeffs = _random_exploded(rng, point)
         if i % 10 == 0:
-            coeffs.setdefault(0, ExplodedScalar(rng.randint(1, 5), rng.randint(-3, 3)))
+            coeffs.setdefault(0, ExplodedScalar.of(rng.randint(1, 5), rng.randint(-3, 3)))
         out = exploded_eval(coeffs, point)
         assert out == reference_exploded_eval(coeffs, point), (coeffs, point)
         cancelled += out.is_corner_ghost and point.sort != 0
