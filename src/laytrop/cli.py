@@ -21,7 +21,7 @@ from . import kapranov as kp
 from . import polynomials as poly
 from .core import INF, format_layer, semiring
 from .errors import DomainError, LaytropError, ParseError, UsageError
-from .parsing import (_parse_rational, _Stream, parse_point, parse_polynomial,
+from .parsing import (_parse_rational, _parse_signed_int, _Stream, parse_point, parse_polynomial,
                       parse_puiseux_polynomial, parse_scalar)
 from .tropical import explode_poly, trop_poly
 
@@ -38,13 +38,14 @@ def _fraction(text: str) -> Fraction:
 
 
 def _parse_layer_flag(text: str):
-    text = text.strip()
-    if text == "inf":
-        return INF
+    """A ``--grid-layer``: ``inf`` or the signed int of expressions, and nothing else."""
     try:
-        return int(text)
-    except ValueError:
+        s = _Stream(text)
+        layer = INF if s.accept("inf") else _parse_signed_int(s)
+        s.done()
+    except ParseError:
         raise UsageError(f"not a layer: {text!r}")
+    return layer
 
 
 def _parse_grid(spec: str, nvars: int, layer) -> poly.GridSpec:

@@ -12,11 +12,12 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
-from .polynomials import GridSpec, LayeredPolynomial, Point, _agree, _common, _merged, _points, _scan
+from .polynomials import (GridSpec, LayeredPolynomial, Point, _agree, _common, _layer_sum, _merged,
+                          _points, _scan)
 
 
 class FinitePointSet(Record, frozen=True):
@@ -62,10 +63,17 @@ def congruent_on(f: LayeredPolynomial, g: LayeredPolynomial, x: FinitePointSet) 
 
 
 def _congruent(f: LayeredPolynomial, g: LayeredPolynomial, points: Iterable[Point]) -> bool:
-    """``congruent_on`` unchecked: f and g must evaluate the points (iterated twice)."""
+    """``congruent_on`` unchecked: f and g must evaluate the points (iterated three times)."""
     scale = math.lcm(*(c.value.denominator for h in (f, g) for c in h.coeffs.values()),
                      *(c.value.denominator for a in points for c in a))
-    return all(f._scaled(a, scale) == g._scaled(a, scale) for a in points)
+    return all(a == b for a, b in zip(_evaluations(f, points, scale), _evaluations(g, points, scale)))
+
+
+def _evaluations(f: LayeredPolynomial, points: Iterable[Point], scale: int) -> Iterator[Tuple]:
+    """(value times ``scale``, layer) of f at each point, lazily, from ``f._profiles``."""
+    sorts = f.semiring.sorts
+    return ((values[tied[0]], _layer_sum(sorts, layers, tied))
+            for values, layers, tied in f._profiles(points, scale))
 
 
 def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
@@ -126,7 +134,7 @@ def quotient_map(f: LayeredPolynomial, x: FinitePointSet) -> CoordinateFunction:
     scale = math.lcm(*(c.value.denominator for c in f.coeffs.values()),
                      *(c.value.denominator for a in points for c in a))
     return CoordinateFunction(tuple(LayeredScalar(layer, Fraction(value, scale))
-                                    for _, value, layer in (f._scaled(a, scale) for a in points)), f)
+                                    for value, layer in _evaluations(f, points, scale)), f)
 
 
 def coordinate_semiring(x: FinitePointSet,

@@ -12,9 +12,12 @@ known roots, plus the exploded refinement through leading coefficients.
 Once f passes the identity check, each trial runs on one int scale, that
 of the identity's sums: every root valuation is read once, as an int on
 it; forward evaluates the tropicalization there through the corner-root
-kernel (``_profile`` with that scale, then ``_verdict``), and the exploded check
-lifts the values of ``explode_poly(f)`` onto it once and finds each corner
-root's tied degrees on ints.  Newton hulls ints on f's own exponent scale.
+kernel (``_profiles``, which lifts the coefficients once for all the
+valuations, then ``_verdict``), and the exploded check lifts the values of
+``explode_poly(f)`` onto it once, and its sorts onto one denominator, finds
+each corner root's tied degrees on ints and tests the int sort sum at each
+root's leading coefficient for 0.  Newton hulls ints on f's own exponent
+scale, and ``trop_poly`` checks each value once.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
 
     # One int scale for the whole trial: every exponent of the roots, and so of
     # f, is a multiple of 1/scale.
-    scale, lifted = _lifted(explode_poly(f), sums[1])
+    scale, _, lifted = _lifted(explode_poly(f), sums[1])
     vals = [r.val() for r in known_roots]
     ints = [v.numerator * (scale // v.denominator) for v in vals]
     known_vals = [vals[i] for i in sorted(range(len(vals)), key=ints.__getitem__)]
@@ -175,9 +178,11 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     corner_multiset = sorted(x for x, m in corner for _ in range(m))
     newton_vals = list(root_valuations(f))
 
-    # Each valuation is checked here, so the kernel skips the point check.
-    forward_ok = all(_verdict(sr.sorts, *tropicalized._profile(
-        (LayeredScalar(1, sr.values.check(v)),), scale)[2:])[0] for v in vals)
+    # Each valuation is checked here, as the kernel reaches it, so the kernel
+    # skips the point check; all() stops at the first miss.
+    points = ((LayeredScalar(1, sr.values.check(v)),) for v in vals)
+    forward_ok = all(_verdict(sr.sorts, layers, tied)[0]
+                     for _, layers, tied in tropicalized._profiles(points, scale))
     reverse_ok = corner_multiset == newton_vals == known_vals
 
     leads: Dict[int, List[Fraction]] = {}
@@ -205,11 +210,14 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
     )
 
 
+_NUMERATORS = [n for n in range(-9, 10) if n != 0]
+
+
 def random_split_product(rng: random.Random, degree: int) -> Tuple[PuiseuxPolynomial, List[PuiseuxSeries]]:
     """A product of (variable - c*t^e) factors with random rational c, e."""
     roots = []
     for _ in range(degree):
-        c = Fraction(rng.choice([n for n in range(-9, 10) if n != 0]), rng.randint(1, 5))
+        c = Fraction(rng.choice(_NUMERATORS), rng.randint(1, 5))
         e = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         roots.append(PuiseuxSeries.term(c, e))
     return PuiseuxPolynomial.from_roots(roots), roots

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import INF, Layer, LayeredScalar, LayeredSemiring, Record, TRIVIAL, exact, power
 from .errors import DomainError
@@ -152,39 +152,41 @@ class LayeredPolynomial:
         exponents = tuple(exponents)
         return self._like([(exponents, self.coeffs[exponents])]).evaluate(point)
 
-    def _profile(self, point: Point, scale: Optional[int] = None
-                 ) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
-        """(scale, values, layers, tied): each monomial's value times the common
-        denominator ``scale`` as an int and its layer, in support order, and the
-        indices tied at the best value.  Validates the point, unless the caller
-        did and gives a ``scale`` that every denominator divides; the rest is raw
-        int and sort arithmetic on valid data, and layer 1 leaves layers alone."""
-        if scale is None:
-            point = self._check_point(point)
-            scale = math.lcm(*(c.value.denominator for c in self.coeffs.values()),
-                             *(x.value.denominator for x in point))
-        sorts = self.semiring.sorts
-        coords = [(x.value.numerator * (scale // x.value.denominator), x.layer) for x in point]
-        values, layers = [], []
-        for exponents, c in self.coeffs.items():
-            value, layer = c.value.numerator * (scale // c.value.denominator), c.layer
-            for (xv, xl), e in zip(coords, exponents):
-                if e != 0:
-                    value += e * xv
-                    layer = layer if xl == 1 else sorts.mul(layer, sorts.pow(xl, e))
-            values.append(value)
-            layers.append(layer)
-        best = (min if self.semiring.descending else max)(values)
-        return scale, values, layers, tuple(i for i, v in enumerate(values) if v == best)
+    def _profile(self, point: Point) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
+        """(scale, values, layers, tied) at a point, checked first: ``_profiles``
+        on the common denominator ``scale`` of the coefficients and the point."""
+        point = self._check_point(point)
+        scale = math.lcm(*(c.value.denominator for c in self.coeffs.values()),
+                         *(x.value.denominator for x in point))
+        return (scale, *next(self._profiles((point,), scale)))
 
-    def _scaled(self, point: Point, scale: Optional[int] = None) -> Tuple[int, int, Layer]:
-        """(scale, value times scale, layer) of the evaluated scalar; see ``_profile``."""
-        scale, values, layers, tied = self._profile(point, scale)
-        return scale, values[tied[0]], _layer_sum(self.semiring.sorts, layers, tied)
+    def _profiles(self, points: Iterable[Point], scale: int
+                  ) -> Iterator[Tuple[List[int], List[Layer], Tuple[int, ...]]]:
+        """(values, layers, tied) at each point, lazily and in order: each monomial's
+        value times ``scale`` as an int and its layer, in support order, and the
+        indices tied at the best value.  The coefficients are lifted once per call.
+        The caller checks the points, and every denominator divides ``scale``; the
+        rest is raw int and sort arithmetic on valid data, and layer 1 leaves layers alone."""
+        sorts = self.semiring.sorts
+        best = min if self.semiring.descending else max
+        lifted = [(exponents, c.value.numerator * (scale // c.value.denominator), c.layer)
+                  for exponents, c in self.coeffs.items()]
+        for point in points:
+            coords = [(x.value.numerator * (scale // x.value.denominator), x.layer) for x in point]
+            values, layers = [], []
+            for exponents, value, layer in lifted:
+                for (xv, xl), e in zip(coords, exponents):
+                    if e != 0:
+                        value += e * xv
+                        layer = layer if xl == 1 else sorts.mul(layer, sorts.pow(xl, e))
+                values.append(value)
+                layers.append(layer)
+            top = best(values)
+            yield values, layers, tuple(i for i, v in enumerate(values) if v == top)
 
     def evaluate(self, point: Point) -> LayeredScalar:
-        scale, value, layer = self._scaled(point)
-        return LayeredScalar(layer, Fraction(value, scale))
+        scale, values, layers, tied = self._profile(point)
+        return LayeredScalar(_layer_sum(self.semiring.sorts, layers, tied), Fraction(values[tied[0]], scale))
 
     def dominant_part(self, point: Point) -> Tuple[Exponents, ...]:
         """Exponent vectors of the monomials whose value ties the evaluated value."""

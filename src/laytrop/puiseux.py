@@ -60,9 +60,13 @@ def _accumulate(factors: Iterable[Iterable[tuple]]) -> tuple:
         den *= q
         scaled = [(e.numerator * (scale // e.denominator) * width + d,
                    c.numerator * (q // c.denominator)) for d, e, c in f]
-        nxt: dict = {}
-        for k1, v1 in acc.items():
-            for k2, v2 in scaled:
+        if not scaled:  # a zero factor
+            return {}, scale, width, den
+        # The first term's keys are distinct, so they seed the dict as is.
+        (k0, v0), *rest = scaled
+        nxt = {k1 + k0: v1 * v0 for k1, v1 in acc.items()}
+        for k2, v2 in rest:
+            for k1, v1 in acc.items():
                 key = k1 + k2
                 nxt[key] = nxt.get(key, 0) + v1 * v2
         acc = nxt

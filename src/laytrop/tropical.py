@@ -1,8 +1,11 @@
 """Maps from valued Puiseux data into layered and exploded scalars.
 
 A nonzero series tropicalizes to the tangible scalar (layer 1, val); a
-polynomial tropicalizes coefficient-wise.  The exploded variants retain the
-leading coefficient as the sort, which is what detects corner ghosts.
+polynomial tropicalizes coefficient-wise, each value checked once against the
+value flavor.  The exploded variants retain the leading coefficient as the
+sort, which is what detects corner ghosts.  Exploded evaluation runs on ints:
+values on one common denominator, sorts on another, and the tied sorts sum
+as one int over the point sort's denominator, so a corner ghost is an int 0.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ def trop_poly(semiring: LayeredSemiring, f: PuiseuxPolynomial) -> LayeredPolynom
     """Coefficient-wise tropicalization; degrees are preserved."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no tropicalization")
-    return LayeredPolynomial(
-        semiring, 1, {(d,): semiring.scalar(-e) for d, e, _ in f.lowest_terms})
+    return object.__new__(LayeredPolynomial)._fill(semiring, 1, [
+        ((d,), LayeredScalar(1, semiring.values.check(-e))) for d, e, _ in f.lowest_terms], False)
 
 
 def explode_scalar(p: PuiseuxSeries) -> ExplodedScalar:
@@ -52,7 +55,8 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
 
     In closed form, as exploded addition keeps the larger value and adds
     sorts on ties: the value is max_d (v_d + d*x), over one int scale, and
-    the sort is the sum of c_d * s^d over the degrees tied at that max.
+    the sort is the sum of c_d * s^d over the degrees tied at that max, an
+    int sum (``_tied_sort``) made one Fraction at the end.
     """
     if not coeffs:
         raise DomainError("an empty exploded polynomial cannot be evaluated")
@@ -61,17 +65,21 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
         with suppress(TypeError):  # keys of mixed types have no order: name the first
             bad.sort()
         raise DomainError(f"exploded exponent {bad[0]!r} must be a non-negative integer")
-    scale, lifted = _lifted(coeffs, point.value.denominator)
+    scale, den, lifted = _lifted(coeffs, point.value.denominator)
     top, tied = _ties(lifted, point.value.numerator * (scale // point.value.denominator))
-    return ExplodedScalar(_tied_sort(tied, point.sort), Fraction(top, scale))
+    s = point.sort
+    return ExplodedScalar(Fraction(_tied_sort(tied, s), den * s.denominator ** max(d for d, _ in tied)),
+                          Fraction(top, scale))
 
 
-def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> Tuple[int, List[Tuple]]:
-    """(scale, lifted): the lcm of ``scale`` and every value denominator, and each
-    degree d as (d, value times that lcm, sort)."""
+def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> Tuple[int, int, List[Tuple]]:
+    """(scale, den, lifted): the lcm of ``scale`` and every value denominator, the
+    lcm of every sort denominator, and each degree d as (d, value times scale,
+    sort times den)."""
     scale = lcm(scale, *(c.value.denominator for c in coeffs.values()))
-    return scale, [(d, c.value.numerator * (scale // c.value.denominator), c.sort)
-                   for d, c in coeffs.items()]
+    den = lcm(*(c.sort.denominator for c in coeffs.values()))
+    return scale, den, [(d, c.value.numerator * (scale // c.value.denominator),
+                         c.sort.numerator * (den // c.sort.denominator)) for d, c in coeffs.items()]
 
 
 def _ties(lifted: Sequence[Tuple], x: int) -> Tuple[int, List[Tuple]]:
@@ -82,9 +90,12 @@ def _ties(lifted: Sequence[Tuple], x: int) -> Tuple[int, List[Tuple]]:
     return top, [(d, c) for (d, _, c), value in zip(lifted, values) if value == top]
 
 
-def _tied_sort(tied: Sequence[Tuple], s):
-    """The sort sum of c_d * s^d over the tied degrees."""
-    return sum(c * s ** d for d, c in tied)
+def _tied_sort(tied: Sequence[Tuple], s) -> int:
+    """The sort sum of a_d * s^d over the tied (d, a_d), times q^D for s = p/q and
+    D the top tied degree: the int sum of a_d * p^d * q^(D - d)."""
+    p, q = s.numerator, s.denominator
+    top = max(d for d, _ in tied)
+    return sum(a * p ** d * q ** (top - d) for d, a in tied)
 
 
 def apply_value_map(obj, fn: Callable, semiring: LayeredSemiring = None):

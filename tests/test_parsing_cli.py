@@ -516,8 +516,11 @@ def test_cli_usage_error_exit_code(capsys):
     (["x1 + 0", "--grid=+1:2:1"], "not an exact rational: '+1'"),
     # A short exponent is refused at once, never expanded into a 10^8-digit int.
     (["x1 + 0", "--grid=0:1:1e-100000000"], "not an exact rational: '1e-100000000'"),
+    # A layer is inf or the signed int of expressions, which has no '_' or '+'.
+    (["x1 + 0", "--grid=0:1:1", "--grid-layer", "1_0"], "not a layer: '1_0'"),
+    (["x1 + 0", "--grid=0:1:1", "--grid-layer", " +2"], "not a layer: ' +2'"),
 ], ids=["axis-value", "axis-count", "grid-layer", "decimal", "exponent", "plus-sign",
-        "long-exponent"])
+        "long-exponent", "layer-underscore", "layer-plus-sign"])
 def test_cli_grid_flag_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, "locus", *argv)
     assert (code, out, err) == (2, "", f"usage error: {message}\n")

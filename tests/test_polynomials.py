@@ -1,6 +1,8 @@
 """Layered polynomial functions: evaluation, roots, loci, and essentiality."""
 
+import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -631,3 +633,48 @@ def test_monomial_value_matches_the_coordinatewise_reference():
                         assert f.monomial_value(list(e), a) == expected, (f, e, a)
                         checked += 1
     assert checked > 500 and refused > 10
+
+
+def test_profiles_match_the_term_by_term_reference():
+    # The batch kernel lifts the coefficients once per call and yields each
+    # point's profile lazily: every monomial's value as an int on the caller's
+    # scale, its layer, and the indices tied at the best value, as the
+    # monomials evaluated one at a time give them.  A point the view cannot
+    # evaluate (a negative power of a ghost) raises there, after the points
+    # before it were yielded.  Every flavor, both orientations, Laurent mode.
+    rng = random.Random(28)
+    checked = refused = 0
+    for base, layers in ((NAT, (1, 2, 5, INF)), (SUP, (1, INF)), (TRIV, (1,)),
+                         (SAT, (1, 2, 3, INF))):
+        for sr in (base, base.dual()):
+            def scalar():
+                return sr.scalar(random_value(rng), rng.choice(layers))
+            for laurent in (False, True):
+                low = -2 if laurent else 0
+                for _ in range(15):
+                    nvars = rng.randint(1, 3)
+                    f = poly(sr, nvars, {tuple(rng.randint(low, 2) for _ in range(nvars)):
+                                         scalar() for _ in range(4)}, laurent)
+                    points = [tuple(scalar() for _ in range(nvars)) for _ in range(rng.randint(1, 5))]
+                    scale = rng.choice([1, 2, 6]) * math.lcm(
+                        *(c.value.denominator for c in f.coeffs.values()),
+                        *(x.value.denominator for a in points for x in a))
+                    profiles = f._profiles(iter(points), scale)
+                    for a in points:
+                        try:
+                            terms = [reference_monomial_value(f, e, a) for e in f.coeffs]
+                        except DomainError as err:
+                            with pytest.raises(DomainError, match=re.escape(str(err))):
+                                next(profiles)
+                            refused += 1
+                            break
+                        values = [t.value * scale for t in terms]
+                        best = (min if sr.descending else max)(values)
+                        got = next(profiles)
+                        assert all(type(v) is int for v in got[0])
+                        assert got == (values, [t.layer for t in terms],
+                                       tuple(i for i, v in enumerate(values) if v == best)), (f, a)
+                        checked += 1
+                    else:
+                        assert next(profiles, None) is None
+    assert checked > 300 and refused > 10

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from laytrop import (DomainError, ExplodedScalar, LayeredSemiring, PuiseuxPolynomial,
                      PuiseuxSeries, explode_poly, newton_polygon, root_valuations, trop_poly)
-from laytrop.puiseux import _matches, _product, _root_sums
+from laytrop.puiseux import _accumulate, _matches, _product, _root_sums
 
 from oracles import (random_series, reference_from_roots, reference_poly_add,
                      reference_poly_call, reference_poly_mul, reference_series,
@@ -485,6 +485,24 @@ def test_products_with_unrelated_denominators_match_reference():
                                   (f * -f, reference_poly_mul(f, -f))):
             assert product == expected, (f, g)
             assert_canonical_polynomial(product)
+
+
+def test_a_zero_factor_makes_a_zero_product():
+    # The product kernel seeds each factor's sums from its first term, and a
+    # zero factor has none: series and polynomial products with a zero factor
+    # on either side, or between two factors, are zero, as by the reference.
+    rng = random.Random(29)
+    zero_series, zero = PuiseuxSeries.zero(), PuiseuxPolynomial.zero()
+    for _ in range(30):
+        p = random_series(rng)
+        assert p * zero_series == zero_series * p == reference_series_mul(p, zero_series) == zero_series
+        assert zero_series ** rng.randint(1, 3) == zero_series
+        f = PuiseuxPolynomial.from_roots([random_series(rng) for _ in range(rng.randint(1, 3))])
+        for product in (f * zero, zero * f, zero * zero, f * PuiseuxPolynomial.constant(zero_series),
+                        _product(_accumulate((f.coeffs, (), f.coeffs))),
+                        PuiseuxPolynomial.from_roots([p], zero_series)):
+            assert product.is_zero and product == zero == reference_poly_mul(f, zero), f
+            assert product.lowest_terms == () and product.coefficient(0) == zero_series
 
 
 def test_from_coeffs_pairs_add_like_degrees():

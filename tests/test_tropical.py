@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from laytrop import (DomainError, ExplodedScalar, LayeredSemiring,
+from laytrop import (DomainError, ExplodedScalar, LayeredPolynomial, LayeredSemiring,
                      PuiseuxPolynomial, PuiseuxSeries, apply_value_map,
                      explode_poly, explode_scalar, exploded_eval, trop_poly,
                      trop_scalar)
+
+from laytrop.core import SORT_FLAVORS, VALUE_FLAVORS
 
 from oracles import random_series, reference_exploded_eval
 
@@ -112,13 +114,14 @@ def test_exploded_eval():
         exploded_eval({}, ExplodedScalar.one())
 
 
-def _random_exploded(rng, point):
-    """A random degree -> exploded scalar map whose top terms at ``point`` often
-    tie, half of those ties with sorts that cancel.  Values and sorts are ints
-    or fractions of mixed denominators; every scalar is built by ``ExplodedScalar.of``,
-    so sorts and values are exact Fractions."""
-    number = lambda: rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 6))])
-    degrees = rng.sample(range(9), rng.randint(1, 6))
+def _random_exploded(rng, point, degrees=9, den=6):
+    """A random degree -> exploded scalar map, on up to 6 degrees below ``degrees``,
+    whose top terms at ``point`` often tie, half of those ties with sorts that
+    cancel.  Values and sorts are ints or fractions of denominators up to ``den``;
+    every scalar is built by ``ExplodedScalar.of``, so sorts and values are exact
+    Fractions."""
+    number = lambda: rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, den))])
+    degrees = rng.sample(range(degrees), rng.randint(1, 6))
     coeffs = {d: ExplodedScalar.of(number() or 1, number()) for d in degrees}
     if len(degrees) >= 2 and rng.random() < 0.6:
         # Lift the first two degrees to one value above every other term.
@@ -148,6 +151,71 @@ def test_exploded_eval_matches_the_term_by_term_reference():
         cancelled += out.is_corner_ghost and point.sort != 0
         ties += sum(c.value + d * point.value == out.value for d, c in coeffs.items()) >= 2
     assert cancelled >= 30 and ties >= 100
+
+
+def test_exploded_eval_matches_the_reference_at_high_degree():
+    # Degrees up to 40 and sort denominators up to 9: the int sort sum carries
+    # q^(40 - d) on each term for a point sort p/q, and is 0 exactly where the
+    # term-by-term Fraction sum cancels.
+    rng = random.Random(40)
+    cancelled = ties = 0
+    for i in range(300):
+        sort = 0 if i % 10 == 0 else Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 9))
+        point = ExplodedScalar.of(sort, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        coeffs = _random_exploded(rng, point, degrees=41, den=9)
+        if i % 10 == 0:
+            coeffs.setdefault(0, ExplodedScalar.of(rng.randint(1, 5), rng.randint(-3, 3)))
+        out = exploded_eval(coeffs, point)
+        assert out == reference_exploded_eval(coeffs, point), (coeffs, point)
+        cancelled += out.is_corner_ghost and point.sort != 0
+        ties += sum(c.value + d * point.value == out.value for d, c in coeffs.items()) >= 2
+    assert cancelled >= 30 and ties >= 100, (cancelled, ties)
+
+
+def _random_puiseux_polynomial(rng):
+    """A product of random roots, or a polynomial from random coefficients whose
+    lowest exponents are mostly ints of either sign, some fractions."""
+    if rng.random() < 0.5:
+        return PuiseuxPolynomial.from_roots([random_series(rng, max_terms=2)
+                                             for _ in range(rng.randint(1, 4))])
+    coeffs = {}
+    for d in rng.sample(range(7), rng.randint(1, 4)):
+        low = rng.choice([rng.randint(-3, 3)] * 3 + [Fraction(rng.randint(-5, 5), rng.randint(2, 3))])
+        coeffs[d] = PuiseuxSeries.from_terms([(low, rng.choice([-2, 1, Fraction(1, 3)])),
+                                              (low + Fraction(1, 2), 1)])
+    return PuiseuxPolynomial.from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("values", sorted(VALUE_FLAVORS))
+@pytest.mark.parametrize("sorts", sorted(SORT_FLAVORS))
+def test_trop_poly_matches_the_checking_constructors(sorts, values):
+    # trop_poly checks each value once and builds the polynomial unchecked; the
+    # reference builds every scalar with semiring.scalar and the polynomial with
+    # the checking constructor, from f.coeffs.  Both build the same polynomial,
+    # or both refuse with the same error: a fractional valuation over integer
+    # values, a negative one over natural values.
+    rng = random.Random(f"{sorts}/{values}")
+    base = LayeredSemiring(SORT_FLAVORS[sorts], VALUE_FLAVORS[values])
+    outcomes = {"built": 0, "not an integer": 0, "negative": 0}
+    for i in range(120):
+        sr = base.dual() if i % 2 else base
+        f = _random_puiseux_polynomial(rng)
+        try:
+            expected = LayeredPolynomial(sr, 1, {(d,): sr.scalar(c.val()) for d, c in f.coeffs})
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as got:
+                trop_poly(sr, f)
+            assert type(got.value) is type(refusal) and str(got.value) == str(refusal)
+            outcomes["negative" if "negative" in str(refusal) else "not an integer"] += 1
+            continue
+        got = trop_poly(sr, f)
+        assert got == expected and str(got) == str(expected)
+        assert [(e, c.layer, c.value, type(c.value)) for e, c in got.coeffs.items()] == \
+            [(e, c.layer, c.value, type(c.value)) for e, c in expected.coeffs.items()]
+        outcomes["built"] += 1
+    assert outcomes["built"] >= 10, outcomes
+    assert (outcomes["not an integer"] >= 10) == (values != "rational"), outcomes
+    assert (outcomes["negative"] >= 10) == (values == "natural"), outcomes
 
 
 @pytest.mark.parametrize("coeffs", [
