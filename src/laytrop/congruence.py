@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
