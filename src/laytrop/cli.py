@@ -21,31 +21,25 @@ from . import kapranov as kp
 from . import polynomials as poly
 from .core import INF, format_layer, semiring
 from .errors import DomainError, LaytropError, ParseError, UsageError
-from .parsing import (_parse_rational, _parse_signed_int, _Stream, parse_point, parse_polynomial,
-                      parse_puiseux_polynomial, parse_scalar)
+from .parsing import (_Scan, parse_point, parse_polynomial, parse_puiseux_polynomial,
+                      parse_scalar)
 from .tropical import explode_poly, trop_poly
 
 
 def _fraction(text: str) -> Fraction:
     """A grid value: the ``-p/q`` literal of expressions, and nothing else."""
     try:
-        s = _Stream(text)
-        value = _parse_rational(s)
-        s.done()
+        return _Scan.whole(text, _Scan.rational)
     except ParseError:
         raise UsageError(f"not an exact rational: {text!r}")
-    return value
 
 
 def _parse_layer_flag(text: str):
     """A ``--grid-layer``: ``inf`` or the signed int of expressions, and nothing else."""
     try:
-        s = _Stream(text)
-        layer = INF if s.accept("inf") else _parse_signed_int(s)
-        s.done()
+        return _Scan.whole(text, lambda s, at: (INF, 1) if s.tokens[0] == "inf" else s.signed_int(0))
     except ParseError:
         raise UsageError(f"not a layer: {text!r}")
-    return layer
 
 
 def _parse_grid(spec: str, nvars: int, layer) -> poly.GridSpec:

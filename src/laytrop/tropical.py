@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .core import LayeredScalar, LayeredSemiring
+from .core import LayeredScalar, LayeredSemiring, exact
 from .errors import DomainError
 from .polynomials import LayeredPolynomial
 from .puiseux import ExplodedScalar, PuiseuxPolynomial, PuiseuxSeries
@@ -65,6 +65,9 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
         with suppress(TypeError):  # keys of mixed types have no order: name the first
             bad.sort()
         raise DomainError(f"exploded exponent {bad[0]!r} must be a non-negative integer")
+    for c in (point, *coeffs.values()):  # the bare record constructor checks nothing
+        exact(c.sort, "sort")
+        exact(c.value, "value")
     scale, den, lifted = _lifted(coeffs, point.value.denominator)
     top, tied = _ties(lifted, point.value.numerator * (scale // point.value.denominator))
     s = point.sort

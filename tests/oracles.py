@@ -22,7 +22,10 @@ round-trip reference scans each of its three varieties on its own through
 reference renders the points of the public loci as dicts through ``json``
 or ``csv``, never touching the CLI's integer coordinate texts or its streaming.
 The record references are ``dataclasses`` built from field lists written out
-here, never touching the package's record base or reading its classes.
+here, never touching the package's record base or reading its classes.  The
+reference parser is recursive descent over (kind, text, offset) tokens, building
+each scalar through ``semiring.scalar`` and ``semiring.mul`` and each polynomial
+through the checking constructor, never touching the one-pass token scan.
 """
 
 import csv
@@ -32,10 +35,11 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from laytrop import (INF, DomainError, ExplodedScalar, LayeredPolynomial, LayeredScalar,
-                     LayeredSemiring, PuiseuxPolynomial, PuiseuxSeries,
+                     LayeredSemiring, ParseError, PuiseuxPolynomial, PuiseuxSeries, UsageError,
                      combined_locus, corner_locus, explode_poly, trop_poly)
 from laytrop.congruence import (FinitePointSet, ZariskiReport, _probe_family, congruent_on,
                                 variety_of)
@@ -562,3 +566,226 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in [
                                          "forward_ok", "reverse_ok", "exploded_ok"], frozen=False),
     _reference_record("TrialSummary", ["trials", "failures"], frozen=False),
 ]}
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: recursive descent over (kind, text, offset) token triples,
+# every scalar built through ``semiring.scalar`` and ``semiring.mul`` and every
+# polynomial through the checking constructor; never the one-pass token scan.
+
+_REFERENCE_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_]\w*)|(?P<op>[-+*/^()|,])|(?P<bad>\S)")
+_REFERENCE_VARIABLE = re.compile(r"x(\d+)")
+
+
+class _ReferenceStream:
+    """The tokens of one text as (kind, text, offset) triples; an operator's kind
+    is its own character, the others are ``int``, ``name`` and a final ``end``."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        for m in _REFERENCE_TOKEN.finditer(text):
+            kind, word = m.lastgroup, m.group()
+            if kind == "bad":
+                raise self.error(f"unexpected character {word!r}", m.start())
+            self.tokens.append((word if kind == "op" else kind, word, m.start()))
+        self.tokens.append(("end", "", len(text)))
+        self.pos = 0
+
+    def error(self, message, offset):
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def accept(self, word):
+        if self.tokens[self.pos][1] == word:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind):
+        found, word, offset = self.tokens[self.pos]
+        if found != kind:
+            shown = "end of input" if found == "end" else repr(word)
+            raise self.error(f"expected {kind}, found {shown}", offset)
+        self.pos += 1
+        return word
+
+    def number(self, digits, offset):
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"integer of {len(digits)} digits is too long", offset)
+
+    def integer(self):
+        offset = self.tokens[self.pos][2]
+        return self.number(self.expect("int"), offset)
+
+    def fail(self, message):
+        kind, word, offset = self.tokens[self.pos]
+        raise self.error(message if kind == "end" else f"{message}, found {word!r}", offset)
+
+    def done(self):
+        kind, word, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise self.error(f"trailing input {word!r}", offset)
+
+
+def _reference_sum_of_products(s, factor):
+    terms = []
+    while True:
+        product = [factor(s)]
+        while s.accept("*"):
+            product.append(factor(s))
+        terms.append(product)
+        if not s.accept("+"):
+            s.done()
+            return terms
+
+
+def _reference_signed_int(s):
+    sign = -1 if s.accept("-") else 1
+    return sign * s.integer()
+
+
+def _reference_rational(s):
+    numerator = _reference_signed_int(s)
+    denominator = s.integer() if s.accept("/") else 1
+    if denominator == 0:
+        s.fail("zero denominator")
+    return Fraction(numerator, denominator)
+
+
+def _reference_scalar(s, semiring):
+    if not s.accept("("):
+        return semiring.scalar(_reference_rational(s))
+    layer = 1
+    kind, word, _ = s.tokens[s.pos]
+    if word == "inf" or (kind == "int" and s.tokens[s.pos + 1][0] == "|"):
+        layer = INF if s.accept("inf") else s.integer()
+        s.expect("|")
+    value = _reference_rational(s)
+    s.expect(")")
+    return semiring.scalar(value, layer)
+
+
+def reference_parse_scalar(text, semiring):
+    s = _ReferenceStream(text)
+    scalar = _reference_scalar(s, semiring)
+    s.done()
+    return scalar
+
+
+def reference_parse_point(text, semiring):
+    s = _ReferenceStream(text)
+    point = [_reference_scalar(s, semiring)]
+    while s.accept(","):
+        point.append(_reference_scalar(s, semiring))
+    s.done()
+    return tuple(point)
+
+
+def _reference_layered_factor(s, semiring, laurent):
+    kind, word, offset = s.tokens[s.pos]
+    if kind == "name" and word != "inf":
+        s.pos += 1
+        variable = _REFERENCE_VARIABLE.fullmatch(word)
+        index = s.number(variable[1], offset) - 1 if variable else -1
+        if index < 0:
+            raise s.error(f"unknown variable {word!r}", offset)
+        exponent = 1
+        if s.accept("^"):
+            bracketed = s.accept("(")
+            exponent = _reference_signed_int(s)
+            if bracketed:
+                s.expect(")")
+        if exponent < 0 and not laurent:
+            raise s.error("negative exponents need Laurent mode", offset)
+        return index, exponent
+    if kind in ("int", "(", "-"):
+        return _reference_scalar(s, semiring)
+    s.fail("expected a term" if kind == "end" else "expected a coefficient or variable power")
+
+
+def reference_parse_polynomial(text, semiring, laurent=False, nvars=None):
+    """Each term's coefficient folded from ``semiring.one()`` by ``semiring.mul``;
+    the polynomial built by ``LayeredPolynomial``, which checks every item."""
+    s = _ReferenceStream(text)
+    terms = _reference_sum_of_products(s, lambda s: _reference_layered_factor(s, semiring, laurent))
+    arity = max((f[0] + 1 for product in terms for f in product if isinstance(f, tuple)),
+                default=0)
+    if nvars is None:
+        nvars = max(arity, 1)
+    elif arity > nvars:
+        raise ParseError(f"variable x{arity} exceeds the declared {nvars} variables")
+    coeffs = []
+    for product in terms:
+        coefficient, vector = semiring.one(), [0] * nvars
+        for factor in product:
+            if isinstance(factor, tuple):
+                vector[factor[0]] += factor[1]
+            else:
+                coefficient = semiring.mul(coefficient, factor)
+        coeffs.append((tuple(vector), coefficient))
+    return LayeredPolynomial(semiring, nvars, coeffs, laurent)
+
+
+def _reference_puiseux_factor(s, allow_variable):
+    kind, word, _ = s.tokens[s.pos]
+    if word == "t":
+        s.pos += 1
+        if not s.accept("^"):
+            return Fraction(1), Fraction(1), 0
+        if s.accept("("):
+            exponent = _reference_rational(s)
+            s.expect(")")
+            return Fraction(1), exponent, 0
+        return Fraction(1), Fraction(_reference_signed_int(s)), 0
+    if allow_variable and word == "L":
+        s.pos += 1
+        return Fraction(1), Fraction(0), s.integer() if s.accept("^") else 1
+    if s.accept("("):
+        value = _reference_rational(s)
+        s.expect(")")
+        return value, Fraction(0), 0
+    if kind in ("int", "-"):
+        return _reference_rational(s), Fraction(0), 0
+    s.fail("expected a factor" if kind == "end"
+           else "expected a coefficient, t power, or variable power")
+
+
+def _reference_puiseux_monomials(text, allow_variable):
+    terms = _reference_sum_of_products(_ReferenceStream(text),
+                                       lambda s: _reference_puiseux_factor(s, allow_variable))
+    return [(math.prod(c for c, _, _ in product), sum(e for _, e, _ in product),
+             sum(d for _, _, d in product)) for product in terms]
+
+
+def reference_parse_puiseux(text):
+    return PuiseuxSeries.from_terms((e, c) for c, e, _ in _reference_puiseux_monomials(text, False))
+
+
+def reference_parse_puiseux_polynomial(text):
+    return PuiseuxPolynomial.from_coeffs((d, PuiseuxSeries.term(c, e))
+                                         for c, e, d in _reference_puiseux_monomials(text, True))
+
+
+def reference_parse_grid_value(text):
+    """A ``--grid`` value: the ``-p/q`` literal of expressions, and nothing else."""
+    try:
+        s = _ReferenceStream(text)
+        value = _reference_rational(s)
+        s.done()
+    except ParseError:
+        raise UsageError(f"not an exact rational: {text!r}")
+    return value
+
+
+def reference_parse_layer_flag(text):
+    """A ``--grid-layer``: ``inf`` or the signed int of expressions, and nothing else."""
+    try:
+        s = _ReferenceStream(text)
+        layer = INF if s.accept("inf") else _reference_signed_int(s)
+        s.done()
+    except ParseError:
+        raise UsageError(f"not a layer: {text!r}")
+    return layer

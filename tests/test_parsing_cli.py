@@ -14,13 +14,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredSemiring, ParseError,
-                     PuiseuxPolynomial, parse_point, parse_polynomial, parse_puiseux,
-                     parse_puiseux_polynomial, parse_scalar)
+from laytrop import (COUNTING, RATIONALS, INF, DomainError, LayeredPolynomial, LayeredScalar,
+                     LayeredSemiring, ParseError, PuiseuxPolynomial, parse_point, parse_polynomial,
+                     parse_puiseux, parse_puiseux_polynomial, parse_scalar)
 from laytrop import cli, kapranov, semiring
 from laytrop.cli import main
 
-from oracles import (random_poly, random_series, reference_locus_output, reference_poly_add,
+from oracles import (random_poly, random_series, reference_locus_output,
+                     reference_parse_grid_value, reference_parse_layer_flag, reference_parse_point,
+                     reference_parse_polynomial, reference_parse_puiseux,
+                     reference_parse_puiseux_polynomial, reference_parse_scalar, reference_poly_add,
                      reference_series)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
@@ -650,3 +653,181 @@ def test_parsers_return_or_refuse(text):
 def test_cli_exit_codes_on_fuzzed_text(text):
     assert exit_code(["eval", "--point", "1", "--", text]) in (0, 1, 2)
     assert exit_code(["trop", "--", text]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass readers against the recursive-descent reference of oracles.py
+
+SEMIRINGS = [semiring(sorts, values) for sorts in ("nat", "super", "trivial")
+             for values in ("rational", "integer", "natural")]
+
+
+def _rational_text(draw):
+    numerator, denominator = draw(st.integers(-12, 12)), draw(st.sampled_from([1, 1, 1, 2, 3, 0]))
+    text = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    return f"({text})" if numerator < 0 and draw(st.booleans()) else text
+
+
+def _literal_text(draw):
+    layer = draw(st.sampled_from([None, None, None, None, "1", "2", "3", "inf", "0"]))
+    value = _rational_text(draw)
+    return value if layer is None else f"({layer}|{value.strip('()')})"
+
+
+@st.composite
+def point_texts(draw):
+    """Scalar literals and comma-separated lists of them, or a layer flag's text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["inf", "-3", "2", "-0", "1/2"]))
+    return ",".join(_literal_text(draw) for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def layered_texts(draw):
+    """Mostly well-formed polynomial text: scalar literals of every layer form,
+    bare, bracketed and negative exponents, several scalars in a term."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                factors.append(_literal_text(draw))
+            else:
+                variable = f"x{draw(st.integers(1, 3))}"
+                exponent = draw(st.sampled_from([0, 1, 1, 2, 3, -1]))
+                form = draw(st.sampled_from(["{}", "{}^{}", "{}^({})"]))
+                factors.append(form.format(variable, exponent) if exponent != 1 or form != "{}"
+                               else variable)
+        terms.append(draw(st.sampled_from(["*", " * "])).join(factors))
+    return draw(st.sampled_from([" + ", "+", " +\n"])).join(terms)
+
+
+@st.composite
+def puiseux_texts(draw):
+    """Mostly well-formed Puiseux text: rationals, t powers of every form and L powers."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["c", "(c)", "t", "t^n", "t^(r)", "L", "L^d"]))
+            value = _rational_text(draw).strip("()")
+            factors.append({"c": value, "(c)": f"({value})", "t": "t", "L": "L",
+                            "t^n": f"t^{draw(st.integers(-3, 3))}", "t^(r)": f"t^({value})",
+                            "L^d": f"L^{draw(st.integers(0, 4))}"}[kind])
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+TIGHT_TEXTS = st.lists(st.sampled_from(ATOMS), max_size=8).map("".join)
+READER_TEXTS = st.one_of(TEXTS, TIGHT_TEXTS, layered_texts(), point_texts(), puiseux_texts())
+
+
+def _outcome(call):
+    """A result as its repr (types of every field included) and its str, or a
+    refusal as its class, message, line and column."""
+    try:
+        result = call()
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    if isinstance(result, LayeredPolynomial):
+        return (result.semiring, result.nvars, result.laurent,
+                [(e, repr(c)) for e, c in result.coeffs.items()], str(result))
+    return repr(result), str(result)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(READER_TEXTS, st.sampled_from(SEMIRINGS), st.booleans(),
+       st.sampled_from([None, None, 1, 2, 3]))
+def test_readers_match_the_recursive_descent_reference(text, sr, laurent, nvars):
+    pairs = [
+        (lambda: parse_polynomial(text, sr, laurent=laurent, nvars=nvars),
+         lambda: reference_parse_polynomial(text, sr, laurent=laurent, nvars=nvars)),
+        (lambda: parse_scalar(text, sr), lambda: reference_parse_scalar(text, sr)),
+        (lambda: parse_point(text, sr), lambda: reference_parse_point(text, sr)),
+        (lambda: parse_puiseux(text), lambda: reference_parse_puiseux(text)),
+        (lambda: parse_puiseux_polynomial(text), lambda: reference_parse_puiseux_polynomial(text)),
+        (lambda: cli._fraction(text), lambda: reference_parse_grid_value(text)),
+        (lambda: cli._parse_layer_flag(text), lambda: reference_parse_layer_flag(text)),
+    ]
+    for new, reference in pairs:
+        assert _outcome(new) == _outcome(reference), text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(layered_texts(), st.sampled_from(SEMIRINGS), st.booleans(), st.sampled_from([None, 3]))
+def test_polynomial_texts_read_like_the_reference(text, sr, laurent, nvars):
+    # Mostly well-formed text, several scalars to a term: the folded coefficients count.
+    assert _outcome(lambda: parse_polynomial(text, sr, laurent=laurent, nvars=nvars)) == \
+        _outcome(lambda: reference_parse_polynomial(text, sr, laurent=laurent, nvars=nvars))
+
+
+def test_printed_polynomials_read_like_the_reference():
+    # Printed polynomials are well formed, so most of these are read, not refused.
+    rng = random.Random(29)
+    read = 0
+    for _ in range(150):
+        f = random_poly(rng, NAT, rng.randint(1, 3), max_terms=8)
+        text, laurent = str(f), rng.random() < 0.3
+        for sr in SEMIRINGS:
+            outcome = _outcome(lambda: parse_polynomial(text, sr, laurent=laurent, nvars=f.nvars))
+            assert outcome == _outcome(lambda: reference_parse_polynomial(
+                text, sr, laurent=laurent, nvars=f.nvars)), (text, sr)
+            read += outcome[0] is not DomainError
+    assert read >= 200, read
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "x1 +", "(2|", "(inf|", "(inf|1", "1/", "1/0", "1/0 + x1", "-", "x1^", "x1^(", "x1^(2",
+    "x1^-", "x0", "x00", "x" + "1" * 5000, "(2|1/" + "1" * 5000 + ")", "int", "inf", "(inf)", "(2)",
+    "t^", "t^(", "t^(1/0)", "L^-1", "L^", "x1 x2", "1,", ",", "1,2,(3|4)", "_", "x1_2", "1_",
+    "x1 + \n\n  @", "²", "x²", "٣", "x٢^٣", "(٢|٣)", "1 2", "@ x1^", "x1^(-1)", "x5 + (0|1)",
+    "2*3*x1 + (2|1)*(3|-1/2)", "(inf|1)*x2*(2|1)*x1*(3|2) + x1*x1^2*4", "x1*x1^-1 + 0*(-1)*x2^0",
+])
+def test_readers_match_the_reference_on_edge_texts(text):
+    for sr in SEMIRINGS:
+        for laurent, nvars in ((False, None), (True, 2), (False, 0), (True, True)):
+            assert _outcome(lambda: parse_polynomial(text, sr, laurent, nvars)) == \
+                _outcome(lambda: reference_parse_polynomial(text, sr, laurent, nvars)), (text, sr)
+        assert _outcome(lambda: parse_point(text, sr)) == \
+            _outcome(lambda: reference_parse_point(text, sr)), (text, sr)
+        assert _outcome(lambda: parse_scalar(text, sr)) == \
+            _outcome(lambda: reference_parse_scalar(text, sr)), (text, sr)
+    for new, reference in ((parse_puiseux, reference_parse_puiseux),
+                           (parse_puiseux_polynomial, reference_parse_puiseux_polynomial),
+                           (cli._fraction, reference_parse_grid_value),
+                           (cli._parse_layer_flag, reference_parse_layer_flag)):
+        assert _outcome(lambda: new(text)) == _outcome(lambda: reference(text)), text
+
+
+# Each case: text, laurent, and the same terms as items for the constructor, one
+# scalar per term, so the reader and the checking constructor see the same data.
+S = LayeredScalar
+CONSTRUCTOR_CASES = {
+    "layer-0": ("(0|1)*x1 + 2", False, [((1,), S(0, Fraction(1))), ((0,), S(1, Fraction(2)))]),
+    "layer-2": ("(2|1)*x1 + 0", False, [((1,), S(2, Fraction(1))), ((0,), S(1, Fraction(0)))]),
+    "layer-inf": ("(inf|3)*x1^2 + x1", False, [((2,), S(INF, Fraction(3))),
+                                               ((1,), S(1, Fraction(0)))]),
+    "half": ("1/2*x1*x2 + 0", False, [((1, 1), S(1, Fraction(1, 2))), ((0, 0), S(1, Fraction(0)))]),
+    "minus-one": ("(-1)*x1 + 0", False, [((1,), S(1, Fraction(-1))), ((0,), S(1, Fraction(0)))]),
+    "laurent": ("x1^-1 + 0", True, [((-1,), S(1, Fraction(0))), ((0,), S(1, Fraction(0)))]),
+    "valid": ("x1^2*x2 + 3 + x2", False, [((2, 1), S(1, Fraction(0))), ((0, 0), S(1, Fraction(3))),
+                                           ((0, 1), S(1, Fraction(0)))]),
+}
+#: How many of the nine semirings refuse each case.
+REFUSALS = {"layer-0": 9, "layer-2": 6, "layer-inf": 3, "half": 6, "minus-one": 3,
+            "laurent": 3, "valid": 0}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_CASES)
+def test_the_reader_refuses_what_the_checking_constructor_refuses(case):
+    # The reader checks each literal as it reads it and fills the polynomial
+    # unchecked; it must refuse exactly what LayeredPolynomial's checks refuse.
+    text, laurent, items = CONSTRUCTOR_CASES[case]
+    refused = 0
+    for sr in SEMIRINGS:
+        nvars = len(items[0][0])
+        parsed = _outcome(lambda: parse_polynomial(text, sr, laurent=laurent))
+        built = _outcome(lambda: LayeredPolynomial(sr, nvars, items, laurent))
+        assert parsed == built, (case, sr)
+        refused += parsed[0] is DomainError
+    assert refused == REFUSALS[case]

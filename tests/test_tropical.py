@@ -244,6 +244,22 @@ def test_exploded_eval_refuses_keys_that_do_not_order_with_ints(key):
     assert str(refused.value) == f"exploded exponent {key!r} must be a non-negative integer"
 
 
+@pytest.mark.parametrize("coeffs, point, message", [
+    ({0: ExplodedScalar(1, 0), 1: ExplodedScalar(-1, 0)}, ExplodedScalar(1.5, 0),
+     "sort 1.5 is not an int or a Fraction"),
+    ({0: ExplodedScalar(1, 0)}, ExplodedScalar(1, 0.5), "value 0.5 is not an int or a Fraction"),
+    ({0: ExplodedScalar(1, 0), 2: ExplodedScalar(0.5, 1)}, ExplodedScalar.one(),
+     "sort 0.5 is not an int or a Fraction"),
+    ({1: ExplodedScalar(1, 2.0)}, ExplodedScalar.one(), "value 2.0 is not an int or a Fraction"),
+    ({0: ExplodedScalar(True, 0)}, ExplodedScalar.one(), "sort True is not an int or a Fraction"),
+], ids=["point-sort", "point-value", "coefficient-sort", "coefficient-value", "bool-sort"])
+def test_exploded_eval_refuses_inexact_sorts_and_values(coeffs, point, message):
+    # The bare record constructor takes floats and bools; ExplodedScalar.of refuses them.
+    with pytest.raises(DomainError) as refused:
+        exploded_eval(coeffs, point)
+    assert str(refused.value) == message
+
+
 def test_value_maps_apply_componentwise():
     double = lambda v: 2 * v
     x = SR.scalar(Fraction(3, 2), 2)
