@@ -16,8 +16,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
-from .polynomials import (GridSpec, LayeredPolynomial, Point, _agree, _common, _layer_sum, _merged,
-                          _points, _scan)
+from .polynomials import (GridSpec, LayeredPolynomial, Point, _agree, _common, _lattice, _layer_sum,
+                          _merged, _points, _scan, _walk)
 
 
 class FinitePointSet(Record, frozen=True):
@@ -184,6 +184,12 @@ class ZariskiReport(Record):
         return {**vars(self), "pass": self.passed}
 
 
+def _accepted(accepts, indices: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether a probe's pair agrees on a set of lattice indices: its lattice
+    form's judge at every one of them."""
+    return all(map(accepts, indices))
+
+
 def _random_poly(rng: random.Random, template: LayeredPolynomial) -> LayeredPolynomial:
     sr = template.semiring
     coeffs = {}
@@ -211,11 +217,12 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
                       seed: int = 0) -> ZariskiReport:
     """Verify stability of the variety and both antitone laws on a probe family.
 
-    The probes start with the pairs, so one scan gives all three varieties,
-    compared as kept ranges: one step per row and per kept range.  The scan
-    checked the grid, so the sample drawn from it is not checked again.  No
-    pairs generate the diagonal congruence, whose variety is the whole grid:
-    it is counted, not listed, and every law holds trivially.
+    The probes start with the pairs, so one walk gives all three varieties,
+    compared as kept ranges: one step per row and per kept range.  The point
+    laws judge a sample of lattice indices, drawn by rank, through each
+    probe's lattice form, which the walk's setup checked: no point is built.
+    No pairs generate the diagonal congruence, whose variety is the whole
+    grid: it is counted, not listed, and every law holds trivially.
     """
     if not pairs:
         grid.check(LayeredSemiring())
@@ -224,25 +231,26 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     rng = random.Random(seed)
     probes = _probe_family(pairs, rng)
     cuts = (max(1, len(pairs) - 1), len(pairs), len(probes))
+    forms = _lattice(_pair_tasks(probes), grid)
     # Points only: a snapshot's layers are minima over its own tasks.
     smaller, variety, probed = (_merged(r[:3] for r in snapshot)
-                                for snapshot in _scan(_pair_tasks(probes), grid, cuts=cuts))
+                                for snapshot in _walk([row for row, _ in forms], grid.counts, cuts))
     stable = probed == variety
     # variety <= smaller iff joining them leaves smaller (two sorted runs: a linear sort)
     antitone_generators = _merged(sorted(smaller + variety)) == smaller
     antitone_points = union_law = True
     # rng.sample draws the same positions from range(total) as from the listed grid.
     total = math.prod(grid.counts)
-    sample = [grid.point(rank) for rank in rng.sample(range(total), min(6, total))]
-    small = FinitePointSet.of(sample[: max(1, len(sample) // 2)])
-    rest = FinitePointSet.of(sample[len(small):])
-    large = small.union(rest)
-    for f, g in probes:
-        on_small, on_large = _congruent(f, g, small), _congruent(f, g, large)
+    sample = [grid.index(rank) for rank in rng.sample(range(total), min(6, total))]
+    small = sample[: max(1, len(sample) // 2)]
+    rest = sample[len(small):]
+    large = small + rest
+    for _, accepts in forms:
+        on_small, on_large = _accepted(accepts, small), _accepted(accepts, large)
         if on_large and not on_small:
             antitone_points = False
         # I(small ∪ rest) = I(small) ∧ I(rest); a one-point sample has no rest
-        if len(rest) and on_large != (on_small and _congruent(f, g, rest)):
+        if rest and on_large != (on_small and _accepted(accepts, rest)):
             union_law = False
 
     return ZariskiReport(

@@ -184,6 +184,8 @@ def parse_polynomial(text: str, semiring: LayeredSemiring,
     arity = max((f[0] + 1 for product in terms for f in product if type(f) is tuple), default=0)
     if nvars is None:
         nvars = max(arity, 1)
+    elif type(nvars) is not int or nvars < 1:
+        raise DomainError(f"variable count {nvars!r} must be a positive integer")
     elif arity > nvars:
         raise ParseError(f"variable x{arity} exceeds the declared {nvars} variables")
     mul, items, zero = sorts.mul, [], [0] * nvars
@@ -196,8 +198,6 @@ def parse_polynomial(text: str, semiring: LayeredSemiring,
                 coefficient = f if coefficient is None else LayeredScalar(
                     mul(coefficient.layer, f.layer), coefficient.value + f.value)
         items.append((tuple(vector), semiring.one() if coefficient is None else coefficient))
-    if type(nvars) is not int or nvars < 1:
-        raise DomainError(f"variable count {nvars!r} must be a positive integer")
     if laurent:
         # Negative powers act on values by negation, so the flavor must be a group.
         values.check(Fraction(-1))

@@ -289,10 +289,6 @@ class GridSpec(Record, frozen=True):
     def counts(self) -> Tuple[int, ...]:
         return tuple((upper - lower) // step + 1 for lower, upper, step in self.axes)
 
-    @functools.cached_property
-    def origin(self) -> Point:
-        return self.point(0)
-
     def check(self, semiring: LayeredSemiring) -> None:
         """Raise the error of the first coordinate, axis by axis, that ``semiring``
         refuses.  An axis has one layer, and each value flavor is closed under adding
@@ -306,13 +302,17 @@ class GridSpec(Record, frozen=True):
         lower, _, step = self.axes[axis]
         return LayeredScalar(self.layers[axis] if self.layers else 1, lower + k * step)
 
-    def point(self, rank: int) -> Point:
-        """The sampled point of a rank in product order (last axis fastest), unchecked."""
+    def index(self, rank: int) -> Tuple[int, ...]:
+        """The lattice index (k per axis) of a rank in product order (last axis fastest)."""
         index = []
         for count in reversed(self.counts):
             rank, k = divmod(rank, count)
             index.insert(0, k)
-        return tuple(map(self.coordinate, range(self.nvars), index))
+        return tuple(index)
+
+    def point(self, rank: int) -> Point:
+        """The sampled point of a rank in product order, unchecked."""
+        return tuple(map(self.coordinate, range(self.nvars), self.index(rank)))
 
     def points(self, semiring: LayeredSemiring) -> List[Point]:
         self.check(semiring)
@@ -343,16 +343,29 @@ def _scan(tasks, grid: GridSpec, cuts: Optional[Sequence[int]] = None):
     end, and ``judge(sorts, layers, tied)`` sees their layers and the indices
     tied at the group's best value.  Each axis has one layer, so monomial
     layers, and hence verdicts and layer sums given the tied set, are the
-    same at every point.  Rows are set up first, so any member the grid
-    cannot evaluate raises.  A row intersects the tasks' kept ranges in
-    order and stops at the first that keeps nothing.
+    same at every point.  Rows are set up first (``_lattice``), so any member
+    the grid cannot evaluate raises.  A row intersects the tasks' kept ranges
+    in order and stops at the first that keeps nothing.
     """
+    return _walk([row for row, _ in _lattice(tasks, grid)], grid.counts, cuts)
+
+
+def _lattice(tasks, grid: GridSpec) -> List[Tuple]:
+    """``(row, accepts)`` of ``_lattice_row`` for each task, after one check of
+    the tasks' views and arities, of the grid against the view, and of the
+    grid's arity (with ``_check_point``'s text)."""
     polynomials = _common([f for group, _ in tasks for f in group])
     grid.check(polynomials[0].semiring)
-    rows = [_lattice_row(group, grid, judge) for group, judge in tasks]
-    ends = cuts or (len(tasks),)
+    if grid.nvars != polynomials[0].nvars:
+        raise DomainError(f"point has arity {grid.nvars}, polynomial expects {polynomials[0].nvars}")
+    return [_lattice_row(group, grid, judge) for group, judge in tasks]
+
+
+def _walk(rows, counts: Sequence[int], cuts: Optional[Sequence[int]] = None):
+    """``_scan`` of set-up rows on a grid of these point counts."""
+    ends = cuts or (len(rows),)
     outs = [[] for _ in ends]
-    for prefix in itertools.product(*map(range, grid.counts[:-1])):
+    for prefix in itertools.product(*map(range, counts[:-1])):
         kept, done = rows[0](prefix), 1
         for n, out in zip(ends, outs):
             while kept and done < n:
@@ -394,38 +407,57 @@ def _intersect(a, b):
 
 
 def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
-    """A map from a lattice prefix to the kept index ranges along the last
-    axis, each with the layer sum of the set tied on it.
+    """A task's int lattice form, as ``(row, accepts)``: ``row`` maps a lattice
+    prefix to the kept index ranges along the last axis, each with the layer
+    sum of the set tied on it, and ``accepts`` tells whether the judge keeps
+    one lattice index.  The caller has checked the grid and its arity.
 
-    Scaled by a common denominator and negated in a descending view, monomial
-    i is the line ``start_i + k * slope_i`` in the lattice index k.  Per row,
-    each slope class (fixed per task) gives one line: its top start, with the
-    members reaching it (identical lines) as its lane.  A monotone stack keeps
-    the upper envelope, lines meeting it only at a vertex included; a segment
-    takes one ceiling division, and at a lattice vertex the lanes of all lines
-    meeting there tie, in index order.  A row of m monomials costs O(m).
+    Scaled by a common denominator of the coefficients and the grid's lower
+    bounds and steps, and negated in a descending view, monomial i is the
+    line ``start_i + k * slope_i`` in the lattice index k.  Its layer is its
+    coefficient's times each axis layer to its exponent, folded monomial by
+    monomial, so a negative power of a ghost layer raises before any row.  Per
+    row, each slope class (fixed per task) gives one line: its top start, with
+    the members reaching it (identical lines) as its lane.  A monotone stack
+    keeps the upper envelope, lines meeting it only at a vertex included; a
+    segment takes one ceiling division, and at a lattice vertex the lanes of
+    all lines meeting there tie, in index order.  A row of m monomials costs O(m).
     """
-    profiles = [f._profile(grid.origin) for f in group]
     sr = group[0].semiring
-    sign = -1 if sr.descending else 1
-    scale = math.lcm(*(p[0] for p in profiles), *(step.denominator for _, _, step in grid.axes))
-    steps = [sign * int(step * scale) for _, _, step in grid.axes]
+    sorts, sign = sr.sorts, -1 if sr.descending else 1
+    scale = math.lcm(*(c.value.denominator for f in group for c in f.coeffs.values()),
+                     *(v.denominator for lower, _, step in grid.axes for v in (lower, step)))
+    lowers = [sign * lower.numerator * (scale // lower.denominator) for lower, _, _ in grid.axes]
+    steps = [sign * step.numerator * (scale // step.denominator) for _, _, step in grid.axes]
+    axis_layers = grid.layers or (1,) * grid.nvars
     base, layers, deltas = [], [], []
-    for f, (origin_scale, values, f_layers, _) in zip(group, profiles):
-        base += [sign * v * (scale // origin_scale) for v in values]
-        layers += f_layers
-        deltas += [list(map(operator.mul, exponents, steps)) for exponents in f.coeffs]
-    *columns, slopes = zip(*deltas)
+    for f in group:
+        for exponents, c in f.coeffs.items():
+            layer = c.layer
+            for e, xl in zip(exponents, axis_layers):
+                if e != 0 and xl != 1:
+                    layer = sorts.mul(layer, sorts.pow(xl, e))
+            layers.append(layer)
+            base.append(sign * c.value.numerator * (scale // c.value.denominator)
+                        + sum(map(operator.mul, exponents, lowers)))
+            deltas.append(list(map(operator.mul, exponents, steps)))
+    columns = list(zip(*deltas))
+    slopes = columns[-1]
     classes = [(d, tuple(members)) for d, members in itertools.groupby(
         sorted(range(len(slopes)), key=slopes.__getitem__), slopes.__getitem__)]
     n = grid.counts[-1]
-    kept_layer = functools.cache(lambda ties: _layer_sum(sr.sorts, layers, ties)
-                                 if judge(sr.sorts, layers, ties) else None)
+    kept_layer = functools.cache(lambda ties: _layer_sum(sorts, layers, ties)
+                                 if judge(sorts, layers, ties) else None)
+
+    def lines(index: Tuple[int, ...]) -> List[int]:
+        """Each monomial's value at a lattice index, or its start on the row at a prefix."""
+        values = base
+        for p, column in zip(index, columns):
+            values = [v + p * c for v, c in zip(values, column)] if p else values
+        return values
 
     def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int, Layer]]:
-        starts = base
-        for p, column in zip(prefix, columns):
-            starts = [s + p * c for s, c in zip(starts, column)] if p else starts
+        starts = lines(prefix)
         hull = []
         for d, members in classes:
             if len(members) == 1:
@@ -454,7 +486,12 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
                 k += 1
         return [(lo, hi, layer) for lo, hi, ties in pieces if (layer := kept_layer(ties)) is not None]
 
-    return row
+    def accepts(index: Tuple[int, ...]) -> bool:
+        values = lines(index)
+        top = max(values)
+        return kept_layer(tuple(i for i, v in enumerate(values) if v == top)) is not None
+
+    return row, accepts
 
 
 def _agree(split: int, sorts, layers: Sequence[Layer], tied: Sequence[int]) -> bool:

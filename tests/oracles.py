@@ -715,6 +715,8 @@ def reference_parse_polynomial(text, semiring, laurent=False, nvars=None):
                 default=0)
     if nvars is None:
         nvars = max(arity, 1)
+    elif type(nvars) is not int or nvars < 1:
+        raise DomainError(f"variable count {nvars!r} must be a positive integer")
     elif arity > nvars:
         raise ParseError(f"variable x{arity} exceeds the declared {nvars} variables")
     coeffs = []

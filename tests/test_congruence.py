@@ -1,5 +1,6 @@
 """Congruences over finite point sets, varieties, and the Zariski round trip."""
 
+import functools
 import math
 import random
 import time
@@ -17,7 +18,7 @@ from laytrop.parsing import parse_polynomial
 from laytrop.polynomials import _points, _scan
 
 from oracles import (SATURATING, brute_grid, random_poly, reference_layered_add,
-                     reference_layered_mul, reference_roundtrip)
+                     reference_layered_mul, reference_monomial_value, reference_roundtrip)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 NATURAL = LayeredSemiring(COUNTING, NATURALS)
@@ -188,9 +189,10 @@ def test_roundtrip_samples_ranks_of_the_listed_grid(monkeypatch):
     congruence._probe_family(gens, rng)
     expected = tuple(rng.sample(grid.points(NAT), 6))
     judged = []
-    monkeypatch.setattr(congruence, "_congruent", lambda f, g, x: judged.append(x.points))
+    monkeypatch.setattr(congruence, "_accepted", lambda accepts, indices: judged.append(indices))
     zariski_roundtrip(gens, grid, seed=5)
-    assert judged[1] == expected  # small, then small and rest together
+    # small, then small and rest together, as lattice indices of those points
+    assert tuple(tuple(map(grid.coordinate, range(2), index)) for index in judged[1]) == expected
 
 
 def test_roundtrip_on_a_billion_point_row():
@@ -223,12 +225,12 @@ def test_stable_and_antitone_laws_compare_the_snapshots(monkeypatch):
     # Both laws hold on every real scan, so only doctored snapshots can show
     # that the round trip compares its snapshots instead of assuming the laws.
     f, g = (parse_polynomial(text, NAT) for text in ("x1 + 0", "x1"))
-    pairs, grid, scan = [(f, f), (f, g)], GridSpec.uniform(-2, 2, 1, 1), congruence._scan
+    pairs, grid, walk = [(f, f), (f, g)], GridSpec.uniform(-2, 2, 1, 1), congruence._walk
     assert zariski_roundtrip(pairs, grid).passed
 
     def doctor(change):
-        monkeypatch.setattr(congruence, "_scan",
-                            lambda tasks, grid, cuts: change(*scan(tasks, grid, cuts=cuts)))
+        monkeypatch.setattr(congruence, "_walk",
+                            lambda rows, counts, cuts: change(*walk(rows, counts, cuts)))
         return zariski_roundtrip(pairs, grid)
 
     report = doctor(lambda smaller, variety, probed: [smaller, variety, []])
@@ -292,8 +294,7 @@ def test_union_law_judges_the_rest_of_the_sample(monkeypatch):
     grid = GridSpec.uniform(-2, 2, 1, 2)
     assert zariski_roundtrip(gens, grid, seed=4).passed
     # a judge that reads only a set's first point breaks I(X ∪ Y) = I(X) ∧ I(Y)
-    monkeypatch.setattr(congruence, "_congruent",
-                        lambda f, g, x: f.evaluate(x.points[0]) == g.evaluate(x.points[0]))
+    monkeypatch.setattr(congruence, "_accepted", lambda accepts, indices: accepts(indices[0]))
     assert not zariski_roundtrip(gens, grid, seed=4).union_law
 
 
@@ -492,9 +493,9 @@ def test_one_scale_quotient_map_matches_per_point_evaluation():
 
 
 def test_round_trip_comparison_matches_the_checked_congruence():
-    # The round trip judges its rank-decoded sample unchecked: on every point
-    # set it can draw, that must agree with the public, checking congruent_on
-    # and with evaluation point by point (congruent_on shares the comparison).
+    # congruent_on's one-scale comparison, unchecked as ``_congruent``, must
+    # agree with evaluation point by point on every point set the round trip
+    # can draw (its own lattice judge is compared in the lattice tests below).
     rng = random.Random(1919)
     compared = set()
     for i in range(120):
@@ -514,6 +515,97 @@ def test_round_trip_comparison_matches_the_checked_congruence():
                 assert congruence._congruent(f, g, x) == congruent_on(f, g, x) == verdict, (f, g, x)
                 compared.add(verdict)
     assert compared == {True, False}
+
+
+def _reference_value(f, point):
+    """f at a point as the layered sum, in support order, of the reference
+    monomial values (each by the semiring's own ``mul`` and ``pow``)."""
+    sr = f.semiring
+    return functools.reduce(sr.add, (reference_monomial_value(f, e, point) for e in f.coeffs))
+
+
+def _reference_setup(probes, grid):
+    """What setting up the probes' lattice forms must refuse, in order: mixed
+    views or arities, a grid the view refuses, a grid of another arity, then
+    the first monomial, in task and support order, that the reference
+    monomial value refuses at the grid's first point."""
+    polynomials = [f for pair in probes for f in pair]
+    for f in polynomials[1:]:
+        polynomials[0]._compatible(f)
+    grid.check(polynomials[0].semiring)
+    origin = brute_grid(grid)[0]
+    for f in polynomials:
+        f._check_point(origin)
+        for e in f.coeffs:
+            reference_monomial_value(f, e, origin)
+
+
+def test_lattice_judge_matches_congruent_on_at_decoded_points():
+    # The round trip judges lattice indices through each probe's lattice form;
+    # on random ranks of random grids, each verdict must be congruent_on's at
+    # the decoded point, and the reference monomial values' comparison.
+    rng = random.Random(3030)
+    seen, verdicts, refusals = set(), set(), []
+    for i in range(240):
+        pairs, grid = _roundtrip_case(rng)
+        if rng.random() < 0.05:  # one axis too many
+            grid = GridSpec(grid.axes + grid.axes[:1], grid.layers + grid.layers[:1])
+        try:
+            probes = congruence._probe_family(pairs, random.Random(i))
+        except DomainError:
+            probes = pairs  # pairs of mixed arity or view: the setup must refuse them
+        expected = _judged(_reference_setup, probes, grid)
+        try:
+            forms = congruence._lattice(congruence._pair_tasks(probes), grid)
+        except DomainError as error:
+            # refused while the forms are set up, before any row is walked
+            assert isinstance(expected, str) and f"DomainError: {error}" == expected, (pairs, grid)
+            refusals.append(expected)
+            continue
+        assert expected is None, (pairs, grid, expected)
+        listed, total = brute_grid(grid), math.prod(grid.counts)
+        ranks = rng.sample(range(total), min(6, total))
+        for (f, g), (_, accepts) in zip(probes, forms):
+            for rank in ranks:
+                point, index = listed[rank], grid.index(rank)
+                verdict = accepts(index)
+                assert verdict == congruent_on(f, g, FinitePointSet.of([point])) \
+                    == (_reference_value(f, point) == _reference_value(g, point)), (f, g, point)
+                verdicts.add(verdict)
+            for cut in range(1, len(ranks) + 1):
+                for part in (ranks[:cut], ranks[cut - 1:]):
+                    x = FinitePointSet.of(listed[r] for r in part)
+                    assert congruence._accepted(accepts, [grid.index(r) for r in part]) \
+                        == congruent_on(f, g, x), (f, g, x)
+        sr = pairs[0][0].semiring
+        seen.add((sr, pairs[0][0].laurent, max(grid.layers),
+                  any(step.denominator > 1 for _, _, step in grid.axes)))
+    assert {view for view, *_ in seen} == set(VIEWS)
+    assert any(laurent for _, laurent, *_ in seen)
+    assert {layer for *_, layer, _ in seen} == {1, 2, INF}
+    assert {fractional for *_, fractional in seen} == {True, False}
+    assert verdicts == {True, False}
+    for kind in ("is not in the", "is not invertible", "differ in arity", "has arity"):
+        assert kind in " ".join(refusals), kind
+
+
+def test_lattice_forms_refuse_a_ghost_layer_to_a_negative_power_before_any_row(monkeypatch):
+    # x1^-1 at a grid layer of 2 or inf: the forms' setup raises the text of
+    # the layer's power, whatever the pair's order, and no row is walked.
+    f = parse_polynomial("x1^-1 + 0", NAT, laurent=True)
+    g = parse_polynomial("x1 + 0", NAT, laurent=True)
+    walked = []
+    monkeypatch.setattr(congruence, "_walk", lambda *args: walked.append(args))
+    for layer in (2, INF):
+        grid = GridSpec.uniform(-2, 2, Fraction(1, 2), 1, layer)
+        for pairs in ([(f, g)], [(g, f)], [(g, g), (f, f)]):
+            text = f"layer {'inf' if layer == INF else layer} is not invertible"
+            assert _judged(_reference_setup, pairs, grid) == f"DomainError: {text}"
+            with pytest.raises(DomainError, match=text):
+                congruence._lattice(congruence._pair_tasks(pairs), grid)
+            with pytest.raises(DomainError, match=text):
+                zariski_roundtrip(pairs, grid)
+    assert walked == []
 
 
 def test_unchecked_add_and_mul_match_the_checked_references():

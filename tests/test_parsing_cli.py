@@ -831,3 +831,16 @@ def test_the_reader_refuses_what_the_checking_constructor_refuses(case):
         assert parsed == built, (case, sr)
         refused += parsed[0] is DomainError
     assert refused == REFUSALS[case]
+
+
+@pytest.mark.parametrize("nvars", [2.0, True, 0, -1])
+def test_the_reader_refuses_a_bad_variable_count_like_the_constructor(nvars):
+    # The count is checked before the declared arity is compared or any
+    # exponent vector is built, so "x1 + 0" at 0 variables and a float count
+    # are refused as the constructor refuses them.
+    for text in ("x1 + 0", "x2*x1^2 + 3"):
+        for sr in SEMIRINGS:
+            parsed = _outcome(lambda: parse_polynomial(text, sr, nvars=nvars))
+            built = _outcome(lambda: LayeredPolynomial(sr, nvars, [((1,), sr.one())]))
+            assert parsed == built == (DomainError, f"variable count {nvars!r} must be a positive "
+                                       "integer", None, None), (text, sr)
