@@ -204,8 +204,8 @@ def _cmd_congruence(args) -> int:
         points = cg.FinitePointSet.of(
             tuple(parse_scalar(c, sr) for c in p) for p in point_texts)
         report["points_congruent"] = [cg.congruent_on(f, g, points) for f, g in pairs]
-    grid_spec = args.grid or grid_text
-    if grid_spec:
+    grid_spec = grid_text if args.grid is None else args.grid
+    if grid_spec is not None:
         grid = _parse_grid(grid_spec, nvars, 1)
         report["roundtrip"] = cg.zariski_roundtrip(pairs, grid, seed=args.seed).to_json()
     print(json.dumps(report))

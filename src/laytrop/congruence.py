@@ -9,6 +9,7 @@ correspondence is a stable antitone Galois connection on probe families.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cached_property, partial
@@ -16,8 +17,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
-from .polynomials import (GridSpec, LayeredPolynomial, Point, _agree, _common, _lattice, _layer_sum,
-                          _merged, _points, _scan, _walk)
+from .polynomials import (GridSpec, LayeredPolynomial, Line, Point, _agree, _lattice, _lattice_lines,
+                          _lattice_row, _layer_sum, _merged, _points, _walk)
 
 
 class FinitePointSet(Record, frozen=True):
@@ -87,7 +88,8 @@ def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
     if not pairs:
         raise DomainError("an empty generator list (the diagonal congruence) has the "
                           "whole grid as its variety, which is not listed")
-    return FinitePointSet(_points(_scan(_pair_tasks(pairs), grid), grid))
+    rows = [row for row, _ in _lattice(_pair_tasks(pairs), grid)]
+    return FinitePointSet(_points(_walk(rows, grid.counts), grid))
 
 
 def _pair_tasks(pairs: Sequence[Pair]) -> List:
@@ -200,17 +202,47 @@ def _random_poly(rng: random.Random, template: LayeredPolynomial) -> LayeredPoly
     return LayeredPolynomial(sr, template.nvars, coeffs, template.laurent)
 
 
-def _probe_family(pairs: Sequence[Pair], rng: random.Random) -> List[Pair]:
-    """Generators plus derived pairs known to lie in the same congruence."""
-    probes = list(pairs)
-    for f, g in pairs:
-        h = _random_poly(rng, f)
-        probes.append((f.add(h), g.add(h)))
-        probes.append((f.mul(h), g.mul(h)))
-    for (f1, g1), (f2, g2) in zip(pairs, pairs[1:]):
-        probes.append((f1.add(f2), g1.add(g2)))
-        probes.append((f1.mul(f2), g1.mul(g2)))
-    return probes
+def _probe_lines(pairs: Sequence[Pair], grid: GridSpec, rng: random.Random
+                 ) -> Tuple[List[Tuple[List[Line], List[Line]]], Tuple]:
+    """(probes, axes): the generators plus derived pairs known to lie in the
+    same congruence, each side as the int lines of ``_lattice_lines`` on the
+    grid, and the axes on their scale.  The generators and one random h per
+    pair are lifted once, on one scale, after ``_lattice_lines``' checks; the
+    sums and products f + h, f * h, f1 + f2 and f1 * f2 are formed on those
+    ints, as ``LayeredPolynomial.add`` and ``mul`` would form them."""
+    hs = [_random_poly(rng, f) for f, _ in pairs]
+    lines, axes = _lattice_lines([*(f for pair in pairs for f in pair), *hs], grid)
+    sorts = hs[0].semiring.sorts
+    sides = list(zip(lines[:-len(hs):2], lines[1:-len(hs):2]))
+    probes = list(sides)
+    for (f, g), h in zip(sides, lines[-len(hs):]):
+        probes.append((_merge(sorts, f + h), _merge(sorts, g + h)))
+        probes.append((_product(sorts, f, h), _product(sorts, g, h)))
+    for (f1, g1), (f2, g2) in zip(sides, sides[1:]):
+        probes.append((_merge(sorts, f1 + f2), _merge(sorts, g1 + g2)))
+        probes.append((_product(sorts, f1, f2), _product(sorts, g1, g2)))
+    return probes, axes
+
+
+def _merge(sorts, lines: Iterable[Line]) -> List[Line]:
+    """Lines of equal exponents merged as ``LayeredPolynomial._fill`` merges
+    their scalars, in order: the larger int wins, and equal ints add their
+    layers with ``sorts.add``; the result in support (exponent) order."""
+    merged = {}
+    for e, v, layer in lines:
+        old = merged.get(e)
+        if old is None or v > old[0]:
+            merged[e] = v, layer
+        elif v == old[0]:
+            merged[e] = v, sorts.add(old[1], layer)
+    return [(e, *merged[e]) for e in sorted(merged)]
+
+
+def _product(sorts, f: List[Line], h: List[Line]) -> List[Line]:
+    """The lines of f * h as ``LayeredPolynomial.mul`` forms it: exponents and
+    ints add, layers multiply with ``sorts.mul``, term pairs merged in order."""
+    return _merge(sorts, [(tuple(map(operator.add, e1, e2)), v1 + v2, sorts.mul(l1, l2))
+                          for e1, v1, l1 in f for e2, v2, l2 in h])
 
 
 def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
@@ -218,7 +250,9 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     """Verify stability of the variety and both antitone laws on a probe family.
 
     The probes start with the pairs, so one walk gives all three varieties,
-    compared as kept ranges: one step per row and per kept range.  The point
+    compared as kept ranges: one step per row and per kept range.  Each probe
+    is formed on the ints of its factors' lines (``_probe_lines``), and no
+    polynomial is built for it.  The point
     laws judge a sample of lattice indices, drawn by rank, through each
     probe's lattice form, which the walk's setup checked: no point is built.
     No pairs generate the diagonal congruence, whose variety is the whole
@@ -227,11 +261,11 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     if not pairs:
         grid.check(LayeredSemiring())
         return ZariskiReport(math.prod(grid.counts), 0, True, True, True, True, True)
-    _common([f for pair in pairs for f in pair])
     rng = random.Random(seed)
-    probes = _probe_family(pairs, rng)
+    probes, axes = _probe_lines(pairs, grid, rng)
+    sorts = pairs[0][0].semiring.sorts
     cuts = (max(1, len(pairs) - 1), len(pairs), len(probes))
-    forms = _lattice(_pair_tasks(probes), grid)
+    forms = [_lattice_row(f + g, axes, sorts, partial(_agree, len(f))) for f, g in probes]
     # Points only: a snapshot's layers are minima over its own tasks.
     smaller, variety, probed = (_merged(r[:3] for r in snapshot)
                                 for snapshot in _walk([row for row, _ in forms], grid.counts, cuts))

@@ -8,9 +8,10 @@ monomial already evaluates to a ghost.  Exact univariate corner roots come
 from the breakpoints of the upper envelope of the coefficient data; essential
 monomials are certified at witness points or decided by one exact rational LP
 over the monomials not yet found dominated, in every dimension.
-These exact solvers read coefficients through one lift, ``_lift``.
-Grid scans build that envelope once per row, over the monomials' slope
-classes, and walk its segments: a row of m monomials costs O(m), not O(m * points).
+These exact solvers, and the grid scans' lattice setup, read coefficients
+through one lift, ``_lift``.  Grid scans build that envelope once per row,
+over the monomials' slope classes, and walk its segments: a row of m
+monomials costs O(m), not O(m * points).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .errors import DomainError
 
 Exponents = Tuple[int, ...]
 Point = Tuple[LayeredScalar, ...]
+#: A monomial's int line: its exponents, its value on a lift's scale and its layer.
+Line = Tuple[Exponents, int, Layer]
 
 
 class LayeredPolynomial:
@@ -351,14 +354,35 @@ def _scan(tasks, grid: GridSpec, cuts: Optional[Sequence[int]] = None):
 
 
 def _lattice(tasks, grid: GridSpec) -> List[Tuple]:
-    """``(row, accepts)`` of ``_lattice_row`` for each task, after one check of
-    the tasks' views and arities, of the grid against the view, and of the
-    grid's arity (with ``_check_point``'s text)."""
-    polynomials = _common([f for group, _ in tasks for f in group])
-    grid.check(polynomials[0].semiring)
-    if grid.nvars != polynomials[0].nvars:
-        raise DomainError(f"point has arity {grid.nvars}, polynomial expects {polynomials[0].nvars}")
-    return [_lattice_row(group, grid, judge) for group, judge in tasks]
+    """``(row, accepts)`` of ``_lattice_row`` for each task, its group's lines
+    laid end to end (``_lattice_lines``)."""
+    groups = [group for group, _ in tasks]
+    lines, axes = _lattice_lines([f for group in groups for f in group], grid)
+    sorts, parts = groups[0][0].semiring.sorts, iter(lines)
+    return [_lattice_row([line for _ in group for line in next(parts)], axes, sorts, judge)
+            for group, judge in tasks]
+
+
+def _lattice_lines(polynomials: Sequence[LayeredPolynomial],
+                   grid: GridSpec) -> Tuple[List[List[Line]], Tuple]:
+    """(lines, axes): each polynomial's monomials as ``_lift``'s int lines, on
+    one scale that also clears the grid's lower bounds and steps, and the axes
+    ``(lowers, steps, ghosts, n)`` on that scale: ``ghosts`` lists the
+    (axis, layer) of each axis whose layer is not 1, and ``n`` counts the
+    last axis's points.  First comes one check of the views and arities, of
+    the grid against the view, and of the grid's arity (with ``_check_point``'s text)."""
+    first = _common(polynomials)[0]
+    grid.check(first.semiring)
+    if grid.nvars != first.nvars:
+        raise DomainError(f"point has arity {grid.nvars}, polynomial expects {first.nvars}")
+    sign, scale, lines = _lift([m for f in polynomials for m in f.coeffs.items()], first.semiring,
+                               *(v.denominator for lower, _, step in grid.axes for v in (lower, step)))
+    lowers = [sign * lower.numerator * (scale // lower.denominator) for lower, _, _ in grid.axes]
+    steps = [sign * step.numerator * (scale // step.denominator) for _, _, step in grid.axes]
+    ghosts = [(i, layer) for i, layer in enumerate(grid.layers or ()) if layer != 1]
+    parts = iter(lines)
+    return ([list(itertools.islice(parts, len(f.coeffs))) for f in polynomials],
+            (lowers, steps, ghosts, grid.counts[-1]))
 
 
 def _walk(rows, counts: Sequence[int], cuts: Optional[Sequence[int]] = None):
@@ -406,15 +430,15 @@ def _intersect(a, b):
             if (lo := max(p, r)) < (hi := min(q, s))]
 
 
-def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
-    """A task's int lattice form, as ``(row, accepts)``: ``row`` maps a lattice
-    prefix to the kept index ranges along the last axis, each with the layer
-    sum of the set tied on it, and ``accepts`` tells whether the judge keeps
-    one lattice index.  The caller has checked the grid and its arity.
+def _lattice_row(lines: Sequence[Line], axes: Tuple, sorts, judge):
+    """A task's int lattice form, as ``(row, accepts)``, from its monomials'
+    int lines and the axes of ``_lattice_lines`` on their scale: ``row`` maps
+    a lattice prefix to the kept index ranges along the last axis, each with
+    the layer sum of the set tied on it, and ``accepts`` tells whether the
+    judge keeps one lattice index.
 
-    Scaled by a common denominator of the coefficients and the grid's lower
-    bounds and steps, and negated in a descending view, monomial i is the
-    line ``start_i + k * slope_i`` in the lattice index k.  Its layer is its
+    On that scale, and negated in a descending view, monomial i is the line
+    ``start_i + k * slope_i`` in the lattice index k.  Its layer is its
     coefficient's times each axis layer to its exponent, folded monomial by
     monomial, so a negative power of a ghost layer raises before any row.  Per
     row, each slope class (fixed per task) gives one line: its top start, with
@@ -423,33 +447,22 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
     segment takes one ceiling division, and at a lattice vertex the lanes of
     all lines meeting there tie, in index order.  A row of m monomials costs O(m).
     """
-    sr = group[0].semiring
-    sorts, sign = sr.sorts, -1 if sr.descending else 1
-    scale = math.lcm(*(c.value.denominator for f in group for c in f.coeffs.values()),
-                     *(v.denominator for lower, _, step in grid.axes for v in (lower, step)))
-    lowers = [sign * lower.numerator * (scale // lower.denominator) for lower, _, _ in grid.axes]
-    steps = [sign * step.numerator * (scale // step.denominator) for _, _, step in grid.axes]
-    axis_layers = grid.layers or (1,) * grid.nvars
-    base, layers, deltas = [], [], []
-    for f in group:
-        for exponents, c in f.coeffs.items():
-            layer = c.layer
-            for e, xl in zip(exponents, axis_layers):
-                if e != 0 and xl != 1:
-                    layer = sorts.mul(layer, sorts.pow(xl, e))
-            layers.append(layer)
-            base.append(sign * c.value.numerator * (scale // c.value.denominator)
-                        + sum(map(operator.mul, exponents, lowers)))
-            deltas.append(list(map(operator.mul, exponents, steps)))
-    columns = list(zip(*deltas))
+    lowers, steps, ghosts, n = axes
+    layers = []
+    for exponents, _, layer in lines:
+        for axis, xl in ghosts:
+            if exponents[axis]:
+                layer = sorts.mul(layer, sorts.pow(xl, exponents[axis]))
+        layers.append(layer)
+    base = [value + sum(map(operator.mul, exponents, lowers)) for exponents, value, _ in lines]
+    columns = [[exponents[axis] * step for exponents, _, _ in lines] for axis, step in enumerate(steps)]
     slopes = columns[-1]
     classes = [(d, tuple(members)) for d, members in itertools.groupby(
         sorted(range(len(slopes)), key=slopes.__getitem__), slopes.__getitem__)]
-    n = grid.counts[-1]
     kept_layer = functools.cache(lambda ties: _layer_sum(sorts, layers, ties)
                                  if judge(sorts, layers, ties) else None)
 
-    def lines(index: Tuple[int, ...]) -> List[int]:
+    def at(index: Tuple[int, ...]) -> List[int]:
         """Each monomial's value at a lattice index, or its start on the row at a prefix."""
         values = base
         for p, column in zip(index, columns):
@@ -457,7 +470,7 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
         return values
 
     def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int, Layer]]:
-        starts = lines(prefix)
+        starts = at(prefix)
         hull = []
         for d, members in classes:
             if len(members) == 1:
@@ -487,7 +500,7 @@ def _lattice_row(group: Sequence[LayeredPolynomial], grid: GridSpec, judge):
         return [(lo, hi, layer) for lo, hi, ties in pieces if (layer := kept_layer(ties)) is not None]
 
     def accepts(index: Tuple[int, ...]) -> bool:
-        values = lines(index)
+        values = at(index)
         top = max(values)
         return kept_layer(tuple(i for i, v in enumerate(values) if v == top)) is not None
 
@@ -548,14 +561,15 @@ def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
 # Exact univariate corner roots and essentiality
 
 
-def _lift(monomials: Collection[Tuple[Exponents, LayeredScalar]],
-          semiring: LayeredSemiring) -> Tuple[int, int, List[Tuple[int, ...]]]:
-    """(sign, scale, lifted): each monomial (e, c) as the int row
-    ``(*e, sign * c * scale)``, ``scale`` one common denominator and ``sign``
-    -1 in a descending view, as min(c + e.x) = -max(-c + e.(-x))."""
+def _lift(monomials: Collection[Tuple[Exponents, LayeredScalar]], semiring: LayeredSemiring,
+          *denominators: int) -> Tuple[int, int, List[Line]]:
+    """(sign, scale, lines): each monomial (e, c) as the int line
+    ``(e, sign * c * scale, layer of c)``, ``scale`` one common denominator of
+    the values and ``denominators`` and ``sign`` -1 in a descending view, as
+    min(c + e.x) = -max(-c + e.(-x))."""
     sign = -1 if semiring.descending else 1
-    scale = math.lcm(*(c.value.denominator for _, c in monomials))
-    return sign, scale, [(*e, sign * c.value.numerator * (scale // c.value.denominator))
+    scale = math.lcm(*(c.value.denominator for _, c in monomials), *denominators)
+    return sign, scale, [(e, sign * c.value.numerator * (scale // c.value.denominator), c.layer)
                          for e, c in monomials]
 
 
@@ -583,8 +597,8 @@ def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int],
     """
     if f.nvars != 1:
         raise DomainError("exact corner roots require a univariate polynomial")
-    sign, scale, lifted = _lift(f.coeffs.items(), f.semiring)
-    hull = _upper_hull(sorted(lifted))
+    sign, scale, lines = _lift(f.coeffs.items(), f.semiring)
+    hull = _upper_hull([(i, ci) for (i,), ci, _ in lines])
     return tuple(sorted((Fraction(sign * (ci - cj), (j - i) * scale), j - i)
                         for (i, ci), (j, cj) in zip(hull, hull[1:])))
 
@@ -602,7 +616,7 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     later LPs' columns, as the hull is that of its vertices.  One exact LP
     then decides each uncertified monomial.  A descending view negates values.
     """
-    _, _, lifted = _lift(f.coeffs.items(), f.semiring)
+    lifted = [(*e, c) for e, c, _ in _lift(f.coeffs.items(), f.semiring)[2]]
     k, far = len(lifted), 1 + 2 * max(abs(p[-1]) for p in lifted)
     total = [sum(column) for column in zip(*lifted)][:-1]
     certified = set()
@@ -689,7 +703,8 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
     """
     f._compatible(g)
     monomials = [*f.coeffs.items(), *g.coeffs.items()]
-    sign, scale, lifted = _lift(monomials, f.semiring)
+    sign, scale, lines = _lift(monomials, f.semiring)
+    lifted = [(*e, c) for e, c, _ in lines]
     points = sorted(set(lifted))
 
     def tied(a: Sequence[Fraction]) -> frozenset:
@@ -714,7 +729,7 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
         n = f.nvars
         return [(x[1 + k] - x[1 + n + k]) / (1 + x[0]) for k in range(n)]
 
-    split, layers = len(f.coeffs), [c.layer for _, c in monomials]
+    split, layers = len(f.coeffs), [layer for *_, layer in lines]
     for p in points:
         a = tie(p)
         if a is None:

@@ -18,7 +18,8 @@ by testing chords, never touching the shared monotone-chain hull.  The grid
 reference steps along each axis and validates every coordinate, never
 touching the closed-form check or the lattice index arithmetic.  The
 round-trip reference scans each of its three varieties on its own through
-``variety_of``, never sharing one walk between them.  The locus-output
+``variety_of``, never sharing one walk between them, and builds its probes as
+polynomials by ``add`` and ``mul``, never forming them on int lines.  The locus-output
 reference renders the points of the public loci as dicts through ``json``
 or ``csv``, never touching the CLI's integer coordinate texts or its streaming.
 The record references are ``dataclasses`` built from field lists written out
@@ -30,6 +31,7 @@ through the checking constructor, never touching the one-pass token scan.
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -41,7 +43,7 @@ from fractions import Fraction
 from laytrop import (INF, DomainError, ExplodedScalar, LayeredPolynomial, LayeredScalar,
                      LayeredSemiring, ParseError, PuiseuxPolynomial, PuiseuxSeries, UsageError,
                      combined_locus, corner_locus, explode_poly, trop_poly)
-from laytrop.congruence import (FinitePointSet, ZariskiReport, _probe_family, congruent_on,
+from laytrop.congruence import (FinitePointSet, ZariskiReport, _random_poly, congruent_on,
                                 variety_of)
 from laytrop.core import SortFlavor, format_layer
 
@@ -424,6 +426,13 @@ def reference_monomial_value(f, exponents, point):
     return term
 
 
+def reference_value(f, point):
+    """f at a point as the layered sum, in support order, of the reference
+    monomial values (each by the semiring's own ``mul`` and ``pow``)."""
+    sr = f.semiring
+    return functools.reduce(sr.add, (reference_monomial_value(f, e, point) for e in f.coeffs))
+
+
 def brute_judge(f, point):
     """Everything the locus code decides about f at a point, from first principles.
 
@@ -490,6 +499,21 @@ class SaturatingSorts(SortFlavor):
 SATURATING = SaturatingSorts()
 
 
+def reference_probe_family(pairs, rng):
+    """The generators plus derived pairs known to lie in the same congruence,
+    each built as a polynomial by ``add`` and ``mul``: f + h and f * h for one
+    random h per pair, then f1 + f2 and f1 * f2 for each pair and the next."""
+    probes = list(pairs)
+    for f, g in pairs:
+        h = _random_poly(rng, f)
+        probes.append((f.add(h), g.add(h)))
+        probes.append((f.mul(h), g.mul(h)))
+    for (f1, g1), (f2, g2) in zip(pairs, pairs[1:]):
+        probes.append((f1.add(f2), g1.add(g2)))
+        probes.append((f1.mul(f2), g1.mul(g2)))
+    return probes
+
+
 def reference_roundtrip(pairs, grid, seed=0):
     """The Zariski round trip with one ``variety_of`` scan per variety: the
     pairs first, then the probe family, then ``pairs[:-1]``."""
@@ -498,7 +522,7 @@ def reference_roundtrip(pairs, grid, seed=0):
         return ZariskiReport(math.prod(grid.counts), 0, True, True, True, True, True)
     variety = variety_of(pairs, grid)
     rng = random.Random(seed)
-    probes = _probe_family(pairs, rng)
+    probes = reference_probe_family(pairs, rng)
     stable = set(variety_of(probes, grid).points) == set(variety.points)
 
     smaller = variety_of(pairs[:-1], grid) if len(pairs) >= 2 else variety

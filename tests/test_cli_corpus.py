@@ -1,9 +1,13 @@
 """The CLI prints, byte for byte, what the golden corpus pins (see cli_corpus.py)."""
 
+import json
 import sys
 import time
 
 import cli_corpus
+from laytrop import GridSpec, semiring
+from oracles import (reference_parse_grid_value, reference_parse_point, reference_parse_polynomial,
+                     reference_roundtrip, reference_value)
 
 
 def test_every_corpus_call_prints_its_pinned_output(tmp_path, monkeypatch):
@@ -33,3 +37,56 @@ def test_the_corpus_covers_every_command_flavor_format_and_exit_code():
     assert any("--laurent" in argv for argv in argvs) and any("csv" in argv for argv in argvs)
     assert {(case["code"], case["parser"]) for case in cases} == \
         {(0, False), (1, False), (2, False), (0, True), (2, True)}
+
+
+#: Exit-0 ``congruence`` cases whose oracles are too slow for tier-1, by
+#: argv, each with its reason.  None is: every case is checked below.
+SLOW_CONGRUENCE = {}
+
+
+def _reference_congruence(argv, spec):
+    """What ``laytrop congruence`` reports for a corpus case that exits 0, from
+    the reference readers, a per-point reference comparison of the pairs on
+    the listed points, and ``reference_roundtrip`` on the grid."""
+    options = dict(zip(argv[2::2], argv[3::2]))
+    sr = semiring(options.get("--L", "nat"))
+    data = json.loads(spec)
+    texts = [text for pair in data.get("pairs") or [] for text in pair]
+    nvars = max((reference_parse_polynomial(text, sr).nvars for text in texts), default=1)
+    sides = [reference_parse_polynomial(text, sr, nvars=nvars) for text in texts]
+    pairs = list(zip(sides[::2], sides[1::2]))
+    report = {}
+    if data.get("points"):
+        points = [reference_parse_point(",".join(point), sr) for point in data["points"]]
+        report["points_congruent"] = [all(reference_value(f, a) == reference_value(g, a) for a in points)
+                                      for f, g in pairs]
+    flag = [arg[len("--grid="):] for arg in argv if arg.startswith("--grid=")]
+    text = flag[0] if flag else data.get("grid")
+    if text is not None:
+        axes = [tuple(map(reference_parse_grid_value, axis.split(":"))) for axis in text.split(",")]
+        grid = GridSpec(tuple(axes * nvars if len(axes) == 1 else axes), (1,) * nvars)
+        report["roundtrip"] = reference_roundtrip(pairs, grid, int(options.get("--seed", 0))).to_json()
+    return report
+
+
+def test_corpus_congruence_outputs_match_the_oracles(tmp_path, monkeypatch):
+    # Each congruence case that exits 0 past argparse prints its pinned output
+    # (checked by digest here too), and that output, decoded, is what the
+    # oracles compute.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == ["congruence"] and case["code"] == 0 and not case["parser"]]
+    slow = [case for case in cases if tuple(case["argv"]) in SLOW_CONGRUENCE]
+    assert len(slow) == len(SLOW_CONGRUENCE) and len(cases) >= 60
+    fields = set()
+    for case in cases:
+        if case in slow:
+            continue
+        out, err, code, _ = cli_corpus.run(case["argv"], case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), case["argv"]
+        payload = json.loads(out)
+        assert payload == _reference_congruence(case["argv"], case["spec"]), (case["argv"], case["spec"])
+        fields.update(payload)
+    assert fields == {"points_congruent", "roundtrip"}

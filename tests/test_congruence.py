@@ -1,6 +1,7 @@
 """Congruences over finite point sets, varieties, and the Zariski round trip."""
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -15,10 +16,11 @@ from laytrop import (COUNTING, INF, INTEGERS, NATURALS, RATIONALS, SUPERTROPICAL
                      coordinate_semiring, corner_locus, quotient_map, restrict,
                      variety_of, zariski_roundtrip)
 from laytrop.parsing import parse_polynomial
-from laytrop.polynomials import _points, _scan
+from laytrop.polynomials import _agree, _lattice_lines, _lattice_row, _points, _scan
 
 from oracles import (SATURATING, brute_grid, random_poly, reference_layered_add,
-                     reference_layered_mul, reference_monomial_value, reference_roundtrip)
+                     reference_layered_mul, reference_monomial_value, reference_probe_family,
+                     reference_roundtrip, reference_value)
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 NATURAL = LayeredSemiring(COUNTING, NATURALS)
@@ -186,7 +188,7 @@ def test_roundtrip_samples_ranks_of_the_listed_grid(monkeypatch):
     grid = GridSpec(((Fraction(-2), Fraction(1), Fraction(1)),
                      (Fraction(0), Fraction(3), Fraction(1, 2))))
     rng = random.Random(5)
-    congruence._probe_family(gens, rng)
+    reference_probe_family(gens, rng)
     expected = tuple(rng.sample(grid.points(NAT), 6))
     judged = []
     monkeypatch.setattr(congruence, "_accepted", lambda accepts, indices: judged.append(indices))
@@ -388,7 +390,7 @@ def test_roundtrip_matches_three_separate_variety_scans():
         seen.add((sr, pairs[0][0].laurent, max(grid.layers), len(pairs)))
         sizes.add(expected["variety_size"] > 0)
         # Each snapshot of the one walk is the scan of that prefix on its own.
-        tasks = congruence._pair_tasks(congruence._probe_family(pairs, random.Random(i)))
+        tasks = congruence._pair_tasks(reference_probe_family(pairs, random.Random(i)))
         for cuts in ((max(1, len(pairs) - 1), len(pairs), len(tasks)),
                      tuple(sorted(rng.choices(range(1, len(tasks) + 1), k=3)))):
             layering = rng.random() < 0.5
@@ -509,19 +511,12 @@ def test_round_trip_comparison_matches_the_checked_congruence():
         # every prefix and suffix, so a verdict can turn on any one point
         sets = [FinitePointSet.of(part) for cut in range(len(sample))
                 for part in (sample[:cut + 1], sample[cut:])]
-        for f, g in congruence._probe_family(pairs, random.Random(i)):
+        for f, g in reference_probe_family(pairs, random.Random(i)):
             for x in sets:
                 verdict = _per_point_congruent_on(f, g, x)
                 assert congruence._congruent(f, g, x) == congruent_on(f, g, x) == verdict, (f, g, x)
                 compared.add(verdict)
     assert compared == {True, False}
-
-
-def _reference_value(f, point):
-    """f at a point as the layered sum, in support order, of the reference
-    monomial values (each by the semiring's own ``mul`` and ``pow``)."""
-    sr = f.semiring
-    return functools.reduce(sr.add, (reference_monomial_value(f, e, point) for e in f.coeffs))
 
 
 def _reference_setup(probes, grid):
@@ -551,7 +546,7 @@ def test_lattice_judge_matches_congruent_on_at_decoded_points():
         if rng.random() < 0.05:  # one axis too many
             grid = GridSpec(grid.axes + grid.axes[:1], grid.layers + grid.layers[:1])
         try:
-            probes = congruence._probe_family(pairs, random.Random(i))
+            probes = reference_probe_family(pairs, random.Random(i))
         except DomainError:
             probes = pairs  # pairs of mixed arity or view: the setup must refuse them
         expected = _judged(_reference_setup, probes, grid)
@@ -570,7 +565,7 @@ def test_lattice_judge_matches_congruent_on_at_decoded_points():
                 point, index = listed[rank], grid.index(rank)
                 verdict = accepts(index)
                 assert verdict == congruent_on(f, g, FinitePointSet.of([point])) \
-                    == (_reference_value(f, point) == _reference_value(g, point)), (f, g, point)
+                    == (reference_value(f, point) == reference_value(g, point)), (f, g, point)
                 verdicts.add(verdict)
             for cut in range(1, len(ranks) + 1):
                 for part in (ranks[:cut], ranks[cut - 1:]):
@@ -606,6 +601,81 @@ def test_lattice_forms_refuse_a_ghost_layer_to_a_negative_power_before_any_row(m
             with pytest.raises(DomainError, match=text):
                 zariski_roundtrip(pairs, grid)
     assert walked == []
+
+
+def _probe_setup(make, pairs, grid, seed):
+    """(lines of each probe side, axes, each probe's rows at every prefix and
+    verdicts at every lattice index), or the DomainError text: the probe pairs
+    ``make(pairs, grid, rng)`` gives, each set up by ``_lattice_row``."""
+    try:
+        probes, axes = make(pairs, grid, random.Random(seed))
+        sorts = pairs[0][0].semiring.sorts
+        forms = [_lattice_row(f + g, axes, sorts, functools.partial(_agree, len(f)))
+                 for f, g in probes]
+    except DomainError as error:
+        return f"DomainError: {error}"
+    prefixes = list(itertools.product(*map(range, grid.counts[:-1])))
+    indices = list(itertools.product(*map(range, grid.counts)))
+    return probes, axes, [([row(p) for p in prefixes], [accepts(k) for k in indices])
+                          for row, accepts in forms]
+
+
+def _reference_probes(pairs, grid, rng):
+    """The oracle's add/mul probes, after the round trip's check of the pairs'
+    views and arities, each side lifted by the polynomials' lattice setup."""
+    sides = [f for pair in pairs for f in pair]
+    for f in sides[1:]:
+        sides[0]._compatible(f)
+    polynomials = [f for pair in reference_probe_family(pairs, rng) for f in pair]
+    lines, axes = _lattice_lines(polynomials, grid)
+    return list(zip(lines[::2], lines[1::2])), axes
+
+
+def _collisions(pairs, rng):
+    """Whether some derived probe merged monomials of equal, and of unequal,
+    values: the oracle's products and sums before ``_fill`` merges them."""
+    seen = set()
+    hs = [congruence._random_poly(rng, f) for f, _ in pairs]
+    factors = [(a, b) for (f, g), h in zip(pairs, hs) for a, b in ((f, h), (g, h))]
+    factors += [(a, b) for (f1, g1), (f2, g2) in zip(pairs, pairs[1:]) for a, b in ((f1, f2), (g1, g2))]
+    for a, b in factors:
+        terms = [*a.coeffs.items(), *b.coeffs.items()]
+        for items in ([(e, c.value) for e, c in terms],
+                      [(tuple(map(sum, zip(e1, e2))), c1.value + c2.value)
+                       for e1, c1 in a.coeffs.items() for e2, c2 in b.coeffs.items()]):
+            values = {}
+            for e, v in items:
+                values.setdefault(e, []).append(v)
+            for group in values.values():
+                seen.update("equal" if x == y else "unequal"
+                            for x, y in itertools.combinations(group, 2))
+    return seen
+
+
+def test_probe_lines_match_the_polynomial_probes_lattice_setup():
+    # The round trip forms its probes on the generators' int lines.  Each must
+    # have what the oracle's add/mul probe, set up as a polynomial, has: the
+    # same exponents, ints and coefficient layers in support order, f's count
+    # as the split, the same axes (so the same starts and slopes), and the same
+    # folded layers, hence rows and verdicts; or the same refusal, in order.
+    rng = random.Random(4040)
+    seen, refusals, collisions = set(), [], set()
+    for i in range(240):
+        pairs, grid = _roundtrip_case(rng)
+        expected = _probe_setup(_reference_probes, pairs, grid, i)
+        assert _probe_setup(congruence._probe_lines, pairs, grid, i) == expected, (pairs, grid, i)
+        if isinstance(expected, str):
+            refusals.append(expected)
+            continue
+        sr = pairs[0][0].semiring
+        seen.add((sr, pairs[0][0].laurent, max(grid.layers)))
+        collisions |= _collisions(pairs, random.Random(i))
+    assert {view for view, *_ in seen} == set(VIEWS)
+    assert any(laurent for _, laurent, _ in seen)
+    assert {layer for *_, layer in seen} == {1, 2, INF}
+    assert collisions == {"equal", "unequal"}
+    for kind in ("is not invertible", "differ in arity", "different semiring views", "is not in the"):
+        assert kind in " ".join(refusals), kind
 
 
 def test_unchecked_add_and_mul_match_the_checked_references():

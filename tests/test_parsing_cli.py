@@ -536,6 +536,18 @@ def test_cli_congruence_refuses_a_spec_grid_outside_the_grammar(tmp_path, capsys
         (2, "", "usage error: not an exact rational: '1e-3'\n")
 
 
+@pytest.mark.parametrize("spec_grid, flags", [("", []), ("-1:1:1", ["--grid", ""])],
+                         ids=["spec-grid", "grid-flag"])
+def test_cli_congruence_refuses_an_empty_grid(tmp_path, capsys, spec_grid, flags):
+    # An empty grid was read as no grid: the spec's grid silently replaced an
+    # empty --grid, and an empty spec grid skipped the round trip with exit 0.
+    path = tmp_path / "congruence.json"
+    path.write_text(json.dumps({"pairs": [["x1 + 0", "x1"]], "grid": spec_grid}))
+    refusal = (2, "", "usage error: grid axis '' is not lo:hi:step\n")
+    assert run_cli(capsys, "locus", "x1 + 0", "--grid", "") == refusal
+    assert run_cli(capsys, "congruence", str(path), *flags) == refusal
+
+
 def test_cli_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["roots", "--frobnicate", "x1"])
