@@ -624,34 +624,37 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
         values = [p[-1] + sum(map(operator.mul, p, x)) for p in lifted]
         top = max(values)
         certified.update((values.index(top), k - 1 - values[::-1].index(top)))
-    # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_o - c_e) - slack = 0.
-    slack = [0] * f.nvars + [0, -1]
-    rhs = [0] * f.nvars + [1, 0]
-    pool = dict.fromkeys(lifted)
+    # Rows: sum l_o (o - e) = 0, sum l_o = 1, sum l_o (c_e - c_o) + slack = 0, whose slack
+    # starts basic.  In descending value order, Bland's rule tries likely dominators first.
+    pool = dict.fromkeys(sorted(lifted, key=lambda q: -q[-1]))
     for i, p in enumerate(lifted):
         if i not in certified:
-            columns = [[a - b for a, b in zip(q[:-1], p)] + [1, q[-1] - p[-1]]
-                       for q in pool if q is not p]
-            if _feasible(columns + [slack], rhs) is not None:
+            others = [q for q in pool if q is not p]
+            rows = [[q[a] - p[a] for q in others] + [0, 0] for a in range(f.nvars)]
+            rows += [[1] * len(others) + [0, 1], [p[-1] - q[-1] for q in others] + [1, 0]]
+            if _feasible(rows, [None] * (f.nvars + 1) + [len(others)]) is not None:
                 del pool[p]
     return tuple(e for e, p in zip(f.coeffs, lifted) if p in pool)
 
 
-def _feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[List[Fraction]]:
-    """Some x >= 0 solving sum_j x_j * columns[j] = rhs (integers, rhs >= 0), or None.
+def _feasible(rows: List[List[int]], basis: Sequence[Optional[int]]) -> Optional[List[Fraction]]:
+    """Some x >= 0 with sum_j a_j * x_j = b in every row [a_1, ..., a_n, b]
+    (integers, b >= 0; the rows are updated in place), or None.
 
-    Phase one of the simplex method: one artificial variable per row starts
-    basic and their sum is minimised under Bland's rule, which cannot cycle.
-    An artificial that leaves the basis is dropped, so artificial columns
-    are never stored.  Pivoting is fraction-free: the tableau is kept as
-    integers over the last pivot (a positive determinant), and every update
-    divides exactly, so a basic variable's value is its row's rhs over det.
+    Phase one of the simplex method: a column ``basis[i]``, 1 in row i and 0
+    in every other row, starts basic; so does one artificial variable per row
+    whose ``basis[i]`` is None, and the artificials' sum is minimised under
+    Bland's rule, which cannot cycle.  An artificial that leaves the basis is
+    dropped, so artificial columns are never stored.  Pivoting is
+    fraction-free: the tableau is kept as integers over the last pivot (a
+    positive determinant), and every update divides exactly, so a basic
+    variable's value is its row's rhs over det.
     """
-    n = len(columns)
-    rows = [list(row) for row in zip(*columns, rhs)]
+    n = len(rows[0]) - 1
     # The artificials sum to (cost[-1] - sum_j cost[j] * x_j) / det.
-    cost = [sum(entries) for entries in zip(*rows)]
-    basis = list(range(n, n + len(rows)))
+    artificial = [row for row, j in zip(rows, basis) if j is None]
+    cost = [sum(entries) for entries in zip([0] * (n + 1), *artificial)]
+    basis = [n + i if j is None else j for i, j in enumerate(basis)]
     det = 1
     while True:
         s = next((j for j in range(n) if cost[j] > 0), None)
@@ -716,14 +719,16 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
         """A point where ``top`` ties at the best value and ``below`` lies at
         least 1 under it.  Unknowns: lam = 1 + mu, y and s (each split in
         two) and a slack per other point, in lam*c_p + p.y + slack_p = s."""
-        rows = []
+        rows, basis, slack = [], [], 2 * f.nvars + 3
         for p in points:
             *e, c = p
             row = [c, *e, *(-x for x in e), -1, 1] + [int(p == q) for q in points if q != top]
             rhs = -c - (p == below)
             rows.append(row + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs])
-        *columns, rhs = zip(*rows)
-        x = _feasible(columns, rhs)
+            # p's own slack starts basic, unless p is top or its row is negated.
+            basis.append(slack if p != top and rhs >= 0 else None)
+            slack += p != top
+        x = _feasible(rows, basis)
         if x is None:
             return None
         n = f.nvars

@@ -4,9 +4,10 @@ The brute-force corner detector works from first principles (direct
 rational evaluation of every monomial and an argmax), never touching the
 hull-based solver it is used to check.  The essentiality oracle decides
 the primal strict system by Fourier-Motzkin elimination, never touching
-the simplex it is used to check.  The functional-equality reference
-evaluates point by point, never touching the hull or the lattice scan.  The Puiseux
-references accumulate terms in dicts and evaluate term by term with
+the simplex it is used to check; the feasibility reference tries every
+basic solution of a small system, never pivoting.  The functional-equality
+reference evaluates point by point, never touching the hull or the lattice
+scan.  The Puiseux references accumulate terms in dicts and evaluate term by term with
 repeated products, never touching the shared canonical-form collector, the
 integer product kernel or Horner's rule; the initial-form identity checks
 claimed roots on leading coefficients alone.  The exploded reference folds
@@ -131,6 +132,34 @@ def fm_essential(f):
         if _strictly_feasible(rows, f.nvars):
             kept.append(e)
     return tuple(kept)
+
+
+def reference_feasible(rows):
+    """Some x >= 0 with a.x = b in every row [*a, b], or None, by basic solutions.
+
+    If the system has a solution x >= 0, it has one whose nonzero entries sit
+    on linearly independent columns S (a basic solution), and some |S| rows
+    make A restricted to S square and nonsingular.  So every column subset
+    is tried against row subsets of its size: the first nonsingular square
+    system is solved with ``Fraction``, and as it fixes the only candidate on
+    S, its solution is kept if it is >= 0 and solves every row, and the next
+    column subset is tried otherwise.  Exponential in the size; keep systems
+    small.
+    """
+    n = len(rows[0]) - 1
+    for k in range(min(len(rows), n) + 1):
+        for columns in itertools.combinations(range(n), k):
+            solutions = (_solve([([row[j] for j in columns], row[-1]) for row in chosen])
+                         for chosen in itertools.combinations(rows, k))
+            y = next((y for y in solutions if y is not None), None)
+            if y is None or min(y, default=0) < 0:
+                continue
+            x = [Fraction(0)] * n
+            for j, v in zip(columns, y):
+                x[j] = v
+            if all(sum(a * v for a, v in zip(row, x)) == row[-1] for row in rows):
+                return x
+    return None
 
 
 def tie_samples(f, grid):

@@ -6,8 +6,8 @@ import time
 
 import cli_corpus
 from laytrop import GridSpec, semiring
-from oracles import (reference_parse_grid_value, reference_parse_point, reference_parse_polynomial,
-                     reference_roundtrip, reference_value)
+from oracles import (fm_essential, reference_parse_grid_value, reference_parse_point,
+                     reference_parse_polynomial, reference_roundtrip, reference_value)
 
 
 def test_every_corpus_call_prints_its_pinned_output(tmp_path, monkeypatch):
@@ -90,3 +90,30 @@ def test_corpus_congruence_outputs_match_the_oracles(tmp_path, monkeypatch):
         assert payload == _reference_congruence(case["argv"], case["spec"]), (case["argv"], case["spec"])
         fields.update(payload)
     assert fields == {"points_congruent", "roundtrip"}
+
+
+#: Exit-0 ``essential`` cases whose Fourier-Motzkin oracle is too slow for
+#: tier-1, by argv, each with its reason.  None is: every case is checked below.
+SLOW_ESSENTIAL = {}
+
+
+def test_corpus_essential_outputs_match_the_oracles(tmp_path, monkeypatch):
+    # Each essential case that exits 0 past argparse prints its pinned output
+    # (checked by digest here too), and that output, decoded, is what
+    # Fourier-Motzkin elimination finds for the reference reader's polynomial.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == ["essential"] and case["code"] == 0 and not case["parser"]]
+    slow = [case for case in cases if tuple(case["argv"]) in SLOW_ESSENTIAL]
+    assert len(slow) == len(SLOW_ESSENTIAL) and len(cases) >= 110
+    for case in cases:
+        if case in slow:
+            continue
+        argv = case["argv"]
+        out, err, code, _ = cli_corpus.run(argv, case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
+        sr = semiring(argv[argv.index("--L") + 1] if "--L" in argv else "nat")
+        f = reference_parse_polynomial(argv[1], sr, laurent="--laurent" in argv)
+        assert json.loads(out) == {"essential": [list(e) for e in fm_essential(f)]}, argv

@@ -1,10 +1,14 @@
 """Essential monomials by the exact LP, against a Fourier-Motzkin oracle.
 
 ``oracles.fm_essential`` decides the primal strict system directly, by
-elimination over the rationals; it never calls laytrop's simplex.
+elimination over the rationals; it never calls laytrop's simplex.  The LP
+itself, ``_feasible``, is checked against ``oracles.reference_feasible``,
+which tries every basic solution of a small system.
 """
 
+import collections
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -14,8 +18,10 @@ import pytest
 from laytrop import (COUNTING, INF, RATIONALS, SUPERTROPICAL, TRIVIAL,
                      LayeredPolynomial, LayeredSemiring, essential_monomials)
 from laytrop.parsing import parse_polynomial
+from laytrop import polynomials
+from laytrop.polynomials import _difference, _feasible
 
-from oracles import fm_essential, random_value
+from oracles import fm_essential, random_value, reference_feasible
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -148,3 +154,120 @@ def test_wide_exponent_vector_is_fast():
     assert time.perf_counter() - start < 10.0
     x1, x100000 = ((1,) + (0,) * 99999), ((0,) * 99999 + (1,))
     assert kept == ((0,) * 100000, x100000, x1)
+
+
+def random_system(rng):
+    """Rows [*a, b] of a small integer system with b >= 0: at most 4 rows and
+    7 columns, some of them zero, duplicate or unit columns, and b = 0 rows;
+    half the time b = A.x0 for some x0 >= 0, so that many are feasible."""
+    m, n = rng.randint(1, 4), rng.randint(1, 7)
+    columns = []
+    for j in range(n):
+        kind = rng.randrange(6)
+        if kind == 0:
+            columns.append([0] * m)
+        elif kind == 1 and columns:
+            columns.append(list(rng.choice(columns)))
+        elif kind == 2:
+            i = rng.randrange(m)
+            columns.append([int(k == i) for k in range(m)])
+        else:
+            columns.append([rng.randint(-2, 2) for _ in range(m)])
+    if rng.random() < 0.5:
+        x0 = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+        b = [sum(column[i] * x for column, x in zip(columns, x0)) for i in range(m)]
+    else:
+        b = [rng.choice([0, rng.randint(-3, 3)]) for _ in range(m)]
+    rows = [[column[i] for column in columns] + [b[i]] for i in range(m)]
+    return [row if row[-1] >= 0 else [-v for v in row] for row in rows]
+
+
+def unit_basis(rows):
+    """Per row, the first column that is 1 there and 0 in every other row, or None."""
+    basis = [None] * len(rows)
+    for j in range(len(rows[0]) - 1):
+        column = [row[j] for row in rows]
+        if column.count(1) == 1 and column.count(0) == len(rows) - 1 and basis[column.index(1)] is None:
+            basis[column.index(1)] = j
+    return basis
+
+
+def test_feasible_matches_the_basic_solution_oracle():
+    # The verdict is the oracle's from every starting basis: no unit column,
+    # some of them, or one per row that has one; a solution is >= 0 and
+    # solves every row exactly.
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(400):
+        rows = random_system(rng)
+        expected = reference_feasible(rows) is not None
+        basis = unit_basis(rows)
+        some = [j if rng.random() < 0.5 else None for j in basis]
+        for start in ([None] * len(rows), some, basis):
+            tableau = [list(row) for row in rows]
+            x = _feasible(tableau, start)
+            assert (x is not None) == expected, (rows, start)
+            if x is not None:
+                assert min(x) >= 0 and len(x) == len(rows[0]) - 1, (rows, start, x)
+                assert all(sum(map(operator.mul, row, x)) == row[-1] for row in rows), (rows, start, x)
+        columns = list(zip(*rows))[:-1]
+        flags = {"feasible": expected, "infeasible": not expected,
+                 "b = 0 row": any(row[-1] == 0 and any(row[:-1]) for row in rows),
+                 "zero column": any(not any(c) for c in columns),
+                 "duplicate column": len(set(columns)) < len(columns),
+                 "partial basis": None in basis and any(j is not None for j in basis),
+                 "full basis": None not in basis}
+        seen.update(name for name, present in flags.items() if present)
+    assert seen == {"feasible", "infeasible", "b = 0 row", "zero column", "duplicate column",
+                    "partial basis", "full basis"}
+
+
+def test_feasible_with_a_unit_column_in_every_row_does_not_pivot():
+    # Columns 1 and 2 are unit columns; started basic, they already solve
+    # the system, so no pivot touches the rows (the second row has b = 0).
+    rows = [[2, 1, 0, -1, 3], [-1, 0, 1, 4, 0]]
+    tableau = [list(row) for row in rows]
+    assert _feasible(tableau, [1, 2]) == [0, 3, 0, 0]
+    assert tableau == rows
+    # With no unit column named, phase one pivots them in from artificials.
+    assert _feasible([list(row) for row in rows], [None, None]) == [0, 3, 0, 0]
+
+
+def test_callers_start_only_unit_columns_basic(monkeypatch):
+    # Every LP that essential_monomials and _difference pose names, for each
+    # row, a column that is 1 in that row and 0 in the others, or None; its
+    # solution is >= 0 and exact, and a small one gets the oracle's verdict.
+    calls, caller = [], [None]
+
+    def recording(rows, basis):
+        copy = [list(row) for row in rows]
+        x = _feasible(rows, basis)
+        calls.append((caller[0], copy, list(basis), x))
+        return x
+
+    monkeypatch.setattr(polynomials, "_feasible", recording)
+    rng = random.Random(3200)
+    for i in range(60):
+        sr, nvars = SEMIRINGS[i % len(SEMIRINGS)], 1 + i % 3
+        f = random_case(rng, sr, nvars)
+        caller[0] = "essential"
+        essential_monomials(f)
+        caller[0] = "difference"
+        moved = {e: sr.scalar(c.value + rng.choice([0, 0, 1, -1]), c.layer) for e, c in f.coeffs.items()}
+        _difference(f, LayeredPolynomial(sr, nvars, moved, f.laurent))
+        if i % 2:
+            caller[0] = "essential"
+            essential_monomials(dense_case(rng, sr, 2, rng.randint(5, 8), laurent=i % 4 == 3))
+    started, checked = collections.Counter(), collections.Counter()
+    for name, rows, basis, x in calls:
+        for i, j in enumerate(basis):
+            if j is not None:
+                assert [row[j] for row in rows] == [int(k == i) for k in range(len(rows))], (name, rows, basis)
+                started[name] += 1
+        if x is not None:
+            assert min(x) >= 0 and all(sum(map(operator.mul, row, x)) == row[-1] for row in rows)
+        if len(rows) <= 4 and len(rows[0]) <= 9:
+            assert (x is not None) == (reference_feasible(rows) is not None), (name, rows, basis)
+            checked[name] += 1
+    assert min(started["essential"], started["difference"]) > 100, started
+    assert checked["essential"] > 50 and checked["difference"] > 20, checked
