@@ -630,9 +630,11 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     for i, p in enumerate(lifted):
         if i not in certified:
             others = [q for q in pool if q is not p]
-            rows = [[q[a] - p[a] for q in others] + [0, 0] for a in range(f.nvars)]
+            # A coordinate that all of others share with p gives a zero row: dropped.
+            rows = [row + [0, 0] for row in ([q[a] - p[a] for q in others] for a in range(f.nvars))
+                    if any(row)]
             rows += [[1] * len(others) + [0, 1], [p[-1] - q[-1] for q in others] + [1, 0]]
-            if _feasible(rows, [None] * (f.nvars + 1) + [len(others)]) is not None:
+            if _feasible(rows, [None] * (len(rows) - 1) + [len(others)]) is not None:
                 del pool[p]
     return tuple(e for e, p in zip(f.coeffs, lifted) if p in pool)
 
@@ -719,16 +721,13 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
         """A point where ``top`` ties at the best value and ``below`` lies at
         least 1 under it.  Unknowns: lam = 1 + mu, y and s (each split in
         two) and a slack per other point, in lam*c_p + p.y + slack_p = s."""
-        rows, basis, slack = [], [], 2 * f.nvars + 3
+        rows = []
         for p in points:
             *e, c = p
             row = [c, *e, *(-x for x in e), -1, 1] + [int(p == q) for q in points if q != top]
             rhs = -c - (p == below)
             rows.append(row + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs])
-            # p's own slack starts basic, unless p is top or its row is negated.
-            basis.append(slack if p != top and rhs >= 0 else None)
-            slack += p != top
-        x = _feasible(rows, basis)
+        x = _feasible(rows, [None] * len(rows))
         if x is None:
             return None
         n = f.nvars
