@@ -214,12 +214,13 @@ _NUMERATORS = [n for n in range(-9, 10) if n != 0]
 
 
 def random_split_product(rng: random.Random, degree: int) -> Tuple[PuiseuxPolynomial, List[PuiseuxSeries]]:
-    """A product of (variable - c*t^e) factors with random rational c, e."""
+    """A product of (variable - c*t^e) factors with random rational c, e; c is
+    never 0, so each root is built as its one term."""
     roots = []
     for _ in range(degree):
         c = Fraction(rng.choice(_NUMERATORS), rng.randint(1, 5))
         e = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        roots.append(PuiseuxSeries.term(c, e))
+        roots.append(PuiseuxSeries(((e, c),)))
     return PuiseuxPolynomial.from_roots(roots), roots
 
 

@@ -41,29 +41,40 @@ def _collect(pairs: Iterable[tuple], zero) -> tuple:
     return tuple(sorted(((k, v) for k, v in acc.items() if v != zero), key=itemgetter(0)))
 
 
-def _accumulate(factors: Iterable[Iterable[tuple]]) -> tuple:
-    """The product of polynomials, each given as (degree, series) pairs, as int
-    sums ``(acc, scale, width, den)``.
+def _accumulate(factors: Iterable[Iterable[tuple]], roots: Iterable[PuiseuxSeries] = ()) -> tuple:
+    """The product of polynomials, each given as (degree, series) pairs, and of
+    variable - r for each series r of ``roots``, as int sums
+    ``(acc, scale, width, den)``.
 
     Every exponent is multiplied by ``scale``, the lcm of all exponent
     denominators, and each factor's coefficients by ``q``, the lcm of that
-    factor's coefficient denominators.  Products accumulate in one int dict
+    factor's coefficient denominators; a root's terms are lifted straight
+    into its factor, negated as ints.  Products accumulate in one int dict
     ``acc`` keyed by k * width + d, for scaled exponent k and degree d below
     ``width``, so ``divmod`` decodes a key even for negative k; each sum is
     a coefficient times ``den``, the product of every ``q``."""
     factors = [[(d, e, c) for d, series in f for e, c in series.terms] for f in factors]
-    scale = lcm(*(e.denominator for f in factors for _, e, _ in f))
-    width = 1 + sum(max((d for d, _, _ in f), default=0) for f in factors)
-    acc, den = {0: 1}, 1
+    roots = [r.terms for r in roots]
+    scale = lcm(*(e.denominator for f in factors for _, e, _ in f),
+                *(e.denominator for terms in roots for e, _ in terms))
+    width = 1 + len(roots) + sum(max((d for d, _, _ in f), default=0) for f in factors)
+    lifted, den = [], 1
     for f in factors:
         q = lcm(*(c.denominator for _, _, c in f))
         den *= q
-        scaled = [(e.numerator * (scale // e.denominator) * width + d,
-                   c.numerator * (q // c.denominator)) for d, e, c in f]
-        if not scaled:  # a zero factor
+        if not f:  # a zero factor
             return {}, scale, width, den
+        terms = [(e.numerator * (scale // e.denominator) * width + d,
+                  c.numerator * (q // c.denominator)) for d, e, c in f]
+        lifted.append((*terms[0], terms[1:]))
+    for terms in roots:
+        q = lcm(*(c.denominator for _, c in terms))
+        den *= q
+        lifted.append((1, q, [(e.numerator * (scale // e.denominator) * width,
+                               -c.numerator * (q // c.denominator)) for e, c in terms]))
+    acc = {0: 1}
+    for k0, v0, rest in lifted:
         # The first term's keys are distinct, so they seed the dict as is.
-        (k0, v0), *rest = scaled
         nxt = {k1 + k0: v1 * v0 for k1, v1 in acc.items()}
         for k2, v2 in rest:
             for k1, v1 in acc.items():
@@ -118,7 +129,7 @@ class PuiseuxSeries(Record, frozen=True):
 
     @classmethod
     def one(cls) -> "PuiseuxSeries":
-        return cls.term(1, 0)
+        return _ONE
 
     @classmethod
     def term(cls, coefficient, exponent) -> "PuiseuxSeries":
@@ -175,6 +186,9 @@ class PuiseuxSeries(Record, frozen=True):
             return "0"
         return " + ".join(_format_poly_term(c, e, 0) for e, c in self.terms)
 
+
+#: The series 1, shared: records are frozen.
+_ONE = PuiseuxSeries(((Fraction(0), Fraction(1)),))
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials with series coefficients
@@ -294,8 +308,7 @@ class PuiseuxPolynomial(Record, frozen=True):
 
 def _root_sums(roots: Iterable[PuiseuxSeries], lead: PuiseuxSeries) -> tuple:
     """The int sums of lead * prod(variable - r), lead taken as the first factor."""
-    one = PuiseuxSeries.one()
-    return _accumulate([((0, lead),), *(((1, one), (0, -r)) for r in roots)])
+    return _accumulate((((0, lead),),), roots)
 
 
 def _format_poly_term(coefficient: Fraction, exponent: Fraction, degree: int) -> str:

@@ -162,6 +162,47 @@ def reference_feasible(rows):
     return None
 
 
+def reference_bland(rows, basis):
+    """Phase one of the simplex method on a ``Fraction`` tableau, by the textbook
+    form of Bland's rule: (x, ties), x the basic solution it ends on or None,
+    ties the count of pivots whose ratio test tied and went to the row of a
+    smaller basic index that is not the first tied row.
+
+    ``rows`` and ``basis`` are as ``polynomials._feasible`` takes them; row i
+    with no unit column gets the artificial variable n + i.  The entering
+    column is the lowest original one whose reduced cost lowers the
+    artificials' sum; the leaving row has the least ratio rhs / entry, and of
+    tied rows the one whose basic variable has the smallest index.  An
+    artificial never enters again."""
+    n = len(rows[0]) - 1
+    m = [[Fraction(v) for v in row] for row in rows]
+    basis = [n + i if j is None else j for i, j in enumerate(basis)]
+    ties = 0
+    while True:
+        # Reduced cost of column j in the artificials' sum: -(sum of its
+        # entries over the rows whose basic variable is artificial).
+        gain = [sum(row[j] for row, b in zip(m, basis) if b >= n) for j in range(n + 1)]
+        s = next((j for j in range(n) if gain[j] > 0), None)
+        if s is None:
+            if gain[n]:
+                return None, ties
+            x = [Fraction(0)] * n
+            for row, b in zip(m, basis):
+                if b < n:
+                    x[b] = row[n]
+            return x, ties
+        candidates = [i for i, row in enumerate(m) if row[s] > 0]
+        least = min(m[i][n] / m[i][s] for i in candidates)
+        tied = [i for i in candidates if m[i][n] / m[i][s] == least]
+        r = min(tied, key=basis.__getitem__)
+        ties += r != tied[0]
+        m[r] = [v / m[r][s] for v in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[s]:
+                m[i] = [v - row[s] * w for v, w in zip(row, m[r])]
+        basis[r] = s
+
+
 def tie_samples(f, grid):
     """One point on each pairwise tie hyperplane of f's monomials per grid
     anchor (at most 24 anchors): the first coordinate the two exponent
@@ -291,6 +332,19 @@ def reference_from_roots(roots, lead=None):
     for r in roots:
         out = reference_poly_mul(out, PuiseuxPolynomial.from_coeffs({1: PuiseuxSeries.one(), 0: -r}))
     return out
+
+
+def reference_trial_draws(degree, trials, seed):
+    """The roots of each trial of ``verify_random_products(degree, trials, seed)``,
+    as (coefficient, exponent) pairs, drawn in its order from ``Random(seed)``:
+    per trial a root count in 1..degree, then per root a nonzero numerator in
+    -9..9 over 1..5, then a numerator in -6..6 over 1..4."""
+    rng = random.Random(seed)
+    numerators = [n for n in range(-9, 10) if n]
+    return [[(Fraction(rng.choice(numerators), rng.randint(1, 5)),
+              Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+             for _ in range(rng.randint(1, degree))]
+            for _ in range(trials)]
 
 
 def initial_form_identity(f, roots):

@@ -5,9 +5,10 @@ import sys
 import time
 
 import cli_corpus
-from laytrop import GridSpec, semiring
-from oracles import (fm_essential, reference_parse_grid_value, reference_parse_point,
-                     reference_parse_polynomial, reference_roundtrip, reference_value)
+from laytrop import GridSpec, PuiseuxSeries, semiring
+from oracles import (fm_essential, reference_from_roots, reference_kapranov_checks,
+                     reference_parse_grid_value, reference_parse_point, reference_parse_polynomial,
+                     reference_roundtrip, reference_trial_draws, reference_value)
 
 
 def test_every_corpus_call_prints_its_pinned_output(tmp_path, monkeypatch):
@@ -117,3 +118,52 @@ def test_corpus_essential_outputs_match_the_oracles(tmp_path, monkeypatch):
         sr = semiring(argv[argv.index("--L") + 1] if "--L" in argv else "nat")
         f = reference_parse_polynomial(argv[1], sr, laurent="--laurent" in argv)
         assert json.loads(out) == {"essential": [list(e) for e in fm_essential(f)]}, argv
+
+
+#: Exit-0 ``kapranov`` cases whose oracles are too slow for tier-1, by argv,
+#: each with its reason.  None is: every case is checked below.
+SLOW_KAPRANOV = {}
+
+
+def _reference_kapranov(argv):
+    """What ``laytrop kapranov`` reports for a corpus case that exits 0: each
+    trial drawn again by ``reference_trial_draws`` (the CLI's defaults are
+    degree 3, 100 trials, seed 0 and ``nat``), f built by the reference
+    product, and its checks made on Fractions by ``reference_kapranov_checks``;
+    a trial failing any check is reported as ``KapranovReport.to_json`` does."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    sr = semiring(options.get("--L", "nat"))
+    draws = reference_trial_draws(int(options.get("--degree", 3)), int(options.get("--trials", 100)),
+                                  int(options.get("--seed", 0)))
+    failures = []
+    for pairs in draws:
+        roots = [PuiseuxSeries.term(c, e) for c, e in pairs]
+        f = reference_from_roots(roots)
+        forward, reverse, exploded, corner, known = reference_kapranov_checks(f, roots, sr)
+        if not (forward and reverse and exploded):
+            failures.append({"poly": str(f), "roots": [str(r) for r in roots],
+                             "valuations": [str(v) for v in known],
+                             "corner_roots": [{"root": r, "mult": m} for r, m in corner],
+                             "forward": forward, "reverse": reverse, "exploded": exploded,
+                             "pass": False})
+    return {"pass": not failures, "trials": len(draws), "failures": failures}
+
+
+def test_corpus_kapranov_outputs_match_the_oracles(tmp_path, monkeypatch):
+    # Each kapranov case that exits 0 past argparse prints its pinned output
+    # (checked by digest here too), and that output, decoded, is what the
+    # oracles find on the same draws.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == ["kapranov"] and case["code"] == 0 and not case["parser"]]
+    slow = [case for case in cases if tuple(case["argv"]) in SLOW_KAPRANOV]
+    assert len(slow) == len(SLOW_KAPRANOV) and len(cases) >= 50
+    for case in cases:
+        if case in slow:
+            continue
+        argv = case["argv"]
+        out, err, code, _ = cli_corpus.run(argv, case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
+        assert json.loads(out) == _reference_kapranov(argv), argv

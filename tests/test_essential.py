@@ -3,7 +3,8 @@
 ``oracles.fm_essential`` decides the primal strict system directly, by
 elimination over the rationals; it never calls laytrop's simplex.  The LP
 itself, ``_feasible``, is checked against ``oracles.reference_feasible``,
-which tries every basic solution of a small system.
+which tries every basic solution of a small system, and against
+``oracles.reference_bland``, the same pivot rule on a ``Fraction`` tableau.
 """
 
 import collections
@@ -21,7 +22,7 @@ from laytrop.parsing import parse_polynomial
 from laytrop import polynomials
 from laytrop.polynomials import _difference, _feasible
 
-from oracles import fm_essential, random_value, reference_feasible
+from oracles import fm_essential, random_value, reference_bland, reference_feasible
 
 NAT = LayeredSemiring(COUNTING, RATIONALS)
 SUP = LayeredSemiring(SUPERTROPICAL, RATIONALS)
@@ -246,6 +247,30 @@ def test_feasible_with_a_unit_column_in_every_row_does_not_pivot():
     assert tableau == rows
     # With no unit column named, phase one pivots them in from artificials.
     assert _feasible([list(row) for row in rows], [None, None]) == [0, 3, 0, 0]
+
+
+def test_ratio_test_ties_leave_by_the_smallest_basic_index():
+    # After x0 pivots into row 2, x2 enters with ratio 0 in rows 1 and 2.  The
+    # basic variable of row 2 is x0 (index 0), that of row 1 the artificial
+    # 4 + 1, so Bland's rule pivots on row 2 and ends on [1, 0, 0, 2]; taking
+    # the first tied row would end on [0, 1/2, 1/2, 1].
+    rows = [[0, 1, 1, 1, 2], [0, -1, 1, 0, 0], [2, 0, 2, -1, 0]]
+    assert _feasible([list(row) for row in rows], [None] * 3) == [1, 0, 0, 2]
+    assert reference_bland(rows, [None] * 3) == ([1, 0, 0, 2], 1)
+    # On random systems from every starting basis, the fraction-free tableau
+    # ends on the basic solution of the Fraction tableau, pivot for pivot;
+    # in many, a tie goes to a row other than the first tied one.
+    rng = random.Random(3300)
+    decided = 0
+    for _ in range(1500):
+        rows = random_system(rng)
+        basis = unit_basis(rows)
+        some = [j if rng.random() < 0.5 else None for j in basis]
+        for start in ([None] * len(rows), some, basis):
+            x, ties = reference_bland(rows, start)
+            assert _feasible([list(row) for row in rows], start) == x, (rows, start)
+            decided += ties > 0
+    assert decided >= 30, decided
 
 
 def test_callers_start_only_unit_columns_basic(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from laytrop import (DomainError, ExplodedScalar, LayeredSemiring, PuiseuxPolynomial,
-                     PuiseuxSeries, explode_poly, newton_polygon, root_valuations, trop_poly)
+                     PuiseuxSeries, explode_poly, newton_polygon, random_split_product,
+                     root_valuations, trop_poly)
 from laytrop.puiseux import _accumulate, _matches, _product, _root_sums
 
 from oracles import (random_series, reference_from_roots, reference_poly_add,
                      reference_poly_call, reference_poly_mul, reference_series,
-                     reference_series_add, reference_series_mul)
+                     reference_series_add, reference_series_mul, reference_trial_draws)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 term_lists = st.lists(st.tuples(rationals, rationals), max_size=5)
@@ -472,6 +473,55 @@ def test_int_identity_refuses_each_near_miss():
         f = polynomial_of(terms)
         assert (f == reference_from_roots(roots, lead)) == equal, terms
         assert _matches(f, *_root_sums(roots, lead)) == equal, terms
+
+
+def generic_root_sums(roots, lead):
+    """lead * prod(L - r) by the generic lift: each factor given as (degree,
+    series) pairs, with -r built as a series."""
+    one = PuiseuxSeries.one()
+    return _accumulate([((0, lead),), *(((1, one), (0, -r)) for r in roots)])
+
+
+def test_root_lift_matches_the_generic_lift_and_the_reference():
+    # _root_sums lifts each root's terms straight into L - r, negating the
+    # coefficients as ints; its sums, zero sums and scales included, are the
+    # generic lift's, on the least width (one more than the degree), and
+    # their polynomial is the reference product.  Roots
+    # come from the CLI's draw at degrees 1-12 (where random_split_product's
+    # roots must be the terms c*t^e the reference draw gives), and from zero,
+    # repeated, opposite and multi-term roots; leads are 1, one term, several
+    # terms, or 0.
+    rng = random.Random(33)
+    cases = []
+    draws = reference_trial_draws(12, 60, 2033)
+    trial_rng = random.Random(2033)
+    for pairs in draws:
+        f, roots = random_split_product(trial_rng, trial_rng.randint(1, 12))
+        assert roots == [PuiseuxSeries.term(c, e) for c, e in pairs]
+        for r in roots:
+            assert_canonical(r)
+        assert f == reference_from_roots(roots), pairs
+        cases.append((roots, PuiseuxSeries.one()))
+    assert {len(pairs) for pairs in draws} == set(range(1, 13))
+    for _ in range(120):
+        roots = rng.choice([cancelling_roots(rng),
+                            [kernel_series(rng, LARGE) for _ in range(rng.randint(0, 4))]])
+        lead = rng.choice([PuiseuxSeries.one(), kernel_series(rng, LARGE, 1),
+                           kernel_series(rng, LARGE), PuiseuxSeries.zero()])
+        cases.append((roots, lead))
+    seen = {"zero root": 0, "repeated": 0, "opposite": 0, "multi-term root": 0,
+            "multi-term lead": 0, "zero lead": 0}
+    for roots, lead in cases:
+        sums = _root_sums(roots, lead)
+        assert sums == generic_root_sums(roots, lead) and sums[2] == len(roots) + 1, (roots, lead)
+        assert _product(sums) == reference_from_roots(roots, lead), (roots, lead)
+        seen["zero root"] += any(r.is_zero for r in roots)
+        seen["repeated"] += len(set(roots)) < len(roots)
+        seen["opposite"] += any(-r in roots for r in roots if not r.is_zero)
+        seen["multi-term root"] += any(len(r.terms) > 1 for r in roots)
+        seen["multi-term lead"] += len(lead.terms) > 1
+        seen["zero lead"] += lead.is_zero
+    assert min(seen.values()) >= 10, seen
 
 
 def test_products_with_unrelated_denominators_match_reference():
