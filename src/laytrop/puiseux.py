@@ -9,12 +9,14 @@ of 0 marks a corner ghost produced by leading-term cancellation.
 Series terms and polynomial coefficients share one canonical form: keys
 strictly increasing, no zero values.  Two places merge like keys and sort:
 ``_collect`` for sums and validated input (``from_terms`` and
-``from_coeffs`` validate before it), and ``_accumulate`` for every product,
-of series (as degree-0 polynomials) or of polynomials: one accumulator of
-int sums.  A polynomial reads one degree, or the lowest term per degree, off
-such sums: a product keeps its own and decodes ``coeffs`` on first read
-(``_decode``), any other builds them from ``coeffs``.  Constructors take
-exact rationals only: int (not bool) and Fraction.
+``from_coeffs`` validate before it), and ``_accumulate`` for every product
+(series, polynomial ``*``/``**``, and ``_root_sums`` for known roots): each
+factor is lifted once to int terms, a root's straight from its own terms
+(no -r series is built), and one convolution loop accumulates them.  A
+polynomial reads one degree, or the lowest term per degree, off such sums:
+a product keeps its own and decodes ``coeffs`` on first read (``_decode``),
+any other builds them from ``coeffs``.  Constructors take exact rationals
+only: int (not bool) and Fraction.
 """
 
 from __future__ import annotations
