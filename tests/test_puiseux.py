@@ -486,11 +486,11 @@ def test_root_lift_matches_the_generic_lift_and_the_reference():
     # _root_sums lifts each root's terms straight into L - r, negating the
     # coefficients as ints; its sums, zero sums and scales included, are the
     # generic lift's, on the least width (one more than the degree), and
-    # their polynomial is the reference product.  Roots
-    # come from the CLI's draw at degrees 1-12 (where random_split_product's
-    # roots must be the terms c*t^e the reference draw gives), and from zero,
-    # repeated, opposite and multi-term roots; leads are 1, one term, several
-    # terms, or 0.
+    # their polynomial is the reference product.  Roots come from the CLI's
+    # draw at degrees 1-12 (where random_split_product's roots must be the
+    # terms c*t^e the reference draw gives), and from zero, repeated,
+    # opposite and multi-term roots; leads are 1, one term, several terms,
+    # or 0.
     rng = random.Random(33)
     cases = []
     draws = reference_trial_draws(12, 60, 2033)
