@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -56,20 +55,22 @@ def _parse_grid(spec: str, nvars: int, layer) -> poly.GridSpec:
     return poly.GridSpec(tuple(axes), (layer,) * nvars)
 
 
-def _emit(records, fmt: str, header) -> None:
-    """Stream records given in the format's form: CSV rows under ``header``, or
-    JSON texts as one JSON list, written 4096 records at a time."""
+def _emit(chunks, fmt: str, header) -> None:
+    """Write chunks of rendered records, one write per chunk, so no write holds
+    more records than its chunk: CSV lines under ``header`` (no field of
+    ``locus`` or ``roots`` holds a comma, quote or line break, so none is
+    quoted), or JSON texts (records joined by ``", "``) as one JSON list."""
+    write = sys.stdout.write
     if fmt == "csv":
-        import csv  # only CSV output needs it, so a JSON run does not load it
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(records)
+        write(",".join(header) + "\r\n")
+        for chunk in chunks:
+            write(chunk)
     else:
-        records = iter(records)
-        sys.stdout.write("[" + ", ".join(itertools.islice(records, 4096)))
-        for chunk in iter(lambda: ", ".join(itertools.islice(records, 4096)), ""):
-            sys.stdout.write(", " + chunk)
-        sys.stdout.write("]\n")
+        chunks = iter(chunks)
+        write("[" + next(chunks, ""))
+        for chunk in chunks:
+            write(", " + chunk)
+        write("]\n")
 
 
 def _parse_set(texts, sr, laurent=False):
@@ -81,26 +82,49 @@ def _parse_set(texts, sr, laurent=False):
             for f, t in zip(polynomials, texts)], nvars
 
 
-def _locus_records(ranges, grid: poly.GridSpec, fmt: str):
-    """The points of kept ranges as JSON texts or CSV rows.  Per point only the
-    last coordinate's text is made, as ``str(Fraction(n, d))`` without the Fraction."""
-    lower, _, step = grid.axes[-1]
+#: Records per chunk of ``_locus_records``, and the most points an axis may
+#: have for its coordinate texts to be made once for the whole output.
+_CHUNK = 4096
+
+
+def _axis_texts(axis, start: int, stop: int) -> List[str]:
+    """``str(lower + k * step)`` for ``start <= k < stop``, made from ints over
+    ``lcm(lower.denominator, step.denominator)`` as ``str(Fraction(n, d))`` is."""
+    lower, _, step = axis
     d = math.lcm(lower.denominator, step.denominator)
-    a, b = int(lower * d), int(step * d)
-    sep = '", "' if fmt == "json" else " "
+    a, b = lower.numerator * (d // lower.denominator), step.numerator * (d // step.denominator)
+    return [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
+            for n in range(a + start * b, a + stop * b, b)]
+
+
+def _locus_records(ranges, grid: poly.GridSpec, fmt: str):
+    """The points of kept ranges as ``_emit`` chunks, one kept range (or
+    ``_CHUNK`` of its points) at a time: a JSON chunk is its records joined by
+    ``", "``, a CSV chunk its lines.  A chunk is one join of last-axis texts
+    between an opening and a closing text made once per range.  An axis of at
+    most ``_CHUNK`` points, and at most as many as are kept, has its texts made
+    once for the whole output; a longer one has them made per row and range."""
+    kept = sum(hi - lo for _, lo, hi, _ in ranges)
+    cached = [_axis_texts(axis, 0, n) if n <= min(kept, _CHUNK) else None
+              for axis, n in zip(grid.axes, grid.counts)]
+
+    def texts(i, lo, hi):
+        return cached[i][lo:hi] if cached[i] is not None else _axis_texts(grid.axes[i], lo, hi)
+
+    json_out = fmt == "json"
+    sep = '", "' if json_out else " "
     layers, row = sep.join(map(format_layer, grid.layers)), None
     for prefix, lo, hi, layer in ranges:
         if prefix != row:
-            row, head = prefix, "".join(str(x0 + k * dx) + sep
-                                        for (x0, _, dx), k in zip(grid.axes, prefix))
+            row = prefix
+            head = "".join(texts(i, k, k + 1)[0] + sep for i, k in enumerate(prefix))
+            opening = '{"point": ["' + head if json_out else head
         layering = format_layer(layer)
-        texts = (str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
-                 for n in range(a + lo * b, a + hi * b, b))
-        if fmt == "json":
-            yield from (f'{{"point": ["{head}{x}"], "layers": ["{layers}"], '
-                        f'"layering": "{layering}"}}' for x in texts)
-        else:
-            yield from ((head + x, layers, layering) for x in texts)
+        closing = (f'"], "layers": ["{layers}"], "layering": "{layering}"}}' if json_out
+                   else f",{layers},{layering}\r\n")
+        between = closing + (", " if json_out else "") + opening
+        for start in range(lo, hi, _CHUNK):
+            yield opening + between.join(texts(-1, start, min(start + _CHUNK, hi))) + closing
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +163,8 @@ def _cmd_roots(args) -> int:
     sr = semiring(args.L)
     f = parse_polynomial(args.expr, sr)
     rows = [(str(x), m) for x, m in poly.univariate_corner_roots(f)]
-    _emit(rows if args.format == "csv" else [json.dumps({"root": x, "mult": m}) for x, m in rows],
-          args.format, ("root", "mult"))
+    _emit([f"{x},{m}\r\n" for x, m in rows] if args.format == "csv" else
+          [json.dumps({"root": x, "mult": m}) for x, m in rows], args.format, ("root", "mult"))
     return 0
 
 

@@ -628,15 +628,21 @@ def reference_roundtrip(pairs, grid, seed=0):
 
 
 def reference_locus_output(polynomials, grid, combined, fmt):
-    """What ``laytrop locus`` prints for a parsed set and grid: one dict per
-    (point, layering) pair of ``corner_locus`` or ``combined_locus``, each
-    coordinate as ``str`` of its ``Fraction``, the list printed at once by
-    ``json.dumps``, or written by ``csv`` under its header."""
+    """What ``laytrop locus`` prints for a parsed set and grid: the (point,
+    layering) pairs of ``corner_locus`` or ``combined_locus``, rendered by
+    ``reference_locus_rendering``."""
     locus = combined_locus if combined else corner_locus
+    return reference_locus_rendering(locus(polynomials, grid, layering=True), fmt)
+
+
+def reference_locus_rendering(pairs, fmt):
+    """``laytrop locus`` output for (point, layering) pairs: one dict per pair,
+    each coordinate as ``str`` of its ``Fraction``, the list printed at once by
+    ``json.dumps``, or written by ``csv`` under its header."""
     records = [{"point": [str(c.value) for c in a],
                 "layers": [format_layer(c.layer) for c in a],
                 "layering": format_layer(layer)}
-               for a, layer in locus(polynomials, grid, layering=True)]
+               for a, layer in pairs]
     if fmt == "json":
         return json.dumps(records) + "\n"
     out = io.StringIO()

@@ -1,14 +1,17 @@
 """The CLI prints, byte for byte, what the golden corpus pins (see cli_corpus.py)."""
 
 import json
+import math
 import sys
 import time
 
 import cli_corpus
-from laytrop import GridSpec, PuiseuxSeries, semiring
-from oracles import (fm_essential, reference_from_roots, reference_kapranov_checks,
-                     reference_parse_grid_value, reference_parse_point, reference_parse_polynomial,
-                     reference_roundtrip, reference_trial_draws, reference_value)
+from laytrop import GridSpec, LayeredScalar, PuiseuxSeries, semiring
+from oracles import (brute_corner_roots, brute_grid, brute_judge, fm_essential,
+                     reference_from_roots, reference_kapranov_checks, reference_locus_rendering,
+                     reference_parse_grid_value, reference_parse_layer_flag, reference_parse_point,
+                     reference_parse_polynomial, reference_roundtrip, reference_trial_draws,
+                     reference_value)
 
 
 def test_every_corpus_call_prints_its_pinned_output(tmp_path, monkeypatch):
@@ -167,3 +170,100 @@ def test_corpus_kapranov_outputs_match_the_oracles(tmp_path, monkeypatch):
         out, err, code, _ = cli_corpus.run(argv, case["spec"])
         assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
         assert json.loads(out) == _reference_kapranov(argv), argv
+
+
+#: Grids of more points than this are too long to judge point by point in
+#: tier-1; ``_reference_long_row`` checks a univariate one instead.
+LONG_ROW = 10 ** 5
+
+
+def _reference_locus_call(argv):
+    """(polynomials, grid, combined, format) of a ``locus`` argv, read with the
+    reference readers: each expression at its own variable count, then again
+    at the largest count if it has fewer; one ``--grid`` axis stands for every
+    variable."""
+    exprs, options, rest = [], {}, iter(argv[1:])
+    for arg in rest:
+        if arg in ("--combined", "--laurent"):
+            options[arg] = True
+        elif arg.startswith("--"):
+            name, eq, value = arg.partition("=")
+            assert name in ("--grid", "--grid-layer", "--L", "--format"), argv
+            options[name] = value if eq else next(rest)
+        else:
+            exprs.append(arg)
+    sr, laurent = semiring(options.get("--L", "nat")), "--laurent" in options
+    nvars = max(reference_parse_polynomial(text, sr, laurent=laurent).nvars for text in exprs)
+    polynomials = [reference_parse_polynomial(text, sr, laurent=laurent, nvars=nvars)
+                   for text in exprs]
+    axes = [tuple(map(reference_parse_grid_value, axis.split(":")))
+            for axis in options["--grid"].split(",")]
+    layer = reference_parse_layer_flag(options.get("--grid-layer", "1"))
+    grid = GridSpec(tuple(axes * nvars if len(axes) == 1 else axes), (layer,) * nvars)
+    return polynomials, grid, "--combined" in options, options.get("--format", "json")
+
+
+def _reference_kept(polynomials, point, combined):
+    """The layering at a point if every polynomial keeps it, by ``brute_judge``
+    (a corner root, or with ``combined`` a corner or cluster root), else None."""
+    judged = [brute_judge(f, point) for f in polynomials]
+    if all(j["corner"] or (combined and j["cluster"]) for j in judged):
+        return min(j["layer"] for j in judged)
+    return None
+
+
+def _reference_long_row(polynomials, grid, combined):
+    """The (point, layering) pairs of a univariate grid, judged once per run of
+    grid points between the points where ``brute_corner_roots`` finds two
+    monomials of some polynomial tied at the best value.  A grid point on such
+    a tie is a run of its own; inside a run every polynomial has one best
+    monomial, so every verdict and layering there is that of its first point."""
+    (lower, upper, step), = grid.axes
+    count = (upper - lower) // step + 1
+    sign = -1 if polynomials[0].semiring.descending else 1
+    cuts = {0, count}
+    for f in polynomials:
+        for x, _ in brute_corner_roots([(sign * e, sign * c.value) for (e,), c in f.coeffs.items()]):
+            t = (x - lower) / step
+            cuts.update(min(max(k, 0), count) for k in (math.ceil(t), math.floor(t) + 1))
+    cuts = sorted(cuts)
+    pairs = []
+    for start, stop in zip(cuts, cuts[1:]):
+        point = (LayeredScalar(grid.layers[0], lower + start * step),)
+        layering = _reference_kept(polynomials, point, combined)
+        if layering is not None:
+            pairs += [((LayeredScalar(grid.layers[0], lower + k * step),), layering)
+                      for k in range(start, stop)]
+    return pairs
+
+
+def test_corpus_locus_outputs_match_the_oracles(tmp_path, monkeypatch):
+    # Each locus case that exits 0 past argparse prints its pinned output
+    # (checked by digest here too), and that output is the reference
+    # rendering of the grid points every polynomial keeps by ``brute_judge``.
+    # A univariate grid of more than LONG_ROW points is judged by runs
+    # between ties, and on every univariate grid below that the runs agree
+    # with judging each point.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == ["locus"] and case["code"] == 0 and not case["parser"]]
+    assert len(cases) >= 210
+    long_rows = 0
+    for case in cases:
+        argv = case["argv"]
+        out, err, code, _ = cli_corpus.run(argv, case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
+        polynomials, grid, combined, fmt = _reference_locus_call(argv)
+        size = math.prod((upper - lower) // step + 1 for lower, upper, step in grid.axes)
+        if size > LONG_ROW:
+            pairs = _reference_long_row(polynomials, grid, combined)
+            long_rows += 1
+        else:
+            pairs = [(a, layering) for a in brute_grid(grid)
+                     if (layering := _reference_kept(polynomials, a, combined)) is not None]
+            if grid.nvars == 1:
+                assert _reference_long_row(polynomials, grid, combined) == pairs, argv
+        assert out == reference_locus_rendering(pairs, fmt), argv
+    assert long_rows == 2

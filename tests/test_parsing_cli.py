@@ -391,6 +391,34 @@ def test_cli_locus_streams_a_long_row(capsys):
     assert len(json.loads(expected)) == 10 ** 4 + 1
 
 
+class _Writes:
+    """A stdout stand-in that keeps every text written to it."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
+@pytest.mark.parametrize("expr, axes, kept", [
+    ("(inf|0)*x1", "-5:5:1/1000", 10 ** 4 + 1),  # one kept range longer than 4096 points
+    ("x1 + x2", "0:4200:1", 4201),  # one kept point on each of 4201 rows: the tie line x1 = x2
+])
+def test_cli_locus_writes_at_most_4096_records_at_a_time(monkeypatch, expr, axes, kept):
+    polynomials, nvars = cli._parse_set([expr], semiring("nat"))
+    grid = cli._parse_grid(axes, nvars, 1)
+    for fmt in ("json", "csv"):
+        expected = reference_locus_output(polynomials, grid, False, fmt)
+        stdout = _Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["locus", expr, f"--grid={axes}", "--format", fmt]) == 0
+        monkeypatch.undo()
+        assert "".join(stdout.texts) == expected
+        counts = [text.count('{"point": ' if fmt == "json" else "\r\n") for text in stdout.texts]
+        assert max(counts) <= 4096 and sum(counts) == kept + (fmt == "csv"), (fmt, counts[:5])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--grid=0:1:0"], "grid step 0 must be positive"),
     (["--grid=1:0:1"], "grid bounds 1 > 0"),
