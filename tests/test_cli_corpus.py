@@ -179,9 +179,8 @@ LONG_ROW = 10 ** 5
 
 def _reference_locus_call(argv):
     """(polynomials, grid, combined, format) of a ``locus`` argv, read with the
-    reference readers: each expression at its own variable count, then again
-    at the largest count if it has fewer; one ``--grid`` axis stands for every
-    variable."""
+    reference readers: every expression at the largest variable count among
+    them; one ``--grid`` axis stands for every variable."""
     exprs, options, rest = [], {}, iter(argv[1:])
     for arg in rest:
         if arg in ("--combined", "--laurent"):
