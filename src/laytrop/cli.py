@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
 
 from . import congruence as cg
 from . import kapranov as kp
@@ -87,7 +86,7 @@ def _parse_set(texts, sr, laurent=False):
 _CHUNK = 4096
 
 
-def _axis_texts(axis, start: int, stop: int) -> List[str]:
+def _axis_texts(axis, start: int, stop: int) -> list[str]:
     """``str(lower + k * step)`` for ``start <= k < stop``, made from ints over
     ``lcm(lower.denominator, step.denominator)`` as ``str(Fraction(n, d))`` is."""
     lower, _, step = axis
@@ -302,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
     try:
         return args.handler(args)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-import random
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
@@ -24,7 +23,7 @@ from .polynomials import (GridSpec, LayeredPolynomial, Line, Point, _agree, _lat
 class FinitePointSet(Record, frozen=True):
     """Deduplicated points of a common arity; may be empty (an empty variety)."""
 
-    points: Tuple[Point, ...]
+    points: tuple[Point, ...]
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FinitePointSet":
@@ -50,7 +49,7 @@ class FinitePointSet(Record, frozen=True):
         return tuple(point) in self._members
 
 
-Pair = Tuple[LayeredPolynomial, LayeredPolynomial]
+Pair = tuple[LayeredPolynomial, LayeredPolynomial]
 
 
 def congruent_on(f: LayeredPolynomial, g: LayeredPolynomial, x: FinitePointSet) -> bool:
@@ -70,7 +69,7 @@ def _congruent(f: LayeredPolynomial, g: LayeredPolynomial, points: Iterable[Poin
     return all(a == b for a, b in zip(_evaluations(f, points, scale), _evaluations(g, points, scale)))
 
 
-def _evaluations(f: LayeredPolynomial, points: Iterable[Point], scale: int) -> Iterator[Tuple]:
+def _evaluations(f: LayeredPolynomial, points: Iterable[Point], scale: int) -> Iterator[tuple]:
     """(value times ``scale``, layer) of f at each point, lazily, from ``f._profiles``."""
     sorts = f.semiring.sorts
     return ((values[tied[0]], _layer_sum(sorts, layers, tied))
@@ -92,7 +91,7 @@ def variety_of(pairs: Sequence[Pair], grid: GridSpec) -> FinitePointSet:
     return FinitePointSet(_points(_walk(rows, grid.counts), grid))
 
 
-def _pair_tasks(pairs: Sequence[Pair]) -> List:
+def _pair_tasks(pairs: Sequence[Pair]) -> list:
     return [((f, g), partial(_agree, len(f.coeffs))) for f, g in pairs]
 
 
@@ -107,7 +106,7 @@ class CoordinateFunction(Record, frozen=True):
     originating polynomial.
     """
 
-    vector: Tuple
+    vector: tuple
     witness: LayeredPolynomial
 
     def __eq__(self, other):
@@ -140,9 +139,9 @@ def quotient_map(f: LayeredPolynomial, x: FinitePointSet) -> CoordinateFunction:
 
 
 def coordinate_semiring(x: FinitePointSet,
-                        basis: Sequence[LayeredPolynomial]) -> Tuple[CoordinateFunction, ...]:
+                        basis: Sequence[LayeredPolynomial]) -> tuple[CoordinateFunction, ...]:
     """Distinct evaluation-vector representatives of the given polynomials."""
-    out: List[CoordinateFunction] = []
+    out: list[CoordinateFunction] = []
     seen = set()
     for f in basis:
         cf = quotient_map(f, x)
@@ -182,11 +181,11 @@ class ZariskiReport(Record):
         return (self.stable and self.antitone_generators
                 and self.antitone_points and self.union_law)
 
-    def to_json(self) -> Dict:
+    def to_json(self) -> dict:
         return {**vars(self), "pass": self.passed}
 
 
-def _accepted(accepts, indices: Sequence[Tuple[int, ...]]) -> bool:
+def _accepted(accepts, indices: Sequence[tuple[int, ...]]) -> bool:
     """Whether a probe's pair agrees on a set of lattice indices: its lattice
     form's judge at every one of them."""
     return all(map(accepts, indices))
@@ -203,7 +202,7 @@ def _random_poly(rng: random.Random, template: LayeredPolynomial) -> LayeredPoly
 
 
 def _probe_lines(pairs: Sequence[Pair], grid: GridSpec, rng: random.Random
-                 ) -> Tuple[List[Tuple[List[Line], List[Line]]], Tuple]:
+                 ) -> tuple[list[tuple[list[Line], list[Line]]], tuple]:
     """(probes, axes): the generators plus derived pairs known to lie in the
     same congruence, each side as the int lines of ``_lattice_lines`` on the
     grid, and the axes on their scale.  The generators and one random h per
@@ -224,7 +223,7 @@ def _probe_lines(pairs: Sequence[Pair], grid: GridSpec, rng: random.Random
     return probes, axes
 
 
-def _merge(sorts, lines: Iterable[Line]) -> List[Line]:
+def _merge(sorts, lines: Iterable[Line]) -> list[Line]:
     """Lines of equal exponents merged as ``LayeredPolynomial._fill`` merges
     their scalars, in order: the larger int wins, and equal ints add their
     layers with ``sorts.add``; the result in support (exponent) order."""
@@ -238,7 +237,7 @@ def _merge(sorts, lines: Iterable[Line]) -> List[Line]:
     return [(e, *merged[e]) for e in sorted(merged)]
 
 
-def _product(sorts, f: List[Line], h: List[Line]) -> List[Line]:
+def _product(sorts, f: list[Line], h: list[Line]) -> list[Line]:
     """The lines of f * h as ``LayeredPolynomial.mul`` forms it: exponents and
     ints add, layers multiply with ``sorts.mul``, term pairs merged in order."""
     return _merge(sorts, [(tuple(map(operator.add, e1, e2)), v1 + v2, sorts.mul(l1, l2))
@@ -261,6 +260,7 @@ def zariski_roundtrip(pairs: Sequence[Pair], grid: GridSpec,
     if not pairs:
         grid.check(LayeredSemiring())
         return ZariskiReport(math.prod(grid.counts), 0, True, True, True, True, True)
+    import random  # loaded only when a command draws
     rng = random.Random(seed)
     probes, axes = _probe_lines(pairs, grid, rng)
     sorts = pairs[0][0].semiring.sorts

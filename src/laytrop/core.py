@@ -9,15 +9,15 @@ componentwise.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import DomainError
 
 #: Absorbing infinite layer, shared by all sort flavors that contain it.
 INF = float("inf")
 
-Layer = Union[int, float]
+Layer = int | float
 
 
 def format_layer(layer: Layer) -> str:

@@ -22,9 +22,8 @@ scale, and ``trop_poly`` checks each value once.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, Record
 from .errors import DomainError
@@ -45,8 +44,8 @@ class NewtonSegment(Record, frozen=True):
 class NewtonPolygon(Record, frozen=True):
     """Lower convex hull data of (degree, lowest exponent) support points."""
 
-    support: Tuple[Tuple[int, Fraction], ...]
-    segments: Tuple[NewtonSegment, ...]
+    support: tuple[tuple[int, Fraction], ...]
+    segments: tuple[NewtonSegment, ...]
 
 
 def newton_polygon(f: PuiseuxPolynomial) -> NewtonPolygon:
@@ -63,14 +62,14 @@ def newton_polygon(f: PuiseuxPolynomial) -> NewtonPolygon:
     return NewtonPolygon(tuple((d, e) for d, e, _ in f.lowest_terms), segments)
 
 
-def root_valuations(f: PuiseuxPolynomial) -> Tuple[Fraction, ...]:
+def root_valuations(f: PuiseuxPolynomial) -> tuple[Fraction, ...]:
     """Valuations of all roots, with multiplicity, sorted ascending.
 
     Each hull segment of slope s and length m contributes m copies of s:
     with val = -(lowest exponent), the valuation of a root on that segment
     is exactly the slope.
     """
-    out: List[Fraction] = []
+    out: list[Fraction] = []
     for segment in newton_polygon(f).segments:
         out.extend([segment.slope] * segment.length)
     return tuple(sorted(out))
@@ -98,9 +97,9 @@ class KapranovReport(Record):
     """
 
     f: PuiseuxPolynomial
-    known_roots: Tuple[PuiseuxSeries, ...]
-    known_vals: List[Fraction]
-    corner_roots: List[Tuple[str, int]]
+    known_roots: tuple[PuiseuxSeries, ...]
+    known_vals: list[Fraction]
+    corner_roots: list[tuple[str, int]]
     forward_ok: bool
     reverse_ok: bool
     exploded_ok: bool
@@ -110,18 +109,18 @@ class KapranovReport(Record):
         return str(self.f)
 
     @property
-    def roots(self) -> List[str]:
+    def roots(self) -> list[str]:
         return [str(r) for r in self.known_roots]
 
     @property
-    def root_vals(self) -> List[str]:
+    def root_vals(self) -> list[str]:
         return [str(v) for v in self.known_vals]
 
     @property
     def passed(self) -> bool:
         return self.forward_ok and self.reverse_ok and self.exploded_ok
 
-    def to_json(self) -> Dict:
+    def to_json(self) -> dict:
         return {
             "poly": self.polynomial,
             "roots": self.roots,
@@ -135,7 +134,7 @@ class KapranovReport(Record):
 
 
 def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
-                    semiring: Optional[LayeredSemiring] = None) -> KapranovReport:
+                    semiring: LayeredSemiring | None = None) -> KapranovReport:
     """Check the root-valuation correspondence for f with its known roots.
 
     Refuses a zero known root, which has no valuation, and known roots that
@@ -185,7 +184,7 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
                      for _, layers, tied in tropicalized._profiles(points, scale))
     reverse_ok = corner_multiset == newton_vals == known_vals
 
-    leads: Dict[int, List[Fraction]] = {}
+    leads: dict[int, list[Fraction]] = {}
     for r, k in zip(known_roots, ints):
         leads.setdefault(k, []).append(r.leading())
 
@@ -213,7 +212,7 @@ def kapranov_verify(f: PuiseuxPolynomial, known_roots: Sequence[PuiseuxSeries],
 _NUMERATORS = [n for n in range(-9, 10) if n != 0]
 
 
-def random_split_product(rng: random.Random, degree: int) -> Tuple[PuiseuxPolynomial, List[PuiseuxSeries]]:
+def random_split_product(rng: random.Random, degree: int) -> tuple[PuiseuxPolynomial, list[PuiseuxSeries]]:
     """A product of (variable - c*t^e) factors with random rational c, e; c is
     never 0, so each root is built as its one term."""
     roots = []
@@ -228,23 +227,24 @@ class TrialSummary(Record):
     """Aggregate of repeated randomized correspondence checks."""
 
     trials: int
-    failures: List[Dict]
+    failures: list[dict]
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> Dict:
+    def to_json(self) -> dict:
         return {"pass": self.passed, "trials": self.trials, "failures": self.failures}
 
 
 def verify_random_products(degree: int, trials: int, seed: int,
-                           semiring: Optional[LayeredSemiring] = None) -> TrialSummary:
+                           semiring: LayeredSemiring | None = None) -> TrialSummary:
     """Run the verifier on random split products of degree up to ``degree``."""
     if degree < 1:
         raise DomainError("degree must be at least 1")
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    import random  # loaded only when a command draws
     rng = random.Random(seed)
     summary = TrialSummary(trials, [])
     for _ in range(trials):

@@ -15,9 +15,9 @@ they read it; a term's scalars multiply, and the polynomial is filled, unchecked
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from fractions import Fraction
 from math import prod
-from typing import Callable, List, Optional, Tuple
 
 from .core import INF, LayeredScalar, LayeredSemiring, SortFlavor, ValueFlavor
 from .errors import DomainError, ParseError
@@ -64,7 +64,7 @@ class _Scan:
         if self.tokens[at]:
             raise self.error(at, f"trailing input {self.tokens[at]!r}")
 
-    def integer(self, at: int, digits: Optional[str] = None) -> int:
+    def integer(self, at: int, digits: str | None = None) -> int:
         """The int of token ``at``, or of ``digits`` read from it."""
         if digits is None:
             self.expect(at, "int")
@@ -74,13 +74,13 @@ class _Scan:
         except ValueError:   # past the interpreter's limit on integer digits
             raise self.error(at, f"integer of {len(digits)} digits is too long")
 
-    def signed_int(self, at: int) -> Tuple[int, int]:
+    def signed_int(self, at: int) -> tuple[int, int]:
         """``'-'? int`` at token ``at``, and the index after it."""
         if self.tokens[at] == "-":
             return -self.integer(at + 1), at + 2
         return self.integer(at), at + 1
 
-    def rational(self, at: int) -> Tuple[Fraction, int]:
+    def rational(self, at: int) -> tuple[Fraction, int]:
         """``'-'? int ('/' int)?`` at token ``at`` as one Fraction, and the index after it."""
         numerator, at = self.signed_int(at)
         if self.tokens[at] != "/":
@@ -98,7 +98,7 @@ class _Scan:
         s.done(at)
         return value
 
-    def products(self, factor: Callable[[int], tuple]) -> List[list]:
+    def products(self, factor: Callable[[int], tuple]) -> list[list]:
         """``factor ('*' factor)* ('+' factor ('*' factor)*)*``: the factors of
         each term; ``factor(at)`` reads one and returns it with the index after it."""
         tokens, terms, at = self.tokens, [], 0
@@ -120,7 +120,7 @@ class _Scan:
 
 
 def _scalar(s: _Scan, at: int, sorts: SortFlavor,
-            values: ValueFlavor) -> Tuple[LayeredScalar, int]:
+            values: ValueFlavor) -> tuple[LayeredScalar, int]:
     """The scalar literal at token ``at``, checked, and the index after it."""
     tokens, layer = s.tokens, 1
     bracketed = tokens[at] == "("
@@ -140,7 +140,7 @@ def parse_scalar(text: str, semiring: LayeredSemiring) -> LayeredScalar:
     return _Scan.whole(text, lambda s, at: _scalar(s, at, semiring.sorts, semiring.values))
 
 
-def parse_point(text: str, semiring: LayeredSemiring) -> Tuple[LayeredScalar, ...]:
+def parse_point(text: str, semiring: LayeredSemiring) -> tuple[LayeredScalar, ...]:
     """Comma-separated scalar literals, ``scalar (',' scalar)*``."""
     s, point, at = _Scan(text), [], -1
     while not point or s.tokens[at] == ",":
@@ -155,7 +155,7 @@ def parse_point(text: str, semiring: LayeredSemiring) -> Tuple[LayeredScalar, ..
 
 
 def parse_polynomial(text: str, semiring: LayeredSemiring,
-                     laurent: bool = False, nvars: Optional[int] = None) -> LayeredPolynomial:
+                     laurent: bool = False, nvars: int | None = None) -> LayeredPolynomial:
     """Parse polynomial text; duplicate exponent vectors merge by layered addition."""
     s, sorts, values = _Scan(text), semiring.sorts, semiring.values
     tokens = s.tokens

@@ -20,16 +20,16 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import INF, Layer, LayeredScalar, LayeredSemiring, Record, TRIVIAL, exact, power
 from .errors import DomainError
 
-Exponents = Tuple[int, ...]
-Point = Tuple[LayeredScalar, ...]
+Exponents = tuple[int, ...]
+Point = tuple[LayeredScalar, ...]
 #: A monomial's int line: its exponents, its value on a lift's scale and its layer.
-Line = Tuple[Exponents, int, Layer]
+Line = tuple[Exponents, int, Layer]
 
 
 class LayeredPolynomial:
@@ -65,7 +65,7 @@ class LayeredPolynomial:
     def _fill(self, semiring: LayeredSemiring, nvars: int, items, laurent: bool) -> "LayeredPolynomial":
         """Set the fields from valid (exponents, scalar) items, merging equal
         exponent vectors by the unchecked layered sum; returns self."""
-        merged: Dict[Exponents, LayeredScalar] = {}
+        merged: dict[Exponents, LayeredScalar] = {}
         for exponents, scalar in items:
             merged[exponents] = semiring._add(merged[exponents], scalar) if exponents in merged else scalar
         self.semiring, self.nvars, self.laurent = semiring, nvars, laurent
@@ -92,7 +92,7 @@ class LayeredPolynomial:
 
     # -- structure ---------------------------------------------------------------
 
-    def support(self) -> Tuple[Exponents, ...]:
+    def support(self) -> tuple[Exponents, ...]:
         return tuple(self.coeffs)
 
     def coefficient(self, exponents: Exponents) -> LayeredScalar:
@@ -155,7 +155,7 @@ class LayeredPolynomial:
         exponents = tuple(exponents)
         return self._like([(exponents, self.coeffs[exponents])]).evaluate(point)
 
-    def _profile(self, point: Point) -> Tuple[int, List[int], List[Layer], Tuple[int, ...]]:
+    def _profile(self, point: Point) -> tuple[int, list[int], list[Layer], tuple[int, ...]]:
         """(scale, values, layers, tied) at a point, checked first: ``_profiles``
         on the common denominator ``scale`` of the coefficients and the point."""
         point = self._check_point(point)
@@ -164,7 +164,7 @@ class LayeredPolynomial:
         return (scale, *next(self._profiles((point,), scale)))
 
     def _profiles(self, points: Iterable[Point], scale: int
-                  ) -> Iterator[Tuple[List[int], List[Layer], Tuple[int, ...]]]:
+                  ) -> Iterator[tuple[list[int], list[Layer], tuple[int, ...]]]:
         """(values, layers, tied) at each point, lazily and in order: each monomial's
         value times ``scale`` as an int and its layer, in support order, and the
         indices tied at the best value.  The coefficients are lifted once per call.
@@ -191,7 +191,7 @@ class LayeredPolynomial:
         scale, values, layers, tied = self._profile(point)
         return LayeredScalar(_layer_sum(self.semiring.sorts, layers, tied), Fraction(values[tied[0]], scale))
 
-    def dominant_part(self, point: Point) -> Tuple[Exponents, ...]:
+    def dominant_part(self, point: Point) -> tuple[Exponents, ...]:
         """Exponent vectors of the monomials whose value ties the evaluated value."""
         support = tuple(self.coeffs)
         return tuple(support[i] for i in self._profile(point)[3])
@@ -227,7 +227,7 @@ def _layer_sum(sorts, layers: Sequence[Layer], tied: Sequence[int]) -> Layer:
     return functools.reduce(sorts.add, [layers[i] for i in tied])
 
 
-def _verdict(sorts, layers: Sequence[Layer], tied: Sequence[int]) -> Tuple[bool, bool]:
+def _verdict(sorts, layers: Sequence[Layer], tied: Sequence[int]) -> tuple[bool, bool]:
     """(corner root, cluster root) from monomial layers and the tied indices."""
     if sorts is TRIVIAL:
         return len(tied) >= 2, False
@@ -262,8 +262,8 @@ class GridSpec(Record, frozen=True):
     int (not bool) or inf, and ``check`` refuses those a view does not allow.
     """
 
-    axes: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
-    layers: Optional[Tuple[Layer, ...]] = None
+    axes: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    layers: tuple[Layer, ...] | None = None
 
     def __post_init__(self):
         for lower, upper, step in self.axes:
@@ -289,7 +289,7 @@ class GridSpec(Record, frozen=True):
         return len(self.axes)
 
     @functools.cached_property
-    def counts(self) -> Tuple[int, ...]:
+    def counts(self) -> tuple[int, ...]:
         return tuple((upper - lower) // step + 1 for lower, upper, step in self.axes)
 
     def check(self, semiring: LayeredSemiring) -> None:
@@ -305,7 +305,7 @@ class GridSpec(Record, frozen=True):
         lower, _, step = self.axes[axis]
         return LayeredScalar(self.layers[axis] if self.layers else 1, lower + k * step)
 
-    def index(self, rank: int) -> Tuple[int, ...]:
+    def index(self, rank: int) -> tuple[int, ...]:
         """The lattice index (k per axis) of a rank in product order (last axis fastest)."""
         index = []
         for count in reversed(self.counts):
@@ -317,7 +317,7 @@ class GridSpec(Record, frozen=True):
         """The sampled point of a rank in product order, unchecked."""
         return tuple(map(self.coordinate, range(self.nvars), self.index(rank)))
 
-    def points(self, semiring: LayeredSemiring) -> List[Point]:
+    def points(self, semiring: LayeredSemiring) -> list[Point]:
         self.check(semiring)
         return [self.point(rank) for rank in range(math.prod(self.counts))]
 
@@ -335,7 +335,7 @@ def _common(polynomials: Sequence[LayeredPolynomial]) -> Sequence[LayeredPolynom
     return polynomials
 
 
-def _scan(tasks, grid: GridSpec, cuts: Optional[Sequence[int]] = None):
+def _scan(tasks, grid: GridSpec, cuts: Sequence[int] | None = None):
     """Kept ranges ``(prefix, lo, hi, layer)`` in canonical form (``_merged``):
     indices lo <= k < hi of the last axis, on the row at lattice ``prefix``,
     where the judge of every task accepts, the layer being the minimum over
@@ -353,7 +353,7 @@ def _scan(tasks, grid: GridSpec, cuts: Optional[Sequence[int]] = None):
     return _walk([row for row, _ in _lattice(tasks, grid)], grid.counts, cuts)
 
 
-def _lattice(tasks, grid: GridSpec) -> List[Tuple]:
+def _lattice(tasks, grid: GridSpec) -> list[tuple]:
     """``(row, accepts)`` of ``_lattice_row`` for each task, its group's lines
     laid end to end (``_lattice_lines``)."""
     groups = [group for group, _ in tasks]
@@ -364,7 +364,7 @@ def _lattice(tasks, grid: GridSpec) -> List[Tuple]:
 
 
 def _lattice_lines(polynomials: Sequence[LayeredPolynomial],
-                   grid: GridSpec) -> Tuple[List[List[Line]], Tuple]:
+                   grid: GridSpec) -> tuple[list[list[Line]], tuple]:
     """(lines, axes): each polynomial's monomials as ``_lift``'s int lines, on
     one scale that also clears the grid's lower bounds and steps, and the axes
     ``(lowers, steps, ghosts, n)`` on that scale: ``ghosts`` lists the
@@ -385,7 +385,7 @@ def _lattice_lines(polynomials: Sequence[LayeredPolynomial],
             (lowers, steps, ghosts, grid.counts[-1]))
 
 
-def _walk(rows, counts: Sequence[int], cuts: Optional[Sequence[int]] = None):
+def _walk(rows, counts: Sequence[int], cuts: Sequence[int] | None = None):
     """``_scan`` of set-up rows on a grid of these point counts."""
     ends = cuts or (len(rows),)
     outs = [[] for _ in ends]
@@ -398,7 +398,7 @@ def _walk(rows, counts: Sequence[int], cuts: Optional[Sequence[int]] = None):
     return list(map(_merged, outs)) if cuts else _merged(outs[0])
 
 
-def _merged(ranges) -> List[Tuple]:
+def _merged(ranges) -> list[tuple]:
     """Ranges ``(prefix, lo, hi, *rest)`` sorted by (prefix, lo), each run of
     overlapping or touching ranges with one prefix and one rest joined: the
     canonical form of what they cover, so equal coverage gives equal lists."""
@@ -410,7 +410,7 @@ def _merged(ranges) -> List[Tuple]:
     return out
 
 
-def _points(ranges, grid: GridSpec, layering: bool = False) -> Tuple:
+def _points(ranges, grid: GridSpec, layering: bool = False) -> tuple:
     """The grid points of kept ranges, in order; with ``layering``, (point,
     layer) pairs.  Coordinates are built once each, and only for kept points."""
     *outer, last = [functools.cache(functools.partial(grid.coordinate, axis))
@@ -430,7 +430,7 @@ def _intersect(a, b):
             if (lo := max(p, r)) < (hi := min(q, s))]
 
 
-def _lattice_row(lines: Sequence[Line], axes: Tuple, sorts, judge):
+def _lattice_row(lines: Sequence[Line], axes: tuple, sorts, judge):
     """A task's int lattice form, as ``(row, accepts)``, from its monomials'
     int lines and the axes of ``_lattice_lines`` on their scale: ``row`` maps
     a lattice prefix to the kept index ranges along the last axis, each with
@@ -462,14 +462,14 @@ def _lattice_row(lines: Sequence[Line], axes: Tuple, sorts, judge):
     kept_layer = functools.cache(lambda ties: _layer_sum(sorts, layers, ties)
                                  if judge(sorts, layers, ties) else None)
 
-    def at(index: Tuple[int, ...]) -> List[int]:
+    def at(index: tuple[int, ...]) -> list[int]:
         """Each monomial's value at a lattice index, or its start on the row at a prefix."""
         values = base
         for p, column in zip(index, columns):
             values = [v + p * c for v, c in zip(values, column)] if p else values
         return values
 
-    def row(prefix: Tuple[int, ...]) -> List[Tuple[int, int, Layer]]:
+    def row(prefix: tuple[int, ...]) -> list[tuple[int, int, Layer]]:
         starts = at(prefix)
         hull = []
         for d, members in classes:
@@ -499,7 +499,7 @@ def _lattice_row(lines: Sequence[Line], axes: Tuple, sorts, judge):
                 k += 1
         return [(lo, hi, layer) for lo, hi, ties in pieces if (layer := kept_layer(ties)) is not None]
 
-    def accepts(index: Tuple[int, ...]) -> bool:
+    def accepts(index: tuple[int, ...]) -> bool:
         values = at(index)
         top = max(values)
         return kept_layer(tuple(i for i, v in enumerate(values) if v == top)) is not None
@@ -516,21 +516,21 @@ def _agree(split: int, sorts, layers: Sequence[Layer], tied: Sequence[int]) -> b
 
 
 def _locus_ranges(polynomials: Sequence[LayeredPolynomial], grid: GridSpec,
-                  combined: bool) -> List[Tuple]:
+                  combined: bool) -> list[tuple]:
     """``_scan`` of the corner locus, or with ``combined`` of the combined locus."""
     judge = (lambda *args: any(_verdict(*args))) if combined else (lambda *args: _verdict(*args)[0])
     return _scan([([f], judge) for f in polynomials], grid)
 
 
 def corner_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
-                 layering: bool = False) -> Tuple:
+                 layering: bool = False) -> tuple:
     """Grid points that are corner roots of every polynomial in the set; with
     ``layering``, (point, ``layering_map_set`` at the point) pairs."""
     return _points(_locus_ranges(polynomials, grid, False), grid, layering)
 
 
 def combined_locus(polynomials: Sequence[LayeredPolynomial], grid: GridSpec, *,
-                   layering: bool = False) -> Tuple:
+                   layering: bool = False) -> tuple:
     """Grid points that are corner or cluster roots of every polynomial in the
     set; with ``layering``, (point, ``layering_map_set`` at the point) pairs."""
     return _points(_locus_ranges(polynomials, grid, True), grid, layering)
@@ -542,7 +542,7 @@ def layering_map_set(polynomials: Sequence[LayeredPolynomial], point: Point) -> 
     return min(f.layering(point) for f in polynomials)
 
 
-def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> Tuple[Point, ...]:
+def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> tuple[Point, ...]:
     """Grid points where the chosen monomial alone realizes f exactly (layer included)."""
     exponents = tuple(exponents)
     if exponents not in f.coeffs:
@@ -552,7 +552,7 @@ def component(f: LayeredPolynomial, exponents: Exponents, grid: GridSpec) -> Tup
                            j in tied and layers[j] == _layer_sum(sorts, layers, tied))], grid), grid)
 
 
-def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
+def principal_open(f: LayeredPolynomial, grid: GridSpec) -> tuple[Point, ...]:
     """The complement of the corner locus of f within the grid."""
     return _points(_scan([([f], lambda *args: not _verdict(*args)[0])], grid), grid)
 
@@ -561,8 +561,8 @@ def principal_open(f: LayeredPolynomial, grid: GridSpec) -> Tuple[Point, ...]:
 # Exact univariate corner roots and essentiality
 
 
-def _lift(monomials: Collection[Tuple[Exponents, LayeredScalar]], semiring: LayeredSemiring,
-          *denominators: int) -> Tuple[int, int, List[Line]]:
+def _lift(monomials: Collection[tuple[Exponents, LayeredScalar]], semiring: LayeredSemiring,
+          *denominators: int) -> tuple[int, int, list[Line]]:
     """(sign, scale, lines): each monomial (e, c) as the int line
     ``(e, sign * c * scale, layer of c)``, ``scale`` one common denominator of
     the values and ``denominators`` and ``sign`` -1 in a descending view, as
@@ -577,9 +577,9 @@ def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _upper_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
+def _upper_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
     """Strict upper concave hull of points sorted by abscissa; collinear middles drop."""
-    hull: List[Tuple[int, Fraction]] = []
+    hull: list[tuple[int, Fraction]] = []
     for p in points:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0:
             hull.pop()
@@ -587,7 +587,7 @@ def _upper_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]
     return hull
 
 
-def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int], ...]:
+def univariate_corner_roots(f: LayeredPolynomial) -> tuple[tuple[Fraction, int], ...]:
     """Exact (root, tie multiplicity) pairs, sorted by root.
 
     Roots are the breakpoints of the upper envelope of c + e*x over the
@@ -603,7 +603,7 @@ def univariate_corner_roots(f: LayeredPolynomial) -> Tuple[Tuple[Fraction, int],
                         for (i, ci), (j, cj) in zip(hull, hull[1:])))
 
 
-def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
+def essential_monomials(f: LayeredPolynomial) -> tuple[Exponents, ...]:
     """Sorted exponent vectors of the monomials that strictly dominate somewhere.
 
     By Farkas' lemma, monomial e with value c_e wins strictly at some real
@@ -639,7 +639,7 @@ def essential_monomials(f: LayeredPolynomial) -> Tuple[Exponents, ...]:
     return tuple(e for e, p in zip(f.coeffs, lifted) if p in pool)
 
 
-def _feasible(rows: List[List[int]], basis: Sequence[Optional[int]]) -> Optional[List[Fraction]]:
+def _feasible(rows: list[list[int]], basis: Sequence[int | None]) -> list[Fraction] | None:
     """Some x >= 0 with sum_j a_j * x_j = b in every row [a_1, ..., a_n, b]
     (integers, b >= 0; the rows are updated in place), or None.
 
@@ -694,7 +694,7 @@ def functionally_equal(f: LayeredPolynomial, g: LayeredPolynomial) -> bool:
     return _difference(f, g) is None
 
 
-def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fraction, ...]]:
+def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> tuple[Fraction, ...] | None:
     """Coordinates of a tangible point where f and g differ, or None.
 
     At a tangible point each monomial keeps its coefficient's layer, and the
@@ -717,7 +717,7 @@ def _difference(f: LayeredPolynomial, g: LayeredPolynomial) -> Optional[Tuple[Fr
         top = max(values)
         return frozenset(p for p, v in zip(points, values) if v == top)
 
-    def tie(top, below=None) -> Optional[List[Fraction]]:
+    def tie(top, below=None) -> list[Fraction] | None:
         """A point where ``top`` ties at the best value and ``below`` lies at
         least 1 under it.  Unknowns: lam = 1 + mu, y and s (each split in
         two) and a slack per other point, in lam*c_p + p.y + slack_p = s."""

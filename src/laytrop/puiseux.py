@@ -21,16 +21,16 @@ only: int (not bool) and Fraction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Tuple, Union
 
 from .core import Record, exact, power
 from .errors import DomainError
 
-Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
+Term = tuple[Fraction, Fraction]  # (exponent, coefficient)
 
 
 def _collect(pairs: Iterable[tuple], zero) -> tuple:
@@ -116,12 +116,12 @@ def _matches(f: "PuiseuxPolynomial", acc: dict, scale: int, width: int, den: int
 class PuiseuxSeries(Record, frozen=True):
     """Immutable (exponent, coefficient) terms in canonical form."""
 
-    terms: Tuple[Term, ...]
+    terms: tuple[Term, ...]
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, pairs: Iterable[Tuple[Fraction, Fraction]]) -> "PuiseuxSeries":
+    def from_terms(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "PuiseuxSeries":
         return cls(_collect(((Fraction(exact(e, "exponent")), Fraction(exact(c, "coefficient")))
                              for e, c in pairs), 0))
 
@@ -206,7 +206,7 @@ class PuiseuxPolynomial(Record, frozen=True):
     first read of them; any other polynomial builds ``_sums`` on first read.
     """
 
-    coeffs: Tuple[Tuple[int, PuiseuxSeries], ...]
+    coeffs: tuple[tuple[int, PuiseuxSeries], ...]
 
     def __getattr__(self, name):
         if name == "_sums":
@@ -219,8 +219,8 @@ class PuiseuxPolynomial(Record, frozen=True):
         return value
 
     @classmethod
-    def from_coeffs(cls, coeffs: Union[Mapping[int, PuiseuxSeries],
-                                       Iterable[Tuple[int, PuiseuxSeries]]]) -> "PuiseuxPolynomial":
+    def from_coeffs(cls, coeffs: Mapping[int, PuiseuxSeries] | Iterable[tuple[int, PuiseuxSeries]]
+                    ) -> "PuiseuxPolynomial":
         """From a degree -> series map, or (degree, series) pairs whose like degrees add."""
         items = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
         for degree, _ in items:
@@ -247,7 +247,7 @@ class PuiseuxPolynomial(Record, frozen=True):
         return _product(_root_sums(roots, lead))
 
     @cached_property
-    def lowest_terms(self) -> Tuple[Tuple[int, Fraction, Fraction], ...]:
+    def lowest_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
         """(degree, exponent, coefficient) of each coefficient's lowest term, degrees
         ascending: all that val and leading read, from the lowest key with a nonzero
         sum per degree."""
@@ -265,7 +265,7 @@ class PuiseuxPolynomial(Record, frozen=True):
             raise DomainError("the zero polynomial has no degree")
         return self.lowest_terms[-1][0]
 
-    def support(self) -> Tuple[int, ...]:
+    def support(self) -> tuple[int, ...]:
         return tuple(d for d, _, _ in self.lowest_terms)
 
     def coefficient(self, degree: int) -> PuiseuxSeries:

@@ -10,10 +10,10 @@ as one int over the point sort's denominator, so a corner ghost is an int 0.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .core import LayeredScalar, LayeredSemiring, exact
 from .errors import DomainError
@@ -43,7 +43,7 @@ def explode_scalar(p: PuiseuxSeries) -> ExplodedScalar:
     return ExplodedScalar(p.leading(), p.val())
 
 
-def explode_poly(f: PuiseuxPolynomial) -> Dict[int, ExplodedScalar]:
+def explode_poly(f: PuiseuxPolynomial) -> dict[int, ExplodedScalar]:
     """Coefficient-wise exploded tropicalization as a degree -> scalar map."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no exploded image")
@@ -75,7 +75,7 @@ def exploded_eval(coeffs: Mapping[int, ExplodedScalar], point: ExplodedScalar) -
                           Fraction(top, scale))
 
 
-def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> Tuple[int, int, List[Tuple]]:
+def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> tuple[int, int, list[tuple]]:
     """(scale, den, lifted): the lcm of ``scale`` and every value denominator, the
     lcm of every sort denominator, and each degree d as (d, value times scale,
     sort times den)."""
@@ -85,7 +85,7 @@ def _lifted(coeffs: Mapping[int, ExplodedScalar], scale: int) -> Tuple[int, int,
                          c.sort.numerator * (den // c.sort.denominator)) for d, c in coeffs.items()]
 
 
-def _ties(lifted: Sequence[Tuple], x: int) -> Tuple[int, List[Tuple]]:
+def _ties(lifted: Sequence[tuple], x: int) -> tuple[int, list[tuple]]:
     """(top, tied): the max of v_d + d*x over ``lifted``, x on its scale, and the
     (d, sort) of each degree tied at it."""
     values = [v + d * x for d, v, _ in lifted]
@@ -93,7 +93,7 @@ def _ties(lifted: Sequence[Tuple], x: int) -> Tuple[int, List[Tuple]]:
     return top, [(d, c) for (d, _, c), value in zip(lifted, values) if value == top]
 
 
-def _tied_sort(tied: Sequence[Tuple], s) -> int:
+def _tied_sort(tied: Sequence[tuple], s) -> int:
     """The sort sum of a_d * s^d over the tied (d, a_d), times q^D for s = p/q and
     D the top tied degree: the int sum of a_d * p^d * q^(D - d)."""
     p, q = s.numerator, s.denominator

@@ -1,12 +1,16 @@
 """The CLI prints, byte for byte, what the golden corpus pins (see cli_corpus.py)."""
 
+import csv
+import io
 import json
 import math
 import sys
 import time
 
+import pytest
+
 import cli_corpus
-from laytrop import GridSpec, LayeredScalar, PuiseuxSeries, semiring
+from laytrop import INF, GridSpec, LayeredScalar, PuiseuxSeries, semiring
 from oracles import (brute_corner_roots, brute_grid, brute_judge, fm_essential,
                      reference_from_roots, reference_kapranov_checks, reference_locus_rendering,
                      reference_parse_grid_value, reference_parse_layer_flag, reference_parse_point,
@@ -172,6 +176,109 @@ def test_corpus_kapranov_outputs_match_the_oracles(tmp_path, monkeypatch):
         assert json.loads(out) == _reference_kapranov(argv), argv
 
 
+def _reference_args(argv):
+    """(expression texts, options) of an argv after its command: ``--combined``
+    and ``--laurent`` map to True, any other option to the value after ``=`` or
+    to the next argument."""
+    texts, options, rest = [], {}, iter(argv[1:])
+    for arg in rest:
+        if arg in ("--combined", "--laurent"):
+            options[arg] = True
+        elif arg.startswith("--"):
+            name, eq, value = arg.partition("=")
+            options[name] = value if eq else next(rest)
+        else:
+            texts.append(arg)
+    return texts, options
+
+
+def _layer_text(layer):
+    return "inf" if layer == INF else str(layer)
+
+
+def _reference_eval(argv):
+    """What ``laytrop eval`` prints for a corpus case that exits 0, decoded: the
+    reference readers' polynomial and point, and ``reference_value`` of the one
+    at the other, its scalar written ``value`` on layer 1, else ``(layer|value)``."""
+    (text,), options = _reference_args(argv)
+    sr = semiring(options.get("--L", "nat"))
+    f = reference_parse_polynomial(text, sr, laurent="--laurent" in options)
+    point = reference_parse_point(options["--point"], sr)
+    assert len(point) == f.nvars, argv
+    v = reference_value(f, point)
+    layer = _layer_text(v.layer)
+    return {"scalar": str(v.value) if v.layer == 1 else f"({layer}|{v.value})",
+            "layer": layer, "value": str(v.value)}
+
+
+def _reference_layering(argv):
+    """What ``laytrop layering`` prints for a corpus case that exits 0, decoded:
+    the least layer of ``reference_value`` at the point over the set, every
+    expression read at the largest variable count among them."""
+    texts, options = _reference_args(argv)
+    sr, laurent = semiring(options.get("--L", "nat")), "--laurent" in options
+    nvars = max(reference_parse_polynomial(text, sr, laurent=laurent).nvars for text in texts)
+    point = reference_parse_point(options["--point"], sr)
+    assert len(point) == nvars, argv
+    layer = min(reference_value(reference_parse_polynomial(text, sr, laurent=laurent, nvars=nvars),
+                                point).layer for text in texts)
+    return {"layer": "inf" if layer == INF else layer}
+
+
+def _reference_roots(argv):
+    """What ``laytrop roots`` prints for a corpus case that exits 0, decoded: the
+    ties ``brute_corner_roots`` finds (on negated exponents and values in a
+    descending view), as JSON records or as CSV rows under a header."""
+    (text,), options = _reference_args(argv)
+    sr = semiring(options.get("--L", "nat"))
+    f = reference_parse_polynomial(text, sr)
+    assert f.nvars == 1, argv
+    sign = -1 if sr.descending else 1
+    roots = brute_corner_roots([(sign * e, sign * c.value) for (e,), c in f.coeffs.items()])
+    if options.get("--format", "json") == "csv":
+        return [["root", "mult"], *([str(x), str(m)] for x, m in roots)]
+    return [{"root": str(x), "mult": m} for x, m in roots]
+
+
+def _decoded(out, argv):
+    if "csv" in argv:
+        return list(csv.reader(io.StringIO(out, newline="")))
+    return json.loads(out)
+
+
+#: Exit-0 ``eval``, ``layering`` and ``roots`` cases whose oracles are too slow
+#: for tier-1, by argv, each with its reason.  None is: every case is checked.
+SLOW_EVAL = {}
+SLOW_LAYERING = {}
+SLOW_ROOTS = {}
+
+
+@pytest.mark.parametrize("command, reference, slow_cases, least", [
+    ("eval", _reference_eval, SLOW_EVAL, 129),
+    ("layering", _reference_layering, SLOW_LAYERING, 72),
+    ("roots", _reference_roots, SLOW_ROOTS, 94),
+])
+def test_corpus_point_and_root_outputs_match_the_oracles(command, reference, slow_cases, least,
+                                                         tmp_path, monkeypatch):
+    # Each case of the command that exits 0 past argparse prints its pinned
+    # output (checked by digest here too), and that output, decoded, is what
+    # the reference readers and oracles compute.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == [command] and case["code"] == 0 and not case["parser"]]
+    slow = [case for case in cases if tuple(case["argv"]) in slow_cases]
+    assert len(slow) == len(slow_cases) and len(cases) >= least
+    for case in cases:
+        if case in slow:
+            continue
+        argv = case["argv"]
+        out, err, code, _ = cli_corpus.run(argv, case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
+        assert _decoded(out, argv) == reference(argv), argv
+
+
 #: Grids of more points than this are too long to judge point by point in
 #: tier-1; ``_reference_long_row`` checks a univariate one instead.
 LONG_ROW = 10 ** 5
@@ -181,16 +288,8 @@ def _reference_locus_call(argv):
     """(polynomials, grid, combined, format) of a ``locus`` argv, read with the
     reference readers: every expression at the largest variable count among
     them; one ``--grid`` axis stands for every variable."""
-    exprs, options, rest = [], {}, iter(argv[1:])
-    for arg in rest:
-        if arg in ("--combined", "--laurent"):
-            options[arg] = True
-        elif arg.startswith("--"):
-            name, eq, value = arg.partition("=")
-            assert name in ("--grid", "--grid-layer", "--L", "--format"), argv
-            options[name] = value if eq else next(rest)
-        else:
-            exprs.append(arg)
+    exprs, options = _reference_args(argv)
+    assert set(options) <= {"--grid", "--grid-layer", "--L", "--format", "--combined", "--laurent"}, argv
     sr, laurent = semiring(options.get("--L", "nat")), "--laurent" in options
     nvars = max(reference_parse_polynomial(text, sr, laurent=laurent).nvars for text in exprs)
     polynomials = [reference_parse_polynomial(text, sr, laurent=laurent, nvars=nvars)

@@ -1,10 +1,14 @@
 """The record classes against dataclass references, and a cold CLI import."""
 
 import dataclasses
+import functools
+import importlib
+import inspect
 import os
 import random
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,6 +145,42 @@ def test_exploded_and_newton_records_keep_their_arithmetic():
     assert list(report.to_json()) == [*ZariskiReport.__match_args__, "pass"]
 
 
+MODULES = ["cli", "congruence", "core", "errors", "kapranov", "parsing", "polynomials",
+           "puiseux", "tropical"]
+
+
+def _annotated(module):
+    """Each function, class, method and property ``module`` defines at its top level."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        if not isinstance(value, type):
+            continue
+        yield value
+        for member in vars(value).values():
+            member = getattr(member, "__func__", member)  # classmethod, staticmethod
+            if isinstance(member, property):
+                yield from filter(None, (member.fget, member.fset, member.fdel))
+            elif isinstance(member, functools.cached_property):
+                yield member.func
+            elif inspect.isfunction(member):
+                yield member
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_annotation_resolves(name):
+    # Annotations stay strings at run time, so a name the module no longer
+    # imports (a leftover ``Tuple``, say) shows only when one is evaluated.
+    # ``rng: random.Random`` parameters name the module their function imports.
+    module = importlib.import_module(f"laytrop.{name}")
+    checked = list(_annotated(module))
+    assert checked
+    for obj in checked:
+        typing.get_type_hints(obj, localns={"random": random})
+
+
 def test_cli_import_loads_no_introspection_modules():
     # ``dataclasses`` pulls in inspect, ast, dis and tokenize, which took longer
     # to import than the package itself; a CLI run starts without them.
@@ -153,9 +193,35 @@ def test_cli_import_loads_no_introspection_modules():
     assert run.stdout.split() == []
 
 
+ROUNDTRIP = "kp.verify_random_products(3, 4, 0).to_json(), cg.zariski_roundtrip(pairs, grid).to_json()"
+ROUNDTRIP_SETUP = ("from laytrop import GridSpec, congruence as cg, kapranov as kp, parse_polynomial, semiring\n"
+                   "sr = semiring()\n"
+                   "pairs = [(parse_polynomial('x1 + 0', sr), parse_polynomial('x1 + 1/2', sr))]\n"
+                   "grid = GridSpec.uniform(-2, 2, 1, 1)\n")
+
+
+def test_cli_import_loads_random_only_for_a_draw():
+    # Annotations stay strings, so no module needs ``typing``; ``random`` loads
+    # when a Kapranov trial or a Zariski round trip seeds its draws, and those
+    # draws match the ones of a process that had ``random`` from the start.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, laytrop.cli\n"
+            "print('typing' in sys.modules, 'random' in sys.modules)\n"
+            + ROUNDTRIP_SETUP + f"print(repr(({ROUNDTRIP})))\n"
+            "print('typing' in sys.modules, 'random' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    before, results, after = run.stdout.splitlines()
+    assert (before, after) == ("False False", "False True")
+    ns = {}
+    exec(ROUNDTRIP_SETUP, ns)
+    assert results == repr(eval(ROUNDTRIP, ns))
+
+
 def test_cli_import_leaves_csv_for_csv_output():
-    # Only ``--format csv`` writes through ``csv``, so a fresh CLI import (and
-    # with it every run in the default JSON format) does not load it.
+    # The CLI writes its CSV lines itself, so a fresh CLI import, and with it
+    # a run in either format, does not load ``csv``.
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, laytrop.cli; print('csv' in sys.modules)"
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
