@@ -192,10 +192,6 @@ def _reference_args(argv):
     return texts, options
 
 
-def _layer_text(layer):
-    return "inf" if layer == INF else str(layer)
-
-
 def _reference_eval(argv):
     """What ``laytrop eval`` prints for a corpus case that exits 0, decoded: the
     reference readers' polynomial and point, and ``reference_value`` of the one
@@ -206,7 +202,7 @@ def _reference_eval(argv):
     point = reference_parse_point(options["--point"], sr)
     assert len(point) == f.nvars, argv
     v = reference_value(f, point)
-    layer = _layer_text(v.layer)
+    layer = "inf" if v.layer == INF else str(v.layer)
     return {"scalar": str(v.value) if v.layer == 1 else f"({layer}|{v.value})",
             "layer": layer, "value": str(v.value)}
 

@@ -1,10 +1,12 @@
-"""The record classes against dataclass references, and a cold CLI import."""
+"""The record classes against dataclass references, every module's annotations,
+and a cold CLI import."""
 
 import dataclasses
 import functools
 import importlib
 import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import laytrop
 from laytrop import INF, DomainError, LayeredSemiring, PuiseuxSeries
 from laytrop.congruence import CoordinateFunction, FinitePointSet, ZariskiReport
 from laytrop.core import LayeredScalar
@@ -145,8 +148,7 @@ def test_exploded_and_newton_records_keep_their_arithmetic():
     assert list(report.to_json()) == [*ZariskiReport.__match_args__, "pass"]
 
 
-MODULES = ["cli", "congruence", "core", "errors", "kapranov", "parsing", "polynomials",
-           "puiseux", "tropical"]
+MODULES = sorted(m.name for m in pkgutil.iter_modules(laytrop.__path__))
 
 
 def _annotated(module):
@@ -156,17 +158,16 @@ def _annotated(module):
             continue
         if inspect.isfunction(value):
             yield value
-        if not isinstance(value, type):
-            continue
-        yield value
-        for member in vars(value).values():
-            member = getattr(member, "__func__", member)  # classmethod, staticmethod
-            if isinstance(member, property):
-                yield from filter(None, (member.fget, member.fset, member.fdel))
-            elif isinstance(member, functools.cached_property):
-                yield member.func
-            elif inspect.isfunction(member):
-                yield member
+        elif isinstance(value, type):
+            yield value
+            for member in vars(value).values():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if isinstance(member, property):
+                    yield from filter(None, (member.fget, member.fset, member.fdel))
+                elif isinstance(member, functools.cached_property):
+                    yield member.func
+                elif inspect.isfunction(member):
+                    yield member
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -193,21 +194,19 @@ def test_cli_import_loads_no_introspection_modules():
     assert run.stdout.split() == []
 
 
-ROUNDTRIP = "kp.verify_random_products(3, 4, 0).to_json(), cg.zariski_roundtrip(pairs, grid).to_json()"
-ROUNDTRIP_SETUP = ("from laytrop import GridSpec, congruence as cg, kapranov as kp, parse_polynomial, semiring\n"
-                   "sr = semiring()\n"
-                   "pairs = [(parse_polynomial('x1 + 0', sr), parse_polynomial('x1 + 1/2', sr))]\n"
-                   "grid = GridSpec.uniform(-2, 2, 1, 1)\n")
-
-
 def test_cli_import_loads_random_only_for_a_draw():
     # Annotations stay strings, so no module needs ``typing``; ``random`` loads
     # when a Kapranov trial or a Zariski round trip seeds its draws, and those
     # draws match the ones of a process that had ``random`` from the start.
     src = Path(__file__).resolve().parent.parent / "src"
+    setup = ("from laytrop import GridSpec, congruence as cg, kapranov as kp, parse_polynomial, semiring\n"
+             "sr = semiring()\n"
+             "pairs = [(parse_polynomial('x1 + 0', sr), parse_polynomial('x1 + 1/2', sr))]\n")
+    draws = ("kp.verify_random_products(3, 4, 0).to_json(),"
+             " cg.zariski_roundtrip(pairs, GridSpec.uniform(-2, 2, 1, 1)).to_json()")
     code = ("import sys, laytrop.cli\n"
             "print('typing' in sys.modules, 'random' in sys.modules)\n"
-            + ROUNDTRIP_SETUP + f"print(repr(({ROUNDTRIP})))\n"
+            + setup + f"print(repr(({draws})))\n"
             "print('typing' in sys.modules, 'random' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
@@ -215,8 +214,8 @@ def test_cli_import_loads_random_only_for_a_draw():
     before, results, after = run.stdout.splitlines()
     assert (before, after) == ("False False", "False True")
     ns = {}
-    exec(ROUNDTRIP_SETUP, ns)
-    assert results == repr(eval(ROUNDTRIP, ns))
+    exec(setup, ns)
+    assert results == repr(eval(draws, ns))
 
 
 def test_cli_import_leaves_csv_for_csv_output():
