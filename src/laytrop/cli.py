@@ -3,6 +3,8 @@
 Every number in the output is an exact rational string; JSON is the default
 format and CSV is available where the output is tabular.  Exit status is 0
 on success, 1 on domain errors in the input data, and 2 on usage errors.
+The ``trop``, ``explode``, ``congruence`` and ``kapranov`` commands import the
+modules they run where they run, so no other command loads them.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ import math
 import sys
 from fractions import Fraction
 
-from . import congruence as cg
-from . import kapranov as kp
 from . import polynomials as poly
 from .core import INF, format_layer, semiring
 from .errors import DomainError, LaytropError, ParseError, UsageError
 from .parsing import (_Scan, parse_point, parse_polynomial, parse_puiseux_polynomial,
                       parse_scalar)
-from .tropical import explode_poly, trop_poly
 
 
 def _fraction(text: str) -> Fraction:
@@ -141,6 +140,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trop(args) -> int:
+    from .tropical import trop_poly
     sr = semiring(args.L)
     f = parse_puiseux_polynomial(args.expr)
     image = trop_poly(sr, f)
@@ -150,6 +150,7 @@ def _cmd_trop(args) -> int:
 
 
 def _cmd_explode(args) -> int:
+    from .tropical import explode_poly
     f = parse_puiseux_polynomial(args.expr)
     image = explode_poly(f)
     coeffs = {str(d): {"sort": str(x.sort), "value": str(x.value)}
@@ -218,6 +219,7 @@ def _read_spec(path: str):
 
 
 def _cmd_congruence(args) -> int:
+    from . import congruence as cg
     pair_texts, point_texts, grid_text = _read_spec(args.file)
     sr = semiring(args.L)
     sides, nvars = _parse_set([t for f, g in pair_texts for t in (f, g)], sr)
@@ -236,6 +238,7 @@ def _cmd_congruence(args) -> int:
 
 
 def _cmd_kapranov(args) -> int:
+    from . import kapranov as kp
     summary = kp.verify_random_products(args.degree, args.trials, args.seed,
                                         semiring(args.L))
     print(json.dumps(summary.to_json()))

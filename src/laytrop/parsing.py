@@ -22,7 +22,6 @@ from math import prod
 from .core import INF, LayeredScalar, LayeredSemiring, SortFlavor, ValueFlavor
 from .errors import DomainError, ParseError
 from .polynomials import LayeredPolynomial
-from .puiseux import PuiseuxPolynomial, PuiseuxSeries
 
 # An int, a name or an operator; a character that starts none of them reads as
 # "".  ``\d`` matches exactly the digits ``int()`` reads, as ``str.isdecimal``
@@ -235,12 +234,14 @@ def _puiseux_monomials(text: str, allow_variable: bool):
              sum(d for _, _, d in product)) for product in s.products(factor)]
 
 
-def parse_puiseux(text: str) -> PuiseuxSeries:
+def parse_puiseux(text: str) -> puiseux.PuiseuxSeries:
     """Parse a Puiseux series; duplicate exponents merge, zero terms drop."""
-    return PuiseuxSeries.from_terms((e, c) for c, e, _ in _puiseux_monomials(text, False))
+    from . import puiseux  # loaded only when Puiseux text is read
+    return puiseux.PuiseuxSeries.from_terms((e, c) for c, e, _ in _puiseux_monomials(text, False))
 
 
-def parse_puiseux_polynomial(text: str) -> PuiseuxPolynomial:
+def parse_puiseux_polynomial(text: str) -> puiseux.PuiseuxPolynomial:
     """Parse a polynomial in the variable L with Puiseux series coefficients."""
-    return PuiseuxPolynomial.from_coeffs((d, PuiseuxSeries.term(c, e))
-                                         for c, e, d in _puiseux_monomials(text, True))
+    from . import puiseux  # loaded only when Puiseux text is read
+    return puiseux.PuiseuxPolynomial.from_coeffs((d, puiseux.PuiseuxSeries.term(c, e))
+                                                 for c, e, d in _puiseux_monomials(text, True))

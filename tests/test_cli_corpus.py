@@ -14,8 +14,8 @@ from laytrop import INF, GridSpec, LayeredScalar, PuiseuxSeries, semiring
 from oracles import (brute_corner_roots, brute_grid, brute_judge, fm_essential,
                      reference_from_roots, reference_kapranov_checks, reference_locus_rendering,
                      reference_parse_grid_value, reference_parse_layer_flag, reference_parse_point,
-                     reference_parse_polynomial, reference_roundtrip, reference_trial_draws,
-                     reference_value)
+                     reference_parse_polynomial, reference_parse_puiseux_polynomial,
+                     reference_roundtrip, reference_trial_draws, reference_value)
 
 
 def test_every_corpus_call_prints_its_pinned_output(tmp_path, monkeypatch):
@@ -273,6 +273,51 @@ def test_corpus_point_and_root_outputs_match_the_oracles(command, reference, slo
         out, err, code, _ = cli_corpus.run(argv, case["spec"])
         assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
         assert _decoded(out, argv) == reference(argv), argv
+
+
+#: Exit-0 ``trop`` and ``explode`` cases whose oracles are too slow for tier-1,
+#: by argv, each with its reason.  None is: every case is checked below.
+SLOW_TROP = {}
+SLOW_EXPLODE = {}
+
+
+@pytest.mark.parametrize("command, slow_cases, least", [
+    ("trop", SLOW_TROP, 72),
+    ("explode", SLOW_EXPLODE, 71),
+])
+def test_corpus_tropicalization_outputs_match_the_oracles(command, slow_cases, least,
+                                                          tmp_path, monkeypatch):
+    # Each trop and explode case that exits 0 past argparse prints its pinned
+    # output (checked by digest here too), and that output, decoded, holds per
+    # degree of the reference reader's polynomial its coefficient's lowest
+    # exponent e, negated: the layer-1 value -e for ``trop``, whose text reads
+    # back as that polynomial, and the pair (coefficient of t^e, -e) for
+    # ``explode``.
+    header, cases = cli_corpus.load()
+    monkeypatch.setenv("COLUMNS", header["columns"])
+    monkeypatch.chdir(tmp_path)
+    cases = [case for case in cases
+             if case["argv"][:1] == [command] and case["code"] == 0 and not case["parser"]]
+    slow = [case for case in cases if tuple(case["argv"]) in slow_cases]
+    assert len(slow) == len(slow_cases) and len(cases) >= least
+    for case in cases:
+        if case in slow:
+            continue
+        argv = case["argv"]
+        out, err, code, _ = cli_corpus.run(argv, case["spec"])
+        assert (code, err, cli_corpus.digest(out, err, code)) == (0, "", case["sha256"]), argv
+        (text,), options = _reference_args(argv)
+        lowest = [(d, *min(c.terms)) for d, c in reference_parse_puiseux_polynomial(text).coeffs]
+        payload = json.loads(out)
+        if command == "explode":
+            assert payload == {"coefficients": {str(d): {"sort": str(c), "value": str(-e)}
+                                                for d, e, c in lowest}}, argv
+            continue
+        assert payload.keys() == {"text", "coefficients"}, argv
+        assert payload["coefficients"] == {str(d): str(-e) for d, e, _ in lowest}, argv
+        sr = semiring(options.get("--L", "nat"))
+        assert reference_parse_polynomial(payload["text"], sr).coeffs == \
+            {(d,): LayeredScalar(1, -e) for d, e, _ in lowest}, argv
 
 
 #: Grids of more points than this are too long to judge point by point in

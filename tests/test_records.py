@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import laytrop
-from laytrop import INF, DomainError, LayeredSemiring, PuiseuxSeries
+from laytrop import INF, DomainError, LayeredSemiring, PuiseuxSeries, puiseux
 from laytrop.congruence import CoordinateFunction, FinitePointSet, ZariskiReport
 from laytrop.core import LayeredScalar
 from laytrop.kapranov import (KapranovReport, NewtonPolygon, NewtonSegment, TrialSummary,
@@ -174,12 +174,13 @@ def _annotated(module):
 def test_every_annotation_resolves(name):
     # Annotations stay strings at run time, so a name the module no longer
     # imports (a leftover ``Tuple``, say) shows only when one is evaluated.
-    # ``rng: random.Random`` parameters name the module their function imports.
+    # ``rng: random.Random`` parameters and the Puiseux readers'
+    # ``puiseux.…`` return types name the module their function imports.
     module = importlib.import_module(f"laytrop.{name}")
     checked = list(_annotated(module))
     assert checked
     for obj in checked:
-        typing.get_type_hints(obj, localns={"random": random})
+        typing.get_type_hints(obj, localns={"random": random, "puiseux": puiseux})
 
 
 def test_cli_import_loads_no_introspection_modules():
